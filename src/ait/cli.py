@@ -11,62 +11,91 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from .codec import assert_bits
 from .complexity import k_t, km_t, m_set, m_t
 from .dyadic import Dyadic
 from .frozen import FROZEN, calibrate
 from .harness import EXPERIMENTS, run_all, run_experiment
 from .leftward import bb, border_prefix, get_interval_table, m_b, omega_pair
-from .machine import (
-    MachineConfig,
-    enumerate_halting,
-    get_enumeration,
-    read_cache,
-    write_cache,
-)
+from .machine import MachineConfig, get_enumeration
 from .measures import (
+    HittingInfeasible,
+    NotInSupport,
     StochBounds,
     StochasticityNotFound,
+    UnreachableSupport,
     deficiency,
     hitting_score,
     hitting_vector,
     stochasticity,
     ElementaryMeasure,
 )
-from .monotone import NuFunction, ThetaTable, build_nu, nu_apply, preimage_count
-from .predicates import BinaryPredicate, complete_extension_search
+from .monotone import (
+    DepthExceeded,
+    NuFunction,
+    ThetaTable,
+    build_nu,
+    nu_apply,
+    preimage_count,
+)
+from .predicates import BinaryPredicate, ExtensionNotFound, complete_extension_search
+
+# searches and lookups that fail on well-formed input: a JSON error, exit 1
+_DOMAIN_ERRORS = (
+    DepthExceeded,
+    ExtensionNotFound,
+    HittingInfeasible,
+    NotInSupport,
+    StochasticityNotFound,
+    UnreachableSupport,
+)
+
+
+class _UsageError(ValueError):
+    """Malformed command-line or file input: exit 2."""
 
 
 def _read_bits_token(token: str) -> str:
-    return "" if token == "-" else token
+    try:
+        return assert_bits("" if token == "-" else token)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
+
+
+def _read_lines(path: str, parse) -> list:
+    """Parse every nonblank line; a malformed line is a usage error."""
+    rows = []
+    with open(path, "r", encoding="ascii") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    rows.append(parse(line.rstrip("\n")))
+                except ValueError as err:
+                    raise _UsageError(f"{path}:{number}: {err}") from None
+    return rows
 
 
 def _read_set_file(path: str) -> list[str]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [_read_bits_token(line.strip()) for line in fh if line.strip()]
+    return _read_lines(path, lambda line: _read_bits_token(line.strip()))
+
+
+def _measure_entry(line: str):
+    bits, value = line.split("\t")
+    return _read_bits_token(bits), Dyadic.parse(value).as_fraction()
 
 
 def _read_measure_file(path: str, kind: str = "probability") -> ElementaryMeasure:
-    weights = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            bits, value = line.rstrip("\n").split("\t")
-            weights[_read_bits_token(bits) if bits else ""] = Dyadic.parse(value).as_fraction()
-    return ElementaryMeasure(weights, kind)
+    return ElementaryMeasure(dict(_read_lines(path, _measure_entry)), kind)
+
+
+def _predicate_pair(line: str) -> tuple[int, int]:
+    idx, bit = line.split("\t")
+    return int(idx), int(bit)
 
 
 def _read_predicate_file(path: str) -> BinaryPredicate:
-    pairs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            idx, bit = line.split("\t")
-            pairs.append((int(idx), int(bit)))
-    return BinaryPredicate(pairs)
+    return BinaryPredicate(_read_lines(path, _predicate_pair))
 
 
 def _apply_config_file(args):
@@ -84,55 +113,29 @@ def _apply_config_file(args):
                 args.max_len = int(value)
             elif key == "fuel":
                 args.fuel = int(value)
-            elif key == "cache_dir":
-                args.cache = value
             elif key == "stoch_max_v_len":
                 args.stoch_max_v_len = int(value)
             elif key == "lambda_scoring":
                 args.scoring = {"3logk": "3logk", "k": "k"}[value]
             else:
-                raise SystemExit(f"unknown config key {key!r}")
-
-
-def _cfg(args) -> MachineConfig:
-    return MachineConfig(args.max_len, args.fuel)
-
-
-def _cached_enumeration(args, cfg: MachineConfig, aux: str):
-    if args.cache:
-        os.makedirs(args.cache, exist_ok=True)
-        name = f"enum_L{cfg.max_program_len}_t{cfg.fuel}_aux{aux or 'e'}.tsv"
-        path = os.path.join(args.cache, name)
-        if os.path.exists(path):
-            return read_cache(path, cfg, aux)
-        records = enumerate_halting(cfg, aux)
-        write_cache(path, cfg, aux, records)
-        return records
-    return get_enumeration(cfg, aux)
+                raise _UsageError(f"unknown config key {key!r}")
 
 
 def main(argv=None) -> int:
-    # the resource flags are accepted both before and after the subcommand
-    # (SUPPRESS keeps an unset trailing flag from clobbering a leading one)
+    # the resource flags are accepted both before and after the subcommand;
+    # SUPPRESS keeps an unset trailing flag from clobbering a leading one, so
+    # the defaults come from the namespace handed to parse_args
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-len", type=int, dest="max_len",
                         default=argparse.SUPPRESS)
     common.add_argument("--fuel", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--cache", default=argparse.SUPPRESS,
-                        help="cache directory")
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key=value config file")
     common.add_argument("--seedless", action="store_true",
                         default=argparse.SUPPRESS,
                         help="assert no entropy source is consulted (always true)")
 
-    parser = argparse.ArgumentParser(prog="ait", description=__doc__)
-    parser.add_argument("--max-len", type=int, default=14, dest="max_len")
-    parser.add_argument("--fuel", type=int, default=2048)
-    parser.add_argument("--cache", default=None, help="cache directory")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--seedless", action="store_true",
-                        help="assert no entropy source is consulted (always true)")
+    parser = argparse.ArgumentParser(prog="ait", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("machine", help="machine-level operations")
@@ -221,13 +224,21 @@ def main(argv=None) -> int:
     p.add_argument("--write", action="store_true",
                    help="rewrite frozen.py in a source checkout")
 
-    args = parser.parse_args(argv)
-    _apply_config_file(args)
-    cfg = _cfg(args)
+    defaults = argparse.Namespace(max_len=14, fuel=2048, config=None, seedless=False)
+    args = parser.parse_args(argv, defaults)
+    try:
+        _apply_config_file(args)
+        return _dispatch(args, MachineConfig(args.max_len, args.fuel))
+    except _UsageError as err:
+        parser.error(str(err))
+    except _DOMAIN_ERRORS as err:
+        print(json.dumps({"error": str(err)}))
+        return 1
 
+
+def _dispatch(args, cfg: MachineConfig) -> int:
     if args.command == "machine" and args.machine_command == "enumerate":
-        aux = _read_bits_token(args.aux)
-        for rec in _cached_enumeration(args, cfg, aux):
+        for rec in get_enumeration(cfg, _read_bits_token(args.aux)):
             sys.stdout.write(f"{rec.program}\t{rec.output}\t{rec.steps}\n")
         return 0
 
@@ -290,15 +301,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "stoch":
-        try:
-            res = stochasticity(
-                _read_bits_token(args.element), _read_bits_token(args.cond),
-                StochBounds(args.stoch_max_v_len, args.stoch_fuel), cfg,
-                scoring=args.scoring,
-            )
-        except StochasticityNotFound as err:
-            print(json.dumps({"error": str(err)}))
-            return 1
+        res = stochasticity(
+            _read_bits_token(args.element), _read_bits_token(args.cond),
+            StochBounds(args.stoch_max_v_len, args.stoch_fuel), cfg,
+            scoring=args.scoring,
+        )
         print(json.dumps({
             "value": res.value, "witness": res.witness_program,
             "deficiency": res.deficiency.value,

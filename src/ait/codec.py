@@ -55,9 +55,6 @@ def all_strings_upto(n: int) -> Iterator[str]:
             yield format(v, f"0{length}b")
 
 
-def is_prefix(p: str, x: str) -> bool:
-    return x.startswith(p)
-
 def is_proper_prefix(p: str, x: str) -> bool:
     return len(p) < len(x) and x.startswith(p)
 
@@ -89,6 +86,23 @@ def bits_to_nat(x: str) -> int:
     if x[0] == "0":
         raise DecodeError(f"non-canonical natural: {x!r}")
     return int(x, 2)
+
+
+# ---------------------------------------------------------------------------
+# the fixture stream
+# ---------------------------------------------------------------------------
+
+class Lcg:
+    """The package's one pseudo-random stream: a fixed-seed 64-bit
+    linear-congruential generator, a fixture constant and never entropy."""
+
+    def __init__(self, seed: int):
+        self.state = (2 * seed + 1) & ((1 << 64) - 1)
+
+    def next(self, bound: int) -> int:
+        """The next draw, reduced to range(bound)."""
+        self.state = (self.state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        return (self.state >> 33) % bound
 
 
 # ---------------------------------------------------------------------------

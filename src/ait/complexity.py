@@ -145,9 +145,6 @@ class ChainRuleReport:
     k_y_given: ComplexityValue
     gap: Optional[int]          # k_t(x,y) - (k_t(x) + k_t(y | <x, k_t(x)>))
 
-    def bound_holds(self, c_chain: int) -> Optional[bool]:
-        return None if self.gap is None else self.gap <= c_chain
-
 
 def chain_rule_report(x: str, y: str, cfg: MachineConfig) -> ChainRuleReport:
     """Both sides of the chain rule at these bounds, with the signed gap."""

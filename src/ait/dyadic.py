@@ -79,9 +79,6 @@ class Dyadic:
     def halved(self) -> "Dyadic":
         return Dyadic(self.num, self.exp + 1)
 
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.exp + other.exp)
-
     # -- comparisons (total order) -------------------------------------
 
     def _cmp(self, other: "Dyadic") -> int:

@@ -9,11 +9,11 @@ Tests assert against these frozen values so they cannot silently re-baseline;
 
 from __future__ import annotations
 
+from .codec import all_strings_upto
 from .machine import MachineConfig
 
-# Fixture bounds: CI scale (seconds) and the nightly scale (minutes).
+# Fixture bounds: CI scale (seconds per experiment).
 FIXTURE = MachineConfig(max_program_len=14, fuel=2048)
-EXTENDED = MachineConfig(max_program_len=16, fuel=4096)
 
 # Bounds for chain-rule sweeps, where pair encodings must stay reachable.
 CHAIN = MachineConfig(max_program_len=48, fuel=4096)
@@ -47,18 +47,18 @@ def calibrate(cfg: MachineConfig = FIXTURE) -> dict[str, int]:
     out: dict[str, int] = {}
 
     worst = 0
-    for y in _strings_upto(6):
+    for y in all_strings_upto(6):
         k = cx.k_t(y, "", cfg)
         worst = max(worst, k.value - (2 * len(y) + 1))
     out["c_machine"] = worst
 
     out["c_copy"] = max(
-        cx.k_t(x, x, cfg).value for x in _strings_upto(6)
+        cx.k_t(x, x, cfg).value for x in all_strings_upto(6)
     )
 
     worst = 0
-    for x in _strings_upto(5):
-        for y in _strings_upto(5):
+    for x in all_strings_upto(5):
+        for y in all_strings_upto(5):
             rep = cx.chain_rule_report(x, y, CHAIN)
             if rep.gap is not None:
                 worst = max(worst, rep.gap)
@@ -79,8 +79,3 @@ def calibrate(cfg: MachineConfig = FIXTURE) -> dict[str, int]:
     out["c_nu"] = max(measure_matching_gap(t) for t in tables)
     return out
 
-
-def _strings_upto(n: int):
-    from .codec import all_strings_upto
-
-    return all_strings_upto(n)

@@ -5,8 +5,9 @@ Every report row is either an assertion (exactly checkable integer or
 dyadic comparison) or a measurement (a recorded value that carries no
 pass/fail): asymptotic claims are never asserted, only measured against
 their fuel-bounded proxies.  All sweeps are closed-form
-deterministic; the only "randomness" is a fixed linear-congruential stream,
-so reports are byte-identical across runs over the same cache.
+deterministic; the only "randomness" is the fixed linear-congruential
+stream ``codec.Lcg``, so reports are byte-identical across runs at the same
+bounds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import complexity as cx
-from .codec import encode_string_set, PrefixFreeSet
+from .codec import Lcg, encode_string_set, PrefixFreeSet
 from .dyadic import Dyadic, ceil_neg_log2
 from .frozen import FROZEN
 from .leftward import (
@@ -33,6 +34,8 @@ from .machine import MachineConfig, cache_digest, get_enumeration
 from .monotone import (
     NuFunction,
     ThetaTable,
+    ThresholdNotFound,
+    ZeroMeasureSet,
     build_nu,
     km_sigma,
     preimage_count,
@@ -103,17 +106,6 @@ def _report(name: str, cfg: MachineConfig, **params) -> ExperimentReport:
     return ExperimentReport(name, config, digest)
 
 
-class _Lcg:
-    """Fixed-seed deterministic stream; a fixture constant, not entropy."""
-
-    def __init__(self, seed: int):
-        self.state = (2 * seed + 1) & ((1 << 64) - 1)
-
-    def next(self, bound: int) -> int:
-        self.state = (self.state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        return (self.state >> 33) % bound
-
-
 def _min_k(members, cfg) -> Optional[int]:
     values = [cx.k_t(x, "", cfg).value for x in members]
     finite = [v for v in values if v is not None]
@@ -126,7 +118,7 @@ def _min_k(members, cfg) -> Optional[int]:
 
 def default_set_family(count: int = 100) -> list[tuple[str, frozenset]]:
     """Deterministic sets of short (hence reachable) strings."""
-    rng = _Lcg(11)
+    rng = Lcg(11)
     pool = [format(v, f"0{n}b") if n else "" for n in range(5) for v in range(1 << n)]
     family = []
     for j in range(count):
@@ -138,7 +130,7 @@ def default_set_family(count: int = 100) -> list[tuple[str, frozenset]]:
 
 def default_prefix_free_family(count: int = 50) -> list[tuple[str, PrefixFreeSet]]:
     """Deterministic prefix-free sets with members the machine can reach."""
-    rng = _Lcg(23)
+    rng = Lcg(23)
     family = []
     for j in range(count):
         length = 2 + rng.next(3)
@@ -150,7 +142,7 @@ def default_prefix_free_family(count: int = 50) -> list[tuple[str, PrefixFreeSet
 
 def default_predicate_family(count: int = 200) -> list[tuple[str, BinaryPredicate]]:
     """Deterministic predicates: domain size <= 6, indices <= 8."""
-    rng = _Lcg(37)
+    rng = Lcg(37)
     family = []
     for j in range(count):
         dom_size = 1 + rng.next(6)
@@ -251,7 +243,7 @@ def exp_info_with_set(
             rep.check(f"{name}.reachable", str(mass), "positive", False)
             continue
         i = ceil_neg_log2(mass)
-        tau_total = dyadic_shift_sum(members, i - 1, cfg)
+        tau_total = mass.shifted(i - 1)
         rep.check(f"{name}.tau_semimeasure", str(tau_total), "<= 1",
                   tau_total <= Dyadic.one())
         infos = [cx.info_with_set(x, members, cfg) for x in members]
@@ -261,13 +253,6 @@ def exp_info_with_set(
         if best is not None:
             rep.measure(f"{name}.i_minus_min_info", i - best)
     return rep
-
-
-def dyadic_shift_sum(members, shift: int, cfg: MachineConfig) -> Dyadic:
-    total = Dyadic.zero()
-    for x in set(members):
-        total = total + cx.m_t(x, "", cfg).shifted(shift)
-    return total
 
 
 def _conditional_removal_rows(rep: ExperimentReport, cfg: MachineConfig):
@@ -429,13 +414,13 @@ def exp_clopen(
                 rep.check(f"{name}.b_for_bb", "multiple", "unique", False)
             except TotalSearchNotFound:
                 rep.measure(f"{name}.b_for_bb", "not-found-within-bounds")
-        except Exception as err:  # threshold genuinely absent within depth
+        except ThresholdNotFound as err:  # threshold absent within depth
             rep.measure(f"{name}.threshold", f"unavailable: {err}")
         try:
             sigma_km = km_sigma(members, table)
             if km.is_finite:
                 rep.measure(f"{name}.km_minus_km_sigma", km.value - sigma_km)
-        except Exception:
+        except ZeroMeasureSet:
             rep.measure(f"{name}.km_sigma", "zero-table-mass")
         rep.measure(f"{name}.info_with_halting",
                     _fmt_inf(cx.info_with_halting(encode_string_set(members), cfg)))

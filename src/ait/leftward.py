@@ -70,7 +70,6 @@ class IntervalTable:
     entries: list[tuple[ProgramRecord, OpenInterval]]
     omega: Dyadic                      # total assigned width = Kraft sum
     pieces: list[Piece] = field(repr=False, default_factory=list)
-    _grid: int = 0
     _tile_lo: list[int] = field(repr=False, default_factory=list)
     _piece_lo: list[int] = field(repr=False, default_factory=list)
     _piece_hi: list[int] = field(repr=False, default_factory=list)
@@ -110,11 +109,13 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
 
     entries = []
     pieces = []
+    tile_lo = []
     pos = 0  # grid units
     for rec in records:
         width = 1 << (L - len(rec.program))
         iv = OpenInterval(Dyadic(pos, L), Dyadic(pos + width, L))
         entries.append((rec, iv))
+        tile_lo.append(pos)
         for blo, bhi in _decompose(pos, pos + width, L):
             size = bhi - blo
             plen = L - (size.bit_length() - 1)
@@ -123,13 +124,7 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
         pos += width
 
     table = IntervalTable(cfg, aux, entries, total, pieces)
-    table._grid = L
-    table._tile_lo = []
-    pos = 0
-    for rec in records:
-        table._tile_lo.append(pos)
-        pos += 1 << (L - len(rec.program))
-
+    table._tile_lo = tile_lo
     table._piece_lo = [p.lo for p in pieces]
     table._piece_hi = [p.hi for p in pieces]
     running_max, running_mass = 0, 0
@@ -173,7 +168,7 @@ def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
 
 
 def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:
-    """x's open interval in 2^-grid_bits units (len(x) may exceed grid_bits)."""
+    """x's open interval in 2^-grid_bits units; len(x) must not exceed grid_bits."""
     if len(x) <= grid_bits:
         width = 1 << (grid_bits - len(x))
         lo = int(x, 2) * width if x else 0
@@ -213,11 +208,6 @@ def run_left_total(p_prime: str, table: IntervalTable) -> ExecOutcome:
         if t_lo <= lo and hi <= t_hi:
             return ExecOutcome(Status.HALTED, rec.output, bits_read=k, steps=rec.steps)
     return ExecOutcome(Status.NEEDS_MORE_INPUT)
-
-
-def left_total_domain(table: IntervalTable) -> list[Piece]:
-    """The minimal transformed programs, ordered by interval position."""
-    return table.pieces
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +317,28 @@ def omega_pair(b: BorderPrefix | str, cfg: MachineConfig, aux: str = "") -> tupl
     at most 2^-len(b), exactly."""
     bits = b.bits if isinstance(b, BorderPrefix) else b
     table = get_interval_table(cfg, aux)
-    L = cfg.max_program_len
-    if bits == "":
-        return table.omega, Dyadic.zero()
-    lo_b, _ = _grid_interval(bits, L)
-    count = bisect_right(table._piece_hi, lo_b)
-    return table.omega, Dyadic(table._prefix_mass[count], L)
+    count, _i, _j = _split_ranges(table._piece_lo, table._piece_hi, bits, cfg.max_program_len)
+    return table.omega, Dyadic(table._prefix_mass[count], cfg.max_program_len)
 
 
 # ---------------------------------------------------------------------------
 # bb and m_b (programs left of b, or extending b)
 # ---------------------------------------------------------------------------
 
-def _split_ranges(table: IntervalTable, b: str) -> tuple[int, int, int]:
-    """Piece indexes: count strictly left of b, then [i, j) inside b's interval."""
-    L = table.config.max_program_len
+def _split_ranges(los: list[int], his: list[int], b: str, L: int) -> tuple[int, int, int]:
+    """For pieces in position order with grid endpoints ``los``/``his``: the
+    count strictly left of b, then the index range [i, j) of those extending b.
+
+    A b longer than L lies strictly inside one grid cell: no piece extends
+    it, and the pieces left of it are the pieces left of that cell.
+    """
+    if len(b) > L:
+        return bisect_right(his, int(b[:L], 2)), 0, 0
     lo_b, hi_b = _grid_interval(b, L)
-    left_count = bisect_right(table._piece_hi, lo_b)
-    i = bisect_left(table._piece_lo, lo_b)
-    j = bisect_left(table._piece_lo, hi_b)
-    if i < j and table._piece_hi[i] > hi_b:
+    left_count = bisect_right(his, lo_b)
+    i = bisect_left(los, lo_b)
+    j = bisect_left(los, hi_b)
+    if i < j and his[i] > hi_b:
         i += 1  # that piece is a proper prefix of b: neither left-of nor extending
     return left_count, i, j
 
@@ -357,9 +349,8 @@ def bb(b: str, cfg: MachineConfig, aux: str = "") -> int:
     table = get_interval_table(cfg, aux)
     if not is_total_uprime(b, table):
         return 0
-    if b == "":
-        return table._prefix_maxlen[-1]
-    left_count, i, j = _split_ranges(table, b)
+    left_count, i, j = _split_ranges(table._piece_lo, table._piece_hi, b,
+                                     cfg.max_program_len)
     return max(table._prefix_maxlen[left_count], _range_max(table, i, j))
 
 
@@ -381,16 +372,8 @@ def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:
         return Dyadic.zero()
     los, his, mass = slot
     L = table.config.max_program_len
-    if b == "":
-        return Dyadic(mass[-1], L)
-    lo_b, hi_b = _grid_interval(b, L)
-    total = mass[bisect_right(his, lo_b)]
-    i = bisect_left(los, lo_b)
-    j = bisect_left(los, hi_b)
-    if i < j and his[i] > hi_b:
-        i += 1
-    total += mass[j] - mass[i]
-    return Dyadic(total, L)
+    left_count, i, j = _split_ranges(los, his, b, L)
+    return Dyadic(mass[left_count] + mass[j] - mass[i], L)
 
 
 def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
@@ -419,7 +402,6 @@ def shortest_total_satisfying(
     pred: Callable[[str], bool],
     cfg: MachineConfig,
     aux: str = "",
-    assert_unique: bool = True,
 ) -> str:
     """The shortest transformed-total string satisfying ``pred``; asserts the
     satisfier is unique at its length (scanning the whole level).
@@ -433,7 +415,7 @@ def shortest_total_satisfying(
     for n in range(cfg.max_program_len + 1):
         hits = [b for b in total_strings_of_length(n, table) if pred(b)]
         if hits:
-            if assert_unique and len(hits) > 1:
+            if len(hits) > 1:
                 raise UniquenessViolation(
                     f"{len(hits)} total strings of length {n} satisfy the predicate"
                 )

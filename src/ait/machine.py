@@ -64,7 +64,6 @@ class Status(Enum):
     HALTED = "halted"
     OUT_OF_FUEL = "out-of-fuel"
     NEEDS_MORE_INPUT = "needs-more-input"
-    STUCK = "stuck"  # unreachable under the frozen table (it is complete)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ _OPCODES = {
     "11110": "COPY_ALL",
     "11111": "HALT",
 }
-_OPCODE_PREFIXES = {code[:i] for code in _OPCODES for i in range(len(code))}
 
 # phases of the operand reader
 _PH_OPCODE = 0
@@ -143,7 +141,7 @@ class _Cpu:
         self.fuel = fuel
         self.steps = 0
         self.bits_read = 0
-        self.state = _RUNNING
+        self.state = _NEED_INPUT  # every opcode starts by reading a bit
         self.phase = _PH_OPCODE
         self.opbuf = ""
         self.op = ""
@@ -157,7 +155,6 @@ class _Cpu:
         self.aux_pos = 0
         self.copy_left = 0
         self.out_cap = out_cap
-        self._advance()
 
     def copy(self) -> "_Cpu":
         c = _Cpu.__new__(_Cpu)
@@ -235,27 +232,20 @@ class _Cpu:
             self.phase = _PH_RAW
             self.need = 8
             self.paybuf = []
-        elif op in ("EMIT_HALT", "EMIT"):
-            self.phase = _PH_UNARY
-            self.unary = 0
-            self.block = 0
-        elif op in ("POW_HALT", "COPY_N"):
+        else:  # EMIT_HALT, EMIT, POW_HALT, COPY_N: a unary-headed block follows
             self.phase = _PH_UNARY
             self.unary = 0
             self.block = 0
 
     def _block_done(self, payload: str):
         op = self.op
-        if op == "EMIT_HALT":
+        if op in ("EMIT_HALT", "RAW8_HALT"):
             if self._emit_run(payload, 1):
                 self.state = _HALTED
         elif op == "EMIT":
             if self._emit_run(payload, 1):
                 self.phase = _PH_OPCODE
                 self.opbuf = ""
-        elif op == "RAW8_HALT":
-            if self._emit_run(payload, 1):
-                self.state = _HALTED
         elif op == "POW_HALT":
             if self.block == 0:
                 self.num_val = int(payload, 2) if payload else 0
@@ -305,11 +295,6 @@ class _Cpu:
                 self.state = _DEAD
                 return
 
-    def _advance(self):
-        # run everything that does not need an input bit
-        if self.state == _RUNNING:
-            self.state = _NEED_INPUT
-
     # -- the input feed ----------------------------------------------------
 
     def feed(self, bit: str) -> int:
@@ -323,13 +308,12 @@ class _Cpu:
 
         if self.phase == _PH_OPCODE:
             self.opbuf += bit
+            # the table is a complete prefix code, so opbuf is always a
+            # codeword or a proper prefix of one
             if self.opbuf in _OPCODES:
                 if self._charge():  # opcode dispatch
                     self.op = _OPCODES[self.opbuf]
                     self._begin_operands()
-            elif self.opbuf not in _OPCODE_PREFIXES:
-                self.state = _DEAD  # unreachable: the table is complete
-                return self.state
         elif self.phase == _PH_UNARY:
             if bit == "1":
                 self.unary += 1
@@ -478,9 +462,7 @@ def search_programs(
     viable: Callable[[str], bool],
     accept: Callable[[str], bool],
     mode: str = "all",
-    out_cap: Optional[int] = None,
     exact_target: Optional[str] = None,
-    target_len: Optional[int] = None,
 ) -> list[ProgramRecord]:
     """Walk the program tree keeping only branches whose output stays viable.
 
@@ -498,18 +480,21 @@ def search_programs(
     the walk exponential in the length bound.  Aux positions past the tape
     end are one state (every later cell is the sentinel), and once a prefix
     keeps more fuel in reserve than any accepted completion can spend, the
-    steps coordinate stops mattering (``target_len`` feeds that reserve
-    bound; it is only sound when completions cannot emit past the target,
-    which holds for exact-output searches and not for prefix-set ones).
+    steps coordinate stops mattering.
+
+    ``exact_target`` names the one output an exact-output search accepts.
+    It caps the output at the target's length, enables the in-block
+    ``_hopeless_for_target`` prunes, and bounds the fuel reserve above; that
+    bound is only sound when completions cannot emit past the target, which
+    holds for exact-output searches and not for prefix-set ones.
     """
     results: list[ProgramRecord] = []
     best_len: Optional[int] = None
     seen: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    if target_len is None and exact_target is not None:
-        target_len = len(exact_target)
-    ample = None
-    if target_len is not None:
-        ample = 3 * cfg.max_program_len + 2 * target_len + 8
+    out_cap = ample = None
+    if exact_target is not None:
+        out_cap = len(exact_target)
+        ample = 3 * cfg.max_program_len + 2 * out_cap + 8
     root = _Cpu(aux, cfg.fuel, out_cap)
     if not viable(""):
         return results
@@ -521,7 +506,9 @@ def search_programs(
             continue
         if mode == "min" and best_len is not None and len(prefix) >= best_len:
             continue
-        cpu = parent.copy()
+        # the "1" sibling is popped after the "0" subtree is done, so it can
+        # take over the parent that only the "0" child had to copy
+        cpu = parent if bit == "1" else parent.copy()
         state = cpu.feed(bit)
         if state in (_OUT_OF_FUEL, _DEAD):
             continue
@@ -567,7 +554,6 @@ def programs_for_output(x: str, cfg: MachineConfig, aux: str = "") -> list[Progr
         viable=lambda out: x.startswith(out),
         accept=lambda out: out == x,
         mode="all",
-        out_cap=len(x),
         exact_target=x,
     )
 
@@ -579,7 +565,6 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
         viable=lambda out: x.startswith(out),
         accept=lambda out: out == x,
         mode="min",
-        out_cap=len(x),
         exact_target=x,
     )
     return found[0] if found else None
@@ -604,42 +589,11 @@ def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
 
 
 # ---------------------------------------------------------------------------
-# enumeration cache files
+# enumeration digest (the fixture hash every report carries)
 # ---------------------------------------------------------------------------
-
-class CacheIntegrityError(RuntimeError):
-    pass
-
 
 def cache_digest(records: Iterable[ProgramRecord]) -> str:
     import hashlib
 
     body = "".join(f"{r.program}\t{r.output}\t{r.steps}\n" for r in records)
     return hashlib.sha256(body.encode("ascii")).hexdigest()
-
-
-def write_cache(path, cfg: MachineConfig, aux: str, records: list[ProgramRecord]) -> str:
-    digest = cache_digest(records)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# max_len={cfg.max_program_len} fuel={cfg.fuel} aux={aux} sha256={digest}\n")
-        for r in records:
-            fh.write(f"{r.program}\t{r.output}\t{r.steps}\n")
-    return digest
-
-
-def read_cache(path, cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
-    """Load a cache file, aborting on any header or digest mismatch."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        rows = fh.readlines()
-    fields = dict(part.split("=", 1) for part in header.lstrip("# ").split(" "))
-    if int(fields["max_len"]) != cfg.max_program_len or int(fields["fuel"]) != cfg.fuel \
-            or fields["aux"] != aux:
-        raise CacheIntegrityError(f"cache {path} was built for a different config")
-    records = []
-    for row in rows:
-        program, output, steps = row.rstrip("\n").split("\t")
-        records.append(ProgramRecord(program, output, int(steps), aux))
-    if cache_digest(records) != fields["sha256"]:
-        raise CacheIntegrityError(f"cache {path} failed its digest check")
-    return records

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .codec import (
     assert_bits,
     canon_key,
     canonical_sorted,
     decode_measure_entries,
+    decode_string_set,
     encode_measure_entries,
 )
 from .complexity import k_t, pair_aux
@@ -129,6 +130,10 @@ class DeficiencyValue:
     conditional_k: int
 
 
+class NotInSupport(ValueError):
+    """The element carries no weight, so it has no log-weight."""
+
+
 class UnreachableSupport(ValueError):
     """No fuel-bounded program reaches the element, so its deficiency has no
     finite conditional term at these bounds."""
@@ -138,15 +143,13 @@ def deficiency(a: str, w: ElementaryMeasure, y: str, cfg: MachineConfig) -> Defi
     """floor(-log W(a)) - k_t(a|y), for a in the support of W."""
     weight = w(a)
     if weight <= 0:
-        raise ValueError(f"{a!r} is not in the support")
+        raise NotInSupport(f"{a!r} is not in the support")
     if weight > 1:
         raise ValueError("weights above 1 have no log-weight")
-    num, den = weight.numerator, weight.denominator
-    # floor(-log2 (num/den)) = len(bin den) - len(bin num) - [den's bits <= num's bits shifted]
     fl = _floor_neg_log2_fraction(weight)
     cond = k_t(a, y, cfg)
     if not cond.is_finite:
-        raise UnreachableSupport(a)
+        raise UnreachableSupport(f"no program within bounds outputs {a!r}")
     return DeficiencyValue(fl - cond.value, fl, cond.value)
 
 
@@ -292,9 +295,7 @@ def _measure_prefix_state(bits: str, a: str) -> str:
         blocks.append(bits[i + 1:i + 1 + n])
         pos = i + 1 + n
         verdict = _classify_partial(blocks, a, final=pos == len(bits))
-        if verdict in ("dead", "complete"):
-            return verdict
-        if pos == len(bits):
+        if verdict != "viable" or pos == len(bits):
             return verdict
 
 
@@ -339,8 +340,6 @@ def _classify_partial(blocks: list[str], a: str, final: bool) -> str:
         if total != 1:
             return "dead"
         return "complete" if final else "dead"
-    if final:
-        return "viable"  # complete blocks so far but the encoding is unfinished
     return "viable"
 
 
@@ -405,13 +404,17 @@ class HittingInfeasible(RuntimeError):
     pass
 
 
+def _decode_set(bits: str) -> frozenset:
+    """The member set behind a support element of Q."""
+    return frozenset(decode_string_set(bits))
+
+
 def hitting_vector(
     q: ElementaryMeasure,
     m: ElementaryMeasure,
     i: int,
     c: int,
     d: int,
-    decode: Callable[[str], frozenset] = None,
 ) -> HittingVector:
     """A vector z of exactly c*d*2^(i+1) support elements of m such that
     sum_F Q(<F>) t_z(F) <= 1, where t_z(F) = 2^(c*d) if F and z are disjoint
@@ -423,13 +426,9 @@ def hitting_vector(
     (in place of e^(c*d)) keeps the starting potential below 1 because
     (1 - 2^-i)^(c*d*2^(i+1)) <= e^(-2cd) <= 2^(-2cd).
     """
-    if decode is None:
-        from .codec import decode_string_set
-
-        decode = lambda bits: frozenset(decode_string_set(bits))
     sets: list[tuple[Fraction, frozenset]] = []
     for enc in q.support:
-        members = decode(enc)
+        members = _decode_set(enc)
         mass = m.mass_of(members)
         if mass < Fraction(1, 1 << i):
             raise ValueError(f"support set {sorted(members)} is not {i}-heavy")
@@ -460,17 +459,12 @@ def hitting_vector(
     return HittingVector(tuple(chosen), (c, d, i))
 
 
-def hitting_score(z: HittingVector, q: ElementaryMeasure, m: ElementaryMeasure,
-                  decode=None) -> Fraction:
+def hitting_score(z: HittingVector, q: ElementaryMeasure, m: ElementaryMeasure) -> Fraction:
     """sum_F Q(<F>) t_z(F), recomputed independently of the greedy run."""
-    if decode is None:
-        from .codec import decode_string_set
-
-        decode = lambda bits: frozenset(decode_string_set(bits))
     c, d, _i = z.params
     hit = set(z.elements)
     total = Fraction(0)
     for enc in q.support:
-        if not (decode(enc) & hit):
+        if not (_decode_set(enc) & hit):
             total += q(enc) * (1 << (c * d))
     return total

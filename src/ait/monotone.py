@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .codec import canon_key, canonical_sorted
+from .codec import Lcg, canon_key, canonical_sorted
 from .dyadic import Dyadic, ceil_log2, ceil_neg_log2, dyadic_sum
 
 
@@ -171,14 +171,12 @@ def build_nu(t: ThetaTable) -> MonotoneTransducer:
         s_new: dict[str, list[str]] = {}
         t_new: dict[str, list[str]] = {x: list(ys) for x, ys in t_now.items()}
         pending: dict[str, list[str]] = {}
-        mass_cache: dict[str, Dyadic] = {}
 
         for x in support:
             base = _expand(s_now.get(x, ()), n_k)
             base.extend(pending.pop(x, ()))
             base.sort()
             s_new[x] = base
-            mass_cache[x] = mass_of(base) + mass_of(t_new.get(x, ()))
 
             for b in "01":
                 child = x + b
@@ -367,13 +365,7 @@ def random_pow2_table(seed: int, stages: int, max_exp: int = 6) -> ThetaTable:
     """A deterministic pseudo-random power-of-two table: the final tree is
     drawn once from a fixed linear-congruential stream, then revealed one
     level per stage (which keeps stage monotonicity trivially exact)."""
-    state = seed * 2 + 1
-
-    def rng(bound: int) -> int:
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        return (state >> 33) % bound
-
+    rng = Lcg(seed)
     tree: dict[str, Dyadic] = {"": Dyadic.one()}
     frontier = [""]
     for _depth in range(stages):
@@ -382,7 +374,7 @@ def random_pow2_table(seed: int, stages: int, max_exp: int = 6) -> ThetaTable:
             v = tree[x]
             if v.exp >= max_exp:
                 continue
-            style = rng(4)
+            style = rng.next(4)
             if style == 0:
                 continue  # leaf: mass stops subdividing
             if style == 1:

@@ -221,14 +221,10 @@ def test_criterion_06_threshold_shape():
 def test_criterion_07_hitting_vectors():
     from fractions import Fraction
 
-    from ait.codec import decode_string_set, encode_string_set
+    from ait.codec import Lcg, decode_string_set, encode_string_set
     from ait.measures import ElementaryMeasure, hitting_score, hitting_vector
 
-    state = 11
-    def rng(bound):
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        return (state >> 33) % bound
+    rng = Lcg(5).next  # the stream starting from state 11
 
     built = 0
     ok = True

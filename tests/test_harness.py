@@ -1,9 +1,9 @@
 import json
-import os
 
 import pytest
 
 from ait.cli import main
+from ait.codec import PrefixFreeSet, encode_string_set
 from ait.dyadic import Dyadic
 from ait.harness import (
     DistortionSpec,
@@ -18,6 +18,8 @@ from ait.harness import (
     exp_set_probability,
     s_n_set,
 )
+from ait.measures import HittingInfeasible
+from ait.monotone import ThresholdNotFound, ZeroMeasureSet, uniform_table
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,29 @@ def test_clopen_report(fixture_cfg):
     names = [r["name"] for r in rep.rows]
     assert any(n.endswith("threshold_oracle") for n in names)
     assert any(n.endswith("b_for_bb") for n in names)
+
+
+@pytest.mark.parametrize("target, error, row", [
+    ("threshold_N", AssertionError("two-sided bound fails above the threshold"), None),
+    ("threshold_N", ThresholdNotFound("none in depth"), "g0.threshold"),
+    ("km_sigma", ZeroMeasureSet("no table mass"), "g0.km_sigma"),
+])
+def test_clopen_measures_only_absent_results(target, error, row, fixture_cfg, monkeypatch):
+    # an absent threshold or a zero table mass is a measurement row; any
+    # other failure, such as an internal check in threshold_N, must raise
+    import ait.harness as harness
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(harness, target, fail)
+    family = [("g0", PrefixFreeSet(["0"]))]
+    if row is None:
+        with pytest.raises(AssertionError):
+            exp_clopen(family, cfg=fixture_cfg)
+    else:
+        rows = {r["name"]: r for r in exp_clopen(family, cfg=fixture_cfg).rows}
+        assert rows[row]["kind"] == "measure"
 
 
 def test_predicate_report(fixture_cfg, small_families):
@@ -187,8 +212,6 @@ def test_cli_stoch(capsys):
 
 
 def test_cli_hitvec(tmp_path, capsys):
-    from ait.codec import encode_string_set
-
     sets = tmp_path / "q.txt"
     sets.write_text(
         f"{encode_string_set(['0'])}\t1/2^1\n{encode_string_set(['1'])}\t1/2^1\n"
@@ -202,8 +225,6 @@ def test_cli_hitvec(tmp_path, capsys):
 
 
 def test_cli_nu(tmp_path, capsys):
-    from ait.monotone import uniform_table
-
     path = tmp_path / "theta.tsv"
     path.write_text(uniform_table(3).serialize())
     assert main(["nu", "apply", str(path), "0000"]) == 0
@@ -223,16 +244,73 @@ def test_cli_predicate(tmp_path, capsys):
     assert row["output"][1] == "0" and row["output"][3] == "0"
 
 
-def test_cli_machine_enumerate_cache(tmp_path, capsys):
-    rc = main(["--max-len", "10", "--fuel", "512",
-               "--cache", str(tmp_path), "machine", "enumerate"])
-    assert rc == 0
-    first = capsys.readouterr().out
-    rc = main(["--max-len", "10", "--fuel", "512",
-               "--cache", str(tmp_path), "machine", "enumerate"])
-    assert rc == 0
-    assert capsys.readouterr().out == first
-    assert any(p.startswith("enum_") for p in os.listdir(tmp_path))
+def test_cli_mb_prefix_longer_than_the_grid(capsys):
+    # an 18-bit prefix lies inside one grid cell at L=14: the pieces left of
+    # that cell count, and none extends the prefix
+    assert main(["mb", "--prefix", "01" * 9, "--target", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "1/2^4"
+
+
+_INPUT_FILES = {
+    "bad_set": "0000\n01a\n",
+    "bad_measure": "00\t1/2^1\n01\t1/3\n",
+    "bad_config": "max_len=10\nseed=7\n",
+    "w": "0000\t1/2^0\n",
+    "pred": "2\t0\n4\t0\n",
+    "theta": uniform_table(3).serialize(),
+    "q": f"{encode_string_set(['0', '1'])}\t1/2^0\n",
+    "m": "0\t1/2^1\n1\t1/2^1\n",
+}
+
+
+def _with_files(argv, tmp_path):
+    """Write the named input file for each "@name" token, pass its path."""
+    out = []
+    for token in argv:
+        if token.startswith("@"):
+            path = tmp_path / token[1:]
+            path.write_text(_INPUT_FILES[token[1:]])
+            token = str(path)
+        out.append(token)
+    return out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["k", "012"], "not a bit string"),
+    (["m", "2x"], "not a bit string"),
+    (["mb", "--prefix", "0", "--target", "0", "--cond", "x"], "not a bit string"),
+    (["mset", "@bad_set"], "bad_set:2: not a bit string"),
+    (["deficiency", "--element", "00", "--measure", "@bad_measure"],
+     "bad_measure:2: not a dyadic literal"),
+    (["--config", "@bad_config", "omega"], "unknown config key"),
+])
+def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(_with_files(argv, tmp_path))
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 0000 needs more than 6 program bits; 01 carries no weight
+    (["--max-len", "6", "deficiency", "--element", "0000", "--measure", "@w"],
+     "no program within bounds"),
+    (["deficiency", "--element", "01", "--measure", "@w"], "not in the support"),
+    (["--max-len", "3", "predicate", "complete", "@pred"], "no program within"),
+    (["nu", "apply", "@theta", "0" * 40], "exceeds built depth"),
+    # the greedy bound cannot fail on valid input, so that failure is injected
+    (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "1", "-c", "1", "-d", "1"],
+     "greedy expectation bound failed"),
+])
+def test_cli_domain_errors_exit_1(argv, message, tmp_path, capsys, monkeypatch):
+    import ait.cli as cli
+
+    def infeasible(*args):
+        raise HittingInfeasible("greedy expectation bound failed")
+
+    monkeypatch.setattr(cli, "hitting_vector", infeasible)
+    assert main(_with_files(argv, tmp_path)) == 1
+    assert message in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_cli_flags_accepted_after_subcommand(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ait.codec import is_prefix_free, left_of
+from ait.codec import Lcg, is_prefix_free, left_of
 from ait.dyadic import Dyadic
 from ait.leftward import (
     TotalSearchNotFound,
@@ -25,6 +25,23 @@ from ait.machine import Status, kraft_sum
 
 def all_strings_of(n):
     return [format(v, f"0{n}b") if n else "" for v in range(1 << n)]
+
+
+def _probes(table):
+    """Every b of at most 5 bits, then random b of 1 to L+4 bits.  Half the
+    random b extend a piece's program, which then neither lies left of b nor
+    extends it; a b longer than L lies inside one grid cell."""
+    L = table.config.max_program_len
+    rng = Lcg(41)
+
+    def bits(n):
+        return "".join(str(rng.next(2)) for _ in range(n))
+
+    probes = [b for n in range(6) for b in all_strings_of(n)]
+    probes += [bits(1 + rng.next(L + 4)) for _ in range(100)]
+    probes += [table.pieces[rng.next(len(table.pieces))].program + bits(1 + rng.next(4))
+               for _ in range(100)]
+    return probes
 
 
 def test_table_structure(interval_table, enumeration):
@@ -197,6 +214,13 @@ def test_omega_pair_bounds(fixture_cfg):
     assert hat2 == Dyadic.zero() and om2 == om
 
 
+def test_omega_hat_oracle(fixture_cfg, interval_table):
+    for b in _probes(interval_table):
+        left = [Dyadic(1, len(p.program)) for p in interval_table.pieces
+                if left_of(p.program, b)]
+        assert omega_pair(b, fixture_cfg)[1] == sum(left, Dyadic.zero())
+
+
 def test_omega_matches_kraft(fixture_cfg, enumeration):
     om, _ = omega_pair("", fixture_cfg)
     assert om == kraft_sum(enumeration)
@@ -213,10 +237,8 @@ def test_bb_definition_oracle(fixture_cfg, interval_table):
                 best = max(best, len(p.output))
         return best
 
-    for n in range(0, 6):
-        for v in range(1 << n):
-            b = format(v, f"0{n}b") if n else ""
-            assert bb(b, fixture_cfg) == oracle(b)
+    for b in _probes(interval_table):
+        assert bb(b, fixture_cfg) == oracle(b)
 
 
 def test_bb_monotone_on_parent(fixture_cfg, interval_table):
@@ -235,19 +257,18 @@ def test_m_b_oracle_and_monotonicity(fixture_cfg, interval_table):
     outputs = ["", "0", "1", "00", "0000"]
 
     def oracle(b, x):
-        if not is_total_uprime(b, interval_table):
-            return Dyadic.zero()
         total = Dyadic.zero()
         for p in interval_table.pieces:
             if p.output == x and (left_of(p.program, b) or p.program.startswith(b)):
                 total = total + Dyadic(1, len(p.program))
         return total
 
-    for n in range(0, 6):
-        for v in range(1 << n):
-            b = format(v, f"0{n}b") if n else ""
-            for x in outputs:
-                assert m_b(b, x, "", fixture_cfg) == oracle(b, x)
+    for b in _probes(interval_table):
+        total = is_total_uprime(b, interval_table)
+        for x in outputs:
+            want = oracle(b, x)
+            assert mass_filtered(b, x, interval_table) == want
+            assert m_b(b, x, "", fixture_cfg) == (want if total else Dyadic.zero())
 
 
 def test_m_b_parent_dominates(fixture_cfg, interval_table):
@@ -273,7 +294,7 @@ def test_empty_prefix_filter_excludes_nothing(fixture_cfg, interval_table):
 
 def test_shortest_total_vacuous_predicate(fixture_cfg, interval_table):
     # the empty string is not total, so the search returns the leftmost total
-    b = shortest_total_satisfying(lambda s: True, fixture_cfg, assert_unique=False)
+    b = shortest_total_satisfying(lambda s: True, fixture_cfg)
     assert b == "0"
 
 

@@ -1,21 +1,18 @@
-import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ait.codec import all_strings_upto, is_prefix_free
-from ait.dyadic import Dyadic
+from ait.dyadic import Dyadic, dyadic_sum
 from ait.machine import (
+    _OPCODES,
     MachineConfig,
     P_EPSILON,
     Status,
-    cache_digest,
-    CacheIntegrityError,
     enumerate_halting,
     kraft_sum,
     min_program_for_output,
     min_program_with_prefix_in,
     programs_for_output,
-    read_cache,
     run,
-    write_cache,
 )
 
 # the designated empty-output program, located by exhaustive enumeration at L=16, t=4096
@@ -120,17 +117,31 @@ def test_enumeration_matches_definitional_brute_force():
         assert got == expected
 
 
-def test_targeted_search_with_aux_matches_enumeration():
-    cfg = MachineConfig(10, 256)
-    aux = "0110"
-    by_output = {}
-    for r in enumerate_halting(cfg, aux):
-        by_output.setdefault(r.output, set()).add(r.program)
-    for out, progs in by_output.items():
-        got = {p.program for p in programs_for_output(out, cfg, aux)}
-        assert got == progs
-        best = min_program_for_output(out, cfg, aux)
-        assert (len(best.program), best.program) == min((len(p), p) for p in progs)
+def _least(records):
+    return min(records, key=lambda r: (len(r.program), r.program), default=None)
+
+
+bit_strings = st.text(alphabet="01", max_size=8)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(aux=bit_strings, max_len=st.integers(1, 10), fuel=st.integers(16, 512),
+       probes=st.lists(bit_strings, max_size=4),
+       members=st.lists(st.text(alphabet="01", max_size=4), min_size=1, max_size=3))
+@example(aux="0110", max_len=10, fuel=256, probes=[], members=["0110"])
+def test_targeted_search_with_aux_matches_enumeration(aux, max_len, fuel, probes, members):
+    # oracle for the output-pruned walks: filter the full enumeration, on
+    # every reachable output, on arbitrary (often unreachable) probes, and on
+    # short member sets; the fuel range spans both the out-of-fuel edge and
+    # the ample-fuel collapse of the dominance prune
+    cfg = MachineConfig(max_len, fuel)
+    records = enumerate_halting(cfg, aux)
+    for x in sorted({r.output for r in records}) + probes:
+        want = [r for r in records if r.output == x]
+        assert programs_for_output(x, cfg, aux) == want
+        assert min_program_for_output(x, cfg, aux) == _least(want)
+    extending = [r for r in records if any(r.output.startswith(m) for m in members)]
+    assert min_program_with_prefix_in(members, cfg, aux) == _least(extending)
 
 
 def test_targeted_search_equals_enumeration_filter(fixture_cfg, enumeration):
@@ -170,21 +181,8 @@ def test_aux_zero_fill(fixture_cfg):
     assert out.halted and out.output == "100"
 
 
-def test_cache_roundtrip(tmp_path, fixture_cfg, enumeration):
-    path = tmp_path / "enum.tsv"
-    digest = write_cache(path, fixture_cfg, "", enumeration)
-    assert digest == cache_digest(enumeration)
-    loaded = read_cache(path, fixture_cfg, "")
-    assert loaded == enumeration
+def test_opcode_table_is_a_complete_prefix_code():
+    # feed relies on this: every bit stream starts with exactly one opcode
+    assert is_prefix_free(list(_OPCODES))
+    assert dyadic_sum(Dyadic(1, len(code)) for code in _OPCODES) == Dyadic.one()
 
-
-def test_cache_integrity_abort(tmp_path, fixture_cfg, enumeration):
-    path = tmp_path / "enum.tsv"
-    write_cache(path, fixture_cfg, "", enumeration)
-    body = path.read_text().splitlines()
-    body[1] = body[1].replace("\t", "\t1", 1)
-    path.write_text("\n".join(body) + "\n")
-    with pytest.raises(CacheIntegrityError):
-        read_cache(path, fixture_cfg, "")
-    with pytest.raises(CacheIntegrityError):
-        read_cache(path, MachineConfig(12, 2048), "")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ait.codec import encode_string_set, is_prefix_free
+from ait.codec import Lcg, encode_string_set, is_prefix_free
 from ait.machine import MachineConfig, run
 from ait.measures import (
     ElementaryMeasure,
@@ -254,28 +254,21 @@ def test_hitting_vector_rejects_light_sets():
         hitting_vector(q, m, i=0, c=1, d=1)  # m({"0"}) = 1/2 < 2^0
 
 
-def _lcg_stream(seed):
-    state = 2 * seed + 1
-    while True:
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        yield (state >> 33)
-
-
 def test_hitting_vector_random_instances():
     # fifty deterministic instances: exact size, exact score bound, and the
     # heavy-set intersection guarantee
-    stream = _lcg_stream(5)
+    rng = Lcg(5)
     for trial in range(50):
-        n_elems = 2 + next(stream) % 3
+        n_elems = 2 + rng.next(3)
         elems = [format(v, "02b") for v in range(n_elems)]
         m = ElementaryMeasure({e: Fraction(1, n_elems) for e in elems})
         i = 2
-        c = 1 + next(stream) % 2
-        d = 1 + next(stream) % 2
+        c = 1 + rng.next(2)
+        d = 1 + rng.next(2)
         sets = []
-        for _ in range(1 + next(stream) % 3):
-            size = 1 + next(stream) % n_elems
-            members = sorted({elems[next(stream) % n_elems] for _ in range(size)})
+        for _ in range(1 + rng.next(3)):
+            size = 1 + rng.next(n_elems)
+            members = sorted({elems[rng.next(n_elems)] for _ in range(size)})
             if m.mass_of(members) >= Fraction(1, 1 << i):
                 sets.append(frozenset(members))
         if not sets:

@@ -1,5 +1,6 @@
 import pytest
 
+from ait.codec import Lcg
 from ait.dyadic import Dyadic
 from ait.frozen import FROZEN
 from ait.machine import MachineConfig, run
@@ -12,13 +13,6 @@ from ait.predicates import (
     encode_predicate,
     predicate_of_cylinder,
 )
-
-
-def _lcg_stream(seed):
-    state = 2 * seed + 1
-    while True:
-        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        yield (state >> 33)
 
 
 def test_two_constraint_worked_example():
@@ -36,10 +30,10 @@ def test_cylinder_small_cases():
 
 
 def test_cylinder_cardinality_identity():
-    stream = _lcg_stream(3)
+    rng = Lcg(3)
     for _ in range(100):
-        dom = sorted({1 + next(stream) % 8 for _ in range(1 + next(stream) % 6)})
-        g = BinaryPredicate([(i, next(stream) % 2) for i in dom])
+        dom = sorted({1 + rng.next(8) for _ in range(1 + rng.next(6))})
+        g = BinaryPredicate([(i, rng.next(2)) for i in dom])
         cyl = cylinder(g)
         n = max(g.domain)
         assert len(cyl) == 1 << (n - len(g))
@@ -69,10 +63,10 @@ def test_encoding_roundtrip_and_golden():
 
 
 def test_extension_agreement_sweep(fixture_cfg):
-    stream = _lcg_stream(9)
+    rng = Lcg(9)
     for _ in range(60):
-        dom = sorted({1 + next(stream) % 8 for _ in range(1 + next(stream) % 6)})
-        g = BinaryPredicate([(i, next(stream) % 2) for i in dom])
+        dom = sorted({1 + rng.next(8) for _ in range(1 + rng.next(6))})
+        g = BinaryPredicate([(i, rng.next(2)) for i in dom])
         res = complete_extension_search(g, fixture_cfg)
         assert g.agrees_with(res.raw_output)
         for i, bit in g.pairs:
@@ -113,10 +107,10 @@ def test_not_found_in_tiny_bounds():
 def test_slack_bound_when_cheap_member_exists(fixture_cfg):
     from ait.complexity import k_t
 
-    stream = _lcg_stream(17)
+    rng = Lcg(17)
     for _ in range(40):
-        dom = sorted({1 + next(stream) % 8 for _ in range(1 + next(stream) % 6)})
-        g = BinaryPredicate([(i, next(stream) % 2) for i in dom])
+        dom = sorted({1 + rng.next(8) for _ in range(1 + rng.next(6))})
+        g = BinaryPredicate([(i, rng.next(2)) for i in dom])
         cheap = [
             x for x in cylinder(g)
             if (k := k_t(x, "", fixture_cfg)).is_finite
