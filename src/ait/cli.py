@@ -24,6 +24,7 @@ from .measures import (
     NotInSupport,
     StochBounds,
     StochasticityNotFound,
+    SupportNotHeavy,
     UnreachableSupport,
     deficiency,
     hitting_score,
@@ -48,6 +49,7 @@ _DOMAIN_ERRORS = (
     HittingInfeasible,
     NotInSupport,
     StochasticityNotFound,
+    SupportNotHeavy,
     UnreachableSupport,
 )
 
@@ -98,27 +100,31 @@ def _read_predicate_file(path: str) -> BinaryPredicate:
     return BinaryPredicate(_read_lines(path, _predicate_pair))
 
 
-def _apply_config_file(args):
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "max_len":
-                args.max_len = int(value)
-            elif key == "fuel":
-                args.fuel = int(value)
-            elif key == "stoch_max_v_len":
-                args.stoch_max_v_len = int(value)
-            elif key == "lambda_scoring":
-                args.scoring = {"3logk": "3logk", "k": "k"}[value]
-            else:
-                raise _UsageError(f"unknown config key {key!r}")
+def _config_entry(line: str):
+    """One ``key=value`` line as (argument dest, value); None for a comment."""
+    if line.lstrip().startswith("#"):
+        return None
+    key, _, value = line.partition("=")
+    key, value = key.strip(), value.strip()
+    if key in ("max_len", "fuel", "stoch_max_v_len"):
+        return key, int(value)
+    if key == "lambda_scoring":
+        if value not in ("3logk", "k"):
+            raise ValueError(f"unknown lambda_scoring {value!r}")
+        return "scoring", value
+    raise ValueError(f"unknown config key {key!r}")
+
+
+def _machine_config(args) -> MachineConfig:
+    """The bounds from the flags, overridden by the config file if given."""
+    if getattr(args, "config", None):
+        for entry in _read_lines(args.config, _config_entry):
+            if entry is not None:
+                setattr(args, *entry)
+    try:
+        return MachineConfig(args.max_len, args.fuel)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
 
 
 def main(argv=None) -> int:
@@ -227,8 +233,7 @@ def main(argv=None) -> int:
     defaults = argparse.Namespace(max_len=14, fuel=2048, config=None, seedless=False)
     args = parser.parse_args(argv, defaults)
     try:
-        _apply_config_file(args)
-        return _dispatch(args, MachineConfig(args.max_len, args.fuel))
+        return _dispatch(args, _machine_config(args))
     except _UsageError as err:
         parser.error(str(err))
     except _DOMAIN_ERRORS as err:

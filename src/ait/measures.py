@@ -404,6 +404,10 @@ class HittingInfeasible(RuntimeError):
     pass
 
 
+class SupportNotHeavy(ValueError):
+    """A set in the support of Q has m-mass below 2^-i."""
+
+
 def _decode_set(bits: str) -> frozenset:
     """The member set behind a support element of Q."""
     return frozenset(decode_string_set(bits))
@@ -431,7 +435,7 @@ def hitting_vector(
         members = _decode_set(enc)
         mass = m.mass_of(members)
         if mass < Fraction(1, 1 << i):
-            raise ValueError(f"support set {sorted(members)} is not {i}-heavy")
+            raise SupportNotHeavy(f"support set {sorted(members)} is not {i}-heavy")
         sets.append((q(enc), members))
 
     size = c * d * (1 << (i + 1))

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ait.codec import all_strings_upto, encode_self_delim
+from ait.codec import PrefixFreeSet, all_strings_upto, encode_self_delim
 from ait.complexity import (
+    ComplexityValue,
     InformationUndefined,
     chain_rule_report,
     coding_direction_holds,
@@ -18,7 +20,15 @@ from ait.complexity import (
 )
 from ait.dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from ait.frozen import CHAIN, FROZEN
-from ait.machine import MachineConfig, run
+from ait.harness import default_predicate_family, default_prefix_free_family
+from ait.machine import (
+    MachineConfig,
+    min_program_for_output,
+    min_program_with_prefix_in,
+    programs_for_output,
+    run,
+)
+from ait.predicates import BinaryPredicate, cylinder
 
 
 def test_witness_reproduces_target(fixture_cfg):
@@ -127,8 +137,8 @@ def test_km_rejects_empty(fixture_cfg):
 
 
 def test_km_matches_enumeration_oracle(fixture_cfg, enumeration):
-    # dual route: the prefix-set witness search against a scan of the full
-    # enumeration
+    # the prefix-set witness, an output-index scan at these bounds, against
+    # a scan of the full enumeration
     families = [["0000"], ["01", "10"], [""], ["111"], ["0", "10", "110"],
                 ["10110010"], ["0101010"]]
     for members in families:
@@ -223,3 +233,47 @@ def test_chain_rule_sample_within_frozen_constant():
 
 def test_pair_aux_convention():
     assert pair_aux("01", "1") == "11001" + "101"
+
+
+def _as_value(rec, cfg):
+    if rec is None:
+        return ComplexityValue(None, None, cfg)
+    return ComplexityValue(len(rec.program), rec.program, cfg)
+
+
+def _assert_index_matches_targeted(cfg, families):
+    # the unconditional queries read the output index at these bounds; the
+    # targeted searches are their oracle, on every reachable output and on
+    # every string of at most 6 bits, reachable or not
+    for x in reachable_outputs(cfg) + list(all_strings_upto(6)):
+        assert k_t(x, "", cfg) == _as_value(min_program_for_output(x, cfg), cfg)
+        assert m_t(x, "", cfg) == dyadic_sum(
+            Dyadic(1, len(r.program)) for r in programs_for_output(x, cfg))
+    for members in families:
+        assert km_t(members, cfg) == _as_value(min_program_with_prefix_in(members, cfg), cfg)
+
+
+def _prefix_free(strings):
+    return PrefixFreeSet({s for s in strings
+                          if not any(t != s and s.startswith(t) for t in strings)})
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(max_len=st.integers(1, 12), fuel=st.integers(16, 2048),
+       sets=st.lists(st.lists(st.text(alphabet="01", max_size=5), min_size=1, max_size=4),
+                     max_size=3),
+       predicates=st.lists(st.dictionaries(st.integers(1, 6), st.integers(0, 1),
+                                           min_size=1, max_size=4), max_size=2))
+def test_output_index_matches_targeted_searches(max_len, fuel, sets, predicates):
+    families = [_prefix_free(s) for s in sets]
+    families += [cylinder(BinaryPredicate(p.items())) for p in predicates]
+    _assert_index_matches_targeted(MachineConfig(max_len, fuel), families)
+
+
+def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
+    assert len(reachable_outputs(fixture_cfg)) == 392
+    families = [members for _name, members in default_prefix_free_family(50)]
+    families += [cylinder(g) for _name, g in default_predicate_family(60)]
+    # mixed lengths: the least witness, 0^27, extends only the 9-bit member
+    families.append(PrefixFreeSet(["0" * 9, "1" * 54]))
+    _assert_index_matches_targeted(fixture_cfg, families)

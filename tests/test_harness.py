@@ -255,10 +255,13 @@ _INPUT_FILES = {
     "bad_set": "0000\n01a\n",
     "bad_measure": "00\t1/2^1\n01\t1/3\n",
     "bad_config": "max_len=10\nseed=7\n",
+    "bad_scoring": "# scoring\nlambda_scoring=x\n",
+    "bad_int": "max_len=abc\n",
     "w": "0000\t1/2^0\n",
     "pred": "2\t0\n4\t0\n",
     "theta": uniform_table(3).serialize(),
     "q": f"{encode_string_set(['0', '1'])}\t1/2^0\n",
+    "q_light": f"{encode_string_set(['0'])}\t1/2^0\n",
     "m": "0\t1/2^1\n1\t1/2^1\n",
 }
 
@@ -282,7 +285,11 @@ def _with_files(argv, tmp_path):
     (["mset", "@bad_set"], "bad_set:2: not a bit string"),
     (["deficiency", "--element", "00", "--measure", "@bad_measure"],
      "bad_measure:2: not a dyadic literal"),
-    (["--config", "@bad_config", "omega"], "unknown config key"),
+    (["--config", "@bad_config", "omega"], "bad_config:2: unknown config key"),
+    (["--config", "@bad_scoring", "omega"], "bad_scoring:2: unknown lambda_scoring"),
+    (["--config", "@bad_int", "omega"], "bad_int:1: invalid literal"),
+    (["--max-len", "0", "omega"], "bounds must be at least 1"),
+    (["omega", "--fuel", "-3"], "bounds must be at least 1"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -301,11 +308,17 @@ def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     # the greedy bound cannot fail on valid input, so that failure is injected
     (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "1", "-c", "1", "-d", "1"],
      "greedy expectation bound failed"),
+    # m({0}) = 1/2 is below 2^-0: the heaviness check fails before the greedy run
+    (["hitvec", "--sets", "@q_light", "--measure", "@m", "-i", "0", "-c", "1", "-d", "1"],
+     "is not 0-heavy"),
 ])
 def test_cli_domain_errors_exit_1(argv, message, tmp_path, capsys, monkeypatch):
     import ait.cli as cli
 
+    real = cli.hitting_vector
+
     def infeasible(*args):
+        real(*args)  # keeps the heaviness check live
         raise HittingInfeasible("greedy expectation bound failed")
 
     monkeypatch.setattr(cli, "hitting_vector", infeasible)

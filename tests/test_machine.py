@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ait.codec import all_strings_upto, is_prefix_free
@@ -142,6 +143,25 @@ def test_targeted_search_with_aux_matches_enumeration(aux, max_len, fuel, probes
         assert min_program_for_output(x, cfg, aux) == _least(want)
     extending = [r for r in records if any(r.output.startswith(m) for m in members)]
     assert min_program_with_prefix_in(members, cfg, aux) == _least(extending)
+
+
+@pytest.mark.parametrize("aux", ["", "0", "0110", "1111"])
+def test_targeted_search_at_tight_fuel(aux):
+    # fuel s - 1, s and s + 1 around the steps s of each output's least
+    # witness: there the fuel reserve is far below the ample-fuel collapse,
+    # so the steps coordinate of the dominance prune is live
+    max_len = 10
+    records = enumerate_halting(MachineConfig(max_len, 512), aux)
+    filtered = {}
+    for x in sorted({r.output for r in records}):
+        steps = _least([r for r in records if r.output == x]).steps
+        for fuel in (steps - 1, steps, steps + 1):
+            cfg = MachineConfig(max_len, fuel)
+            if fuel not in filtered:
+                filtered[fuel] = enumerate_halting(cfg, aux)
+            want = [r for r in filtered[fuel] if r.output == x]
+            assert programs_for_output(x, cfg, aux) == want
+            assert min_program_for_output(x, cfg, aux) == _least(want)
 
 
 def test_targeted_search_equals_enumeration_filter(fixture_cfg, enumeration):
