@@ -285,7 +285,7 @@ def _with_files(argv, tmp_path):
     (["mset", "@bad_set"], "bad_set:2: not a bit string"),
     (["deficiency", "--element", "00", "--measure", "@bad_measure"],
      "bad_measure:2: not a dyadic literal"),
-    (["--config", "@bad_config", "omega"], "bad_config:2: unknown config key"),
+    (["--config", "@bad_config", "omega"], "unknown config key"),
     (["--config", "@bad_scoring", "omega"], "bad_scoring:2: unknown lambda_scoring"),
     (["--config", "@bad_int", "omega"], "bad_int:1: invalid literal"),
     (["--max-len", "0", "omega"], "bounds must be at least 1"),
