@@ -65,16 +65,36 @@ def _read_bits_token(token: str) -> str:
         raise _UsageError(str(err)) from None
 
 
+def _nonnegative(token: str) -> int:
+    """An argparse type: a decimal integer of at least 0."""
+    if not (token.isascii() and token.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {token!r}")
+    return int(token)
+
+
+def _open(path: str, mode: str):
+    """Open a named file; a missing or unreadable one is a usage error."""
+    try:
+        return open(path, mode, encoding="ascii")
+    except OSError as err:
+        raise _UsageError(f"{path}: {err.strerror}") from None
+
+
 def _read_lines(path: str, parse) -> list:
-    """Parse every nonblank line; a malformed line is a usage error."""
+    """Parse every nonblank line; an unreadable file or a malformed line is a
+    usage error."""
+    with _open(path, "r") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise _UsageError(f"{path}: not an ASCII text file") from None
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    rows.append(parse(line.rstrip("\n")))
-                except ValueError as err:
-                    raise _UsageError(f"{path}:{number}: {err}") from None
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                rows.append(parse(line.rstrip("\n")))
+            except ValueError as err:
+                raise _UsageError(f"{path}:{number}: {err}") from None
     return rows
 
 
@@ -198,22 +218,22 @@ def main(argv=None) -> int:
                        help="derandomized hitting vector")
     p.add_argument("--sets", required=True, help="measure file over set encodings")
     p.add_argument("--measure", required=True)
-    p.add_argument("-i", type=int, required=True)
-    p.add_argument("-c", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-i", type=_nonnegative, required=True)
+    p.add_argument("-c", type=_nonnegative, required=True)
+    p.add_argument("-d", type=_nonnegative, required=True)
 
     p = sub.add_parser("nu", help="transducer operations")
     nsub = p.add_subparsers(dest="nu_command", required=True)
     pb = nsub.add_parser("build", parents=[common])
     pb.add_argument("table")
-    pb.add_argument("--stages", type=int, default=None)
+    pb.add_argument("--stages", type=_nonnegative, default=None)
     pa = nsub.add_parser("apply", parents=[common])
     pa.add_argument("table")
     pa.add_argument("y")
     pp = nsub.add_parser("preimage", parents=[common])
     pp.add_argument("table")
     pp.add_argument("members", help="comma-separated prefix set")
-    pp.add_argument("n", type=int)
+    pp.add_argument("n", type=_nonnegative)
 
     p = sub.add_parser("predicate", help="predicate operations")
     psub = p.add_subparsers(dest="predicate_command", required=True)
@@ -329,8 +349,7 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         return 0
 
     if args.command == "nu":
-        with open(args.table, "r", encoding="ascii") as fh:
-            table = ThetaTable.parse(fh.read())
+        table = ThetaTable.from_rows(_read_lines(args.table, ThetaTable.parse_row))
         if args.nu_command == "build":
             if args.stages is not None:
                 table = ThetaTable(
@@ -359,7 +378,7 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         reports = run_all(cfg) if args.name == "all" else run_experiment(args.name, cfg)
         payload = "".join(r.to_jsonl() for r in reports)
         if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
+            with _open(args.out, "w") as fh:
                 fh.write(payload)
         else:
             sys.stdout.write(payload)

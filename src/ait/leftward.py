@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional
 
-from .codec import OpenInterval, interval_of, left_of
+from .codec import interval_of, left_of
 from .dyadic import Dyadic
 from .machine import (
     ExecOutcome,
@@ -32,7 +33,6 @@ from .machine import (
     ProgramRecord,
     Status,
     get_enumeration,
-    kraft_sum,
 )
 
 
@@ -63,27 +63,28 @@ class Piece:
 
 @dataclass
 class IntervalTable:
-    """Consecutive open intervals over the enumeration order."""
+    """Consecutive open intervals over the enumeration order.  Every endpoint
+    is an integer count of 2^-L grid units."""
 
     config: MachineConfig
     aux: str
-    entries: list[tuple[ProgramRecord, OpenInterval]]
-    omega: Dyadic                      # total assigned width = Kraft sum
-    pieces: list[Piece] = field(repr=False, default_factory=list)
-    _tile_lo: list[int] = field(repr=False, default_factory=list)
-    _piece_lo: list[int] = field(repr=False, default_factory=list)
-    _piece_hi: list[int] = field(repr=False, default_factory=list)
-    _prefix_maxlen: list[int] = field(repr=False, default_factory=list)
-    _prefix_mass: list[int] = field(repr=False, default_factory=list)
-    _by_output: dict = field(repr=False, default_factory=dict)
-    _rmq: list = field(repr=False, default_factory=list)
+    entries: list[tuple[ProgramRecord, int, int]]   # (record, lo, hi) on the grid
+    omega: Dyadic                      # total assigned width = the final grid position
+    pieces: list[Piece] = field(repr=False)
+    _tile_lo: list[int] = field(repr=False)
+    _piece_lo: list[int] = field(repr=False)
+    _piece_hi: list[int] = field(repr=False)
+    _prefix_maxlen: list[int] = field(repr=False)
+    _by_output: dict = field(repr=False)
 
     @property
     def omega_grid(self) -> int:
         return self.omega.num << (self.config.max_program_len - self.omega.exp)
 
     def serialize(self) -> str:
-        lines = [f"{rec.program}\t{iv.lo}\t{iv.hi}" for rec, iv in self.entries]
+        L = self.config.max_program_len
+        lines = [f"{rec.program}\t{Dyadic(lo, L)}\t{Dyadic(hi, L)}"
+                 for rec, lo, hi in self.entries]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -101,41 +102,21 @@ def _decompose(lo: int, hi: int, grid_bits: int) -> list[tuple[int, int]]:
 
 
 def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
-    records = get_enumeration(cfg, aux)
     L = cfg.max_program_len
-    total = kraft_sum(records)
-    if total > Dyadic.one():
-        raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
-
     entries = []
     pieces = []
-    tile_lo = []
     pos = 0  # grid units
-    for rec in records:
-        width = 1 << (L - len(rec.program))
-        iv = OpenInterval(Dyadic(pos, L), Dyadic(pos + width, L))
-        entries.append((rec, iv))
-        tile_lo.append(pos)
-        for blo, bhi in _decompose(pos, pos + width, L):
+    for rec in get_enumeration(cfg, aux):
+        hi = pos + (1 << (L - len(rec.program)))
+        entries.append((rec, pos, hi))
+        for blo, bhi in _decompose(pos, hi, L):
             size = bhi - blo
             plen = L - (size.bit_length() - 1)
             prog = format(blo >> (size.bit_length() - 1), f"0{plen}b") if plen else ""
             pieces.append(Piece(blo, bhi, prog, rec.output, rec.steps))
-        pos += width
-
-    table = IntervalTable(cfg, aux, entries, total, pieces)
-    table._tile_lo = tile_lo
-    table._piece_lo = [p.lo for p in pieces]
-    table._piece_hi = [p.hi for p in pieces]
-    running_max, running_mass = 0, 0
-    pmax, pmass = [0], [0]
-    for p in pieces:
-        running_max = max(running_max, len(p.output))
-        running_mass += p.hi - p.lo
-        pmax.append(running_max)
-        pmass.append(running_mass)
-    table._prefix_maxlen = pmax
-    table._prefix_mass = pmass
+        pos = hi
+    if pos > 1 << L:
+        raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
 
     by_output: dict[str, tuple[list[int], list[int], list[int]]] = {}
     for p in pieces:
@@ -143,18 +124,15 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
         slot[0].append(p.lo)
         slot[1].append(p.hi)
         slot[2].append(slot[2][-1] + (p.hi - p.lo))
-    table._by_output = by_output
 
-    # sparse table for range-max of output lengths over pieces
-    lens = [len(p.output) for p in pieces]
-    rmq = [lens]
-    span = 1
-    while span * 2 <= len(lens):
-        prev = rmq[-1]
-        rmq.append([max(prev[i], prev[i + span]) for i in range(len(lens) - 2 * span + 1)])
-        span *= 2
-    table._rmq = rmq
-    return table
+    return IntervalTable(
+        cfg, aux, entries, Dyadic(pos, L), pieces,
+        _tile_lo=[lo for _rec, lo, _hi in entries],
+        _piece_lo=[p.lo for p in pieces],
+        _piece_hi=[p.hi for p in pieces],
+        _prefix_maxlen=list(accumulate((len(p.output) for p in pieces), max, initial=0)),
+        _by_output=by_output,
+    )
 
 
 _TABLE_CACHE: dict[tuple[int, int, str], IntervalTable] = {}
@@ -176,15 +154,6 @@ def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:
     raise ValueError(f"string longer than the grid: {x!r}")
 
 
-def _range_max(table: IntervalTable, i: int, j: int) -> int:
-    """Max output length over pieces[i:j]; 0 when empty."""
-    if i >= j:
-        return 0
-    k = (j - i).bit_length() - 1
-    row = table._rmq[k]
-    return max(row[i], row[j - (1 << k)])
-
-
 # ---------------------------------------------------------------------------
 # the transformed machine
 # ---------------------------------------------------------------------------
@@ -202,9 +171,7 @@ def run_left_total(p_prime: str, table: IntervalTable) -> ExecOutcome:
         idx = bisect_right(los, lo) - 1
         if idx < 0:
             continue
-        rec, iv = table.entries[idx]
-        t_lo = los[idx]
-        t_hi = t_lo + (1 << (L - len(rec.program)))
+        rec, t_lo, t_hi = table.entries[idx]
         if t_lo <= lo and hi <= t_hi:
             return ExecOutcome(Status.HALTED, rec.output, bits_read=k, steps=rec.steps)
     return ExecOutcome(Status.NEEDS_MORE_INPUT)
@@ -317,8 +284,11 @@ def omega_pair(b: BorderPrefix | str, cfg: MachineConfig, aux: str = "") -> tupl
     at most 2^-len(b), exactly."""
     bits = b.bits if isinstance(b, BorderPrefix) else b
     table = get_interval_table(cfg, aux)
-    count, _i, _j = _split_ranges(table._piece_lo, table._piece_hi, bits, cfg.max_program_len)
-    return table.omega, Dyadic(table._prefix_mass[count], cfg.max_program_len)
+    his = table._piece_hi
+    count, _i, _j = _split_ranges(table._piece_lo, his, bits, cfg.max_program_len)
+    # the pieces tile [0, omega) from 0, so the count pieces left of b fill
+    # [0, his[count - 1])
+    return table.omega, Dyadic(his[count - 1] if count else 0, cfg.max_program_len)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +315,18 @@ def _split_ranges(los: list[int], his: list[int], b: str, L: int) -> tuple[int, 
 
 def bb(b: str, cfg: MachineConfig, aux: str = "") -> int:
     """Length of the longest output among transformed programs left of b or
-    extending b; 0 when b is not total."""
+    extending b; 0 when b is not total.
+
+    The pieces tile [0, omega) from 0 with no gaps, so a nonempty extending
+    range [i, j) starts right after the pieces left of b (i == left_count),
+    and the answer is the prefix maximum up to j.
+    """
     table = get_interval_table(cfg, aux)
     if not is_total_uprime(b, table):
         return 0
     left_count, i, j = _split_ranges(table._piece_lo, table._piece_hi, b,
                                      cfg.max_program_len)
-    return max(table._prefix_maxlen[left_count], _range_max(table, i, j))
+    return table._prefix_maxlen[j if i < j else left_count]
 
 
 def m_b(b: str, x: str, y: str, cfg: MachineConfig) -> Dyadic:

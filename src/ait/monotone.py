@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .codec import Lcg, canon_key, canonical_sorted
+from .codec import Lcg, assert_bits, canon_key, canonical_sorted
 from .dyadic import Dyadic, ceil_log2, ceil_neg_log2, dyadic_sum
 
 
@@ -56,17 +56,16 @@ class ThetaTable:
         rows = sorted(self.entries.items(), key=lambda kv: (kv[0][1], canon_key(kv[0][0])))
         return "".join(f"{x}\t{k}\t{v}\n" for (x, k), v in rows if not v.is_zero)
 
+    @staticmethod
+    def parse_row(line: str) -> tuple[tuple[str, int], Dyadic]:
+        """One serialized ``x<TAB>stage<TAB>value`` line as ((x, stage), value)."""
+        x, k, val = line.split("\t")
+        return (assert_bits(x), int(k)), Dyadic.parse(val)
+
     @classmethod
-    def parse(cls, text: str) -> "ThetaTable":
-        entries = {}
-        max_stage = 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            x, k, val = line.split("\t")
-            entries[(x, int(k))] = Dyadic.parse(val)
-            max_stage = max(max_stage, int(k))
-        return cls(entries, max_stage)
+    def from_rows(cls, rows: Iterable[tuple[tuple[str, int], Dyadic]]) -> "ThetaTable":
+        entries = dict(rows)
+        return cls(entries, max((k for _x, k in entries), default=0))
 
 
 def theta_violations(t: ThetaTable) -> list[str]:

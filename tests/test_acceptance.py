@@ -86,9 +86,7 @@ def test_criterion_02_left_total_transform(interval_table):
 
     # every base program has a transformed program at most one bit longer
     one_bit = True
-    for rec, iv in interval_table.entries:
-        lo = iv.lo.num << (L - iv.lo.exp)
-        hi = iv.hi.num << (L - iv.hi.exp)
+    for rec, lo, hi in interval_table.entries:
         best = min(len(p.program) for p in pieces if p.lo >= lo and p.hi <= hi)
         same_out = all(p.output == rec.output
                        for p in pieces if p.lo >= lo and p.hi <= hi)

@@ -257,6 +257,8 @@ _INPUT_FILES = {
     "bad_config": "max_len=10\nseed=7\n",
     "bad_scoring": "# scoring\nlambda_scoring=x\n",
     "bad_int": "max_len=abc\n",
+    "bad_theta": "\t0\t1/2^0\n0\t1\t1/3\n",
+    "non_ascii": "0\ncaf\u00e9\n",
     "w": "0000\t1/2^0\n",
     "pred": "2\t0\n4\t0\n",
     "theta": uniform_table(3).serialize(),
@@ -267,13 +269,16 @@ _INPUT_FILES = {
 
 
 def _with_files(argv, tmp_path):
-    """Write the named input file for each "@name" token, pass its path."""
+    """Write the named input file for each "@name" token, pass its path; pass
+    a path under a directory that does not exist for each "!name" token."""
     out = []
     for token in argv:
         if token.startswith("@"):
             path = tmp_path / token[1:]
-            path.write_text(_INPUT_FILES[token[1:]])
+            path.write_text(_INPUT_FILES[token[1:]], encoding="utf-8")
             token = str(path)
+        elif token.startswith("!"):
+            token = str(tmp_path / "absent" / token[1:])
         out.append(token)
     return out
 
@@ -290,6 +295,25 @@ def _with_files(argv, tmp_path):
     (["--config", "@bad_int", "omega"], "bad_int:1: invalid literal"),
     (["--max-len", "0", "omega"], "bounds must be at least 1"),
     (["omega", "--fuel", "-3"], "bounds must be at least 1"),
+    (["--config", "!config", "omega"], "absent/config: No such file or directory"),
+    (["mset", "!set"], "absent/set: No such file or directory"),
+    (["deficiency", "--element", "0", "--measure", "!measure"],
+     "absent/measure: No such file or directory"),
+    (["predicate", "complete", "!pred"], "absent/pred: No such file or directory"),
+    (["nu", "build", "!theta"], "absent/theta: No such file or directory"),
+    (["experiment", "clopen", "--out", "!r.jsonl"],
+     "absent/r.jsonl: No such file or directory"),
+    (["nu", "build", "@bad_theta"], "bad_theta:2: not a dyadic literal"),
+    (["mset", "@non_ascii"], "non_ascii: not an ASCII text file"),
+    (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "-1", "-c", "1", "-d", "1"],
+     "argument -i: not a nonnegative integer"),
+    (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "1", "-c", "-1", "-d", "1"],
+     "argument -c: not a nonnegative integer"),
+    (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "1", "-c", "1", "-d", "-1"],
+     "argument -d: not a nonnegative integer"),
+    (["nu", "preimage", "@theta", "0", "-1"], "argument n: not a nonnegative integer"),
+    (["nu", "build", "@theta", "--stages", "-1"],
+     "argument --stages: not a nonnegative integer"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -4,11 +4,13 @@ import pytest
 
 from ait.codec import Lcg, is_prefix_free, left_of
 from ait.dyadic import Dyadic
+import ait.leftward as leftward
 from ait.leftward import (
     TotalSearchNotFound,
     bb,
     border_prefix,
     build_interval_table,
+    get_interval_table,
     is_total,
     is_total_uprime,
     is_total_uprime_by_walk,
@@ -44,16 +46,27 @@ def _probes(table):
     return probes
 
 
-def test_table_structure(interval_table, enumeration):
+def test_table_structure(fixture_cfg, interval_table, enumeration):
+    L = fixture_cfg.max_program_len
     entries = interval_table.entries
     assert len(entries) == len(enumeration)
-    # first interval starts at 0; widths are 2^-len; consecutive
-    pos = Dyadic.zero()
-    for rec, iv in entries:
-        assert iv.lo == pos
-        assert iv.width == Dyadic(1, len(rec.program))
-        pos = iv.hi
-    assert pos == kraft_sum(enumeration) == interval_table.omega
+    # first interval starts at 0; widths are 2^-len; consecutive (grid units)
+    pos = 0
+    for rec, lo, hi in entries:
+        assert lo == pos
+        assert Dyadic(hi - lo, L) == Dyadic(1, len(rec.program))
+        pos = hi
+    assert Dyadic(pos, L) == kraft_sum(enumeration) == interval_table.omega
+
+
+def test_table_rejects_kraft_sum_above_one(fixture_cfg, enumeration, monkeypatch):
+    # a duplicated shortest program pushes the fixture's Kraft sum past 1
+    shortest = min(enumeration, key=lambda r: len(r.program))
+    broken = list(enumeration) + [shortest]
+    assert kraft_sum(broken) > Dyadic.one()
+    monkeypatch.setattr(leftward, "get_enumeration", lambda cfg, aux: broken)
+    with pytest.raises(AssertionError, match="Kraft sum exceeded 1"):
+        build_interval_table(fixture_cfg, "")
 
 
 def test_table_serialization_golden(fixture_cfg, interval_table):
@@ -79,9 +92,7 @@ def test_pieces_partition_and_length_bound(fixture_cfg, interval_table):
 
 def test_transform_preserves_output_within_one_bit(interval_table):
     # for every base program there is a transformed program at most one bit longer
-    for rec, iv in interval_table.entries:
-        lo = iv.lo.num << (interval_table.config.max_program_len - iv.lo.exp)
-        hi = iv.hi.num << (interval_table.config.max_program_len - iv.hi.exp)
+    for rec, lo, hi in interval_table.entries:
         inside = [p for p in interval_table.pieces if p.lo >= lo and p.hi <= hi]
         assert min(len(p.program) for p in inside) <= len(rec.program) + 1
         assert all(p.output == rec.output for p in inside)
@@ -214,11 +225,13 @@ def test_omega_pair_bounds(fixture_cfg):
     assert hat2 == Dyadic.zero() and om2 == om
 
 
-def test_omega_hat_oracle(fixture_cfg, interval_table):
-    for b in _probes(interval_table):
-        left = [Dyadic(1, len(p.program)) for p in interval_table.pieces
+@pytest.mark.parametrize("aux", ["", "0110"])
+def test_omega_hat_oracle(fixture_cfg, aux):
+    table = get_interval_table(fixture_cfg, aux)
+    for b in _probes(table):
+        left = [Dyadic(1, len(p.program)) for p in table.pieces
                 if left_of(p.program, b)]
-        assert omega_pair(b, fixture_cfg)[1] == sum(left, Dyadic.zero())
+        assert omega_pair(b, fixture_cfg, aux)[1] == sum(left, Dyadic.zero())
 
 
 def test_omega_matches_kraft(fixture_cfg, enumeration):
@@ -226,19 +239,22 @@ def test_omega_matches_kraft(fixture_cfg, enumeration):
     assert om == kraft_sum(enumeration)
 
 
-def test_bb_definition_oracle(fixture_cfg, interval_table):
+@pytest.mark.parametrize("aux", ["", "0110"])
+def test_bb_definition_oracle(fixture_cfg, aux):
     # brute force over pieces using the left-of / extends filter on strings
+    table = get_interval_table(fixture_cfg, aux)
+
     def oracle(b):
-        if not is_total_uprime(b, interval_table):
+        if not is_total_uprime(b, table):
             return 0
         best = 0
-        for p in interval_table.pieces:
+        for p in table.pieces:
             if left_of(p.program, b) or p.program.startswith(b):
                 best = max(best, len(p.output))
         return best
 
-    for b in _probes(interval_table):
-        assert bb(b, fixture_cfg) == oracle(b)
+    for b in _probes(table):
+        assert bb(b, fixture_cfg, aux) == oracle(b)
 
 
 def test_bb_monotone_on_parent(fixture_cfg, interval_table):
@@ -253,22 +269,24 @@ def test_m_b_zero_for_non_total(fixture_cfg):
     assert bb("1" * 14, fixture_cfg) == 0
 
 
-def test_m_b_oracle_and_monotonicity(fixture_cfg, interval_table):
-    outputs = ["", "0", "1", "00", "0000"]
+@pytest.mark.parametrize("aux", ["", "0110"])
+def test_m_b_oracle_and_monotonicity(fixture_cfg, aux):
+    table = get_interval_table(fixture_cfg, aux)
+    outputs = ["", "0", "1", "00", "0000", "0110"]
 
     def oracle(b, x):
         total = Dyadic.zero()
-        for p in interval_table.pieces:
+        for p in table.pieces:
             if p.output == x and (left_of(p.program, b) or p.program.startswith(b)):
                 total = total + Dyadic(1, len(p.program))
         return total
 
-    for b in _probes(interval_table):
-        total = is_total_uprime(b, interval_table)
+    for b in _probes(table):
+        total = is_total_uprime(b, table)
         for x in outputs:
             want = oracle(b, x)
-            assert mass_filtered(b, x, interval_table) == want
-            assert m_b(b, x, "", fixture_cfg) == (want if total else Dyadic.zero())
+            assert mass_filtered(b, x, table) == want
+            assert m_b(b, x, aux, fixture_cfg) == (want if total else Dyadic.zero())
 
 
 def test_m_b_parent_dominates(fixture_cfg, interval_table):

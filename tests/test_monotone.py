@@ -44,7 +44,7 @@ def test_validate_theta_examples():
 
 def test_table_serialization_roundtrip():
     t = uniform_table(3)
-    back = ThetaTable.parse(t.serialize())
+    back = ThetaTable.from_rows(map(ThetaTable.parse_row, t.serialize().splitlines()))
     assert back.entries == {k: v for k, v in t.entries.items() if not v.is_zero}
     assert back.max_stage == t.max_stage
 
