@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from .codec import assert_bits
+from .codec import assert_bits, decode_string_set
 from .complexity import k_t, km_t, m_set, m_t
 from .dyadic import Dyadic
 from .frozen import FROZEN, calibrate
@@ -107,8 +107,15 @@ def _measure_entry(line: str):
     return _read_bits_token(bits), Dyadic.parse(value).as_fraction()
 
 
-def _read_measure_file(path: str, kind: str = "probability") -> ElementaryMeasure:
-    return ElementaryMeasure(dict(_read_lines(path, _measure_entry)), kind)
+def _set_measure_entry(line: str):
+    """A measure line whose support element is a canonical set encoding."""
+    bits, weight = _measure_entry(line)
+    decode_string_set(bits)
+    return bits, weight
+
+
+def _read_measure_file(path: str, parse) -> ElementaryMeasure:
+    return ElementaryMeasure(dict(_read_lines(path, parse)), "probability")
 
 
 def _predicate_pair(line: str) -> tuple[int, int]:
@@ -318,7 +325,7 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         return 0
 
     if args.command == "deficiency":
-        w = _read_measure_file(args.measure)
+        w = _read_measure_file(args.measure, _measure_entry)
         d = deficiency(_read_bits_token(args.element), w,
                        _read_bits_token(args.cond), cfg)
         print(json.dumps({"value": d.value, "floor_neg_log_weight": d.floor_neg_log_weight,
@@ -326,6 +333,11 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         return 0
 
     if args.command == "stoch":
+        if min(args.stoch_max_v_len, args.stoch_fuel) < 1:
+            raise _UsageError("--max-v-len and --fuel-v bounds must be at least 1")
+        if args.stoch_max_v_len > cfg.max_program_len:
+            raise _UsageError(f"--max-v-len {args.stoch_max_v_len} exceeds "
+                              f"--max-len {cfg.max_program_len}")
         res = stochasticity(
             _read_bits_token(args.element), _read_bits_token(args.cond),
             StochBounds(args.stoch_max_v_len, args.stoch_fuel), cfg,
@@ -339,8 +351,8 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         return 0
 
     if args.command == "hitvec":
-        q = _read_measure_file(args.sets)
-        m = _read_measure_file(args.measure)
+        q = _read_measure_file(args.sets, _set_measure_entry)
+        m = _read_measure_file(args.measure, _measure_entry)
         z = hitting_vector(q, m, args.i, args.c, args.d)
         score = hitting_score(z, q, m)
         print(json.dumps({"elements": list(z.elements),

@@ -100,14 +100,14 @@ def m_set(members: Iterable[str], y: str = "", cfg: MachineConfig = None) -> Dya
     return dyadic_sum(m_t(x, y, cfg) for x in set(members))
 
 
-def km_t(members, cfg: MachineConfig, y: str = "") -> ComplexityValue:
+def km_t(members, cfg: MachineConfig) -> ComplexityValue:
     """Shortest program whose output has a prefix in the (nonempty) set."""
     targets = set(members)
     if not targets:
         raise ValueError("prefix set must be nonempty")
-    index = _output_index(y, cfg)
+    index = _output_index("", cfg)
     if index is None:
-        return _complexity(min_program_with_prefix_in(targets, cfg, y), cfg)
+        return _complexity(min_program_with_prefix_in(targets, cfg), cfg)
     # an output qualifies when its first n bits are a member for some member
     # length n; a slice past its end is the output itself, which then is a
     # member, so the test lets in no output that extends no member

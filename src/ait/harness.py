@@ -263,18 +263,25 @@ def _conditional_removal_rows(rep: ExperimentReport, cfg: MachineConfig):
 
     stoch_cfg = MachineConfig(max(cfg.max_program_len, 24), cfg.fuel)
     bounds = StochBounds(20, 256)
-    for x, y in (("", "0"), ("", "1")):
+
+    def lam(y: str) -> Optional[int]:
+        """lambda('' | y), or None when no witness lies within the bounds."""
         try:
-            lam_cond = stochasticity(x, y, bounds, stoch_cfg).value
-            lam_plain = stochasticity(x, "", bounds, stoch_cfg).value
+            return stochasticity("", y, bounds, stoch_cfg).value
         except StochasticityNotFound:
-            rep.measure(f"cond_removal.lambda({x!r}|{y!r})", "not-found-within-bounds")
+            return None
+
+    lam_plain = lam("")
+    for y in ("0", "1"):
+        lam_cond = lam(y)
+        if lam_cond is None or lam_plain is None:
+            rep.measure(f"cond_removal.lambda(''|{y!r})", "not-found-within-bounds")
             continue
         k_y = cx.k_t(y, "", cfg)
         cost = 3 * max(k_y.value - 1, 0).bit_length() if k_y.is_finite else None
-        rep.measure(f"cond_removal.lambda_cond.x{x or 'e'}.y{y}", lam_cond,
+        rep.measure(f"cond_removal.lambda_cond.xe.y{y}", lam_cond,
                     against=f"max_v_len={bounds.max_v_len},fuel={bounds.fuel}")
-        rep.measure(f"cond_removal.lambda_plus_3logk.x{x or 'e'}.y{y}",
+        rep.measure(f"cond_removal.lambda_plus_3logk.xe.y{y}",
                     None if cost is None else lam_plain + cost)
 
 

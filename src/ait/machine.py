@@ -113,7 +113,6 @@ _RUNNING = 0
 _NEED_INPUT = 1
 _HALTED = 2
 _OUT_OF_FUEL = 3
-_DEAD = 4  # targeted searches only: output can no longer match
 
 _HUGE = object()  # repeat count certainly exceeding any desk-scale fuel
 
@@ -133,10 +132,10 @@ class _Cpu:
     __slots__ = (
         "aux", "fuel", "steps", "bits_read", "state", "phase", "opbuf",
         "op", "block", "unary", "need", "paybuf", "num_val", "pieces",
-        "out_len", "aux_pos", "copy_left", "out_cap",
+        "out_len", "aux_pos", "copy_left",
     )
 
-    def __init__(self, aux: str, fuel: int, out_cap: Optional[int] = None):
+    def __init__(self, aux: str, fuel: int):
         self.aux = aux
         self.fuel = fuel
         self.steps = 0
@@ -154,7 +153,6 @@ class _Cpu:
         self.out_len = 0
         self.aux_pos = 0
         self.copy_left = 0
-        self.out_cap = out_cap
 
     def copy(self) -> "_Cpu":
         c = _Cpu.__new__(_Cpu)
@@ -175,7 +173,6 @@ class _Cpu:
         c.out_len = self.out_len
         c.aux_pos = self.aux_pos
         c.copy_left = self.copy_left
-        c.out_cap = self.out_cap
         return c
 
     @property
@@ -202,9 +199,6 @@ class _Cpu:
             self.pieces.append(pattern * reps)
             self.out_len += total
             self.steps += total
-            if self.out_cap is not None and self.out_len > self.out_cap:
-                self.state = _DEAD
-                return False
             return True
         whole, part = divmod(budget, len(pattern))
         self.pieces.append(pattern * whole + pattern[:part])
@@ -272,9 +266,6 @@ class _Cpu:
             self.pieces.append(bit)
             self.out_len += 1
             self.copy_left -= 1
-            if self.out_cap is not None and self.out_len > self.out_cap:
-                self.state = _DEAD
-                return
         self.phase = _PH_OPCODE
         self.opbuf = ""
 
@@ -291,9 +282,6 @@ class _Cpu:
                 return
             self.pieces.append(bit)
             self.out_len += 1
-            if self.out_cap is not None and self.out_len > self.out_cap:
-                self.state = _DEAD
-                return
 
     # -- the input feed ----------------------------------------------------
 
@@ -494,30 +482,23 @@ def search_programs(
     program; mode "min" returns at most one record, the (length, lex)-least
     accepted program, pruning branches that cannot beat the best found.
 
-    In "min" mode a dominance prune runs at instruction boundaries: a prefix
-    reaching a machine state (output, aux position) already reached by some
-    no-longer and no-costlier prefix cannot start a minimal program, because
-    the earlier prefix accepts every continuation of the later one.  This
-    collapses chains of no-effect instructions, which would otherwise make
-    the walk exponential in the length bound.  Aux positions past the tape
-    end are one state (every later cell is the sentinel), and once a prefix
-    keeps more fuel in reserve than any accepted completion can spend, the
-    steps coordinate stops mattering.
+    In "min" mode a dominance prune runs at instruction boundaries, keyed on
+    the machine state (output, aux position), where aux positions past the
+    tape end are one state (every later cell is the sentinel).  A prefix
+    that is no longer and has spent no more steps than a later one reaching
+    the same state halts on every continuation the later one halts on, with
+    the same output; it was visited first, so it is also lex-smaller, and
+    the later prefix is dropped.  This collapses chains of no-effect
+    instructions, which would otherwise make the walk exponential in the
+    length bound.
 
-    ``exact_target`` names the one output an exact-output search accepts.
-    It caps the output at the target's length, enables the in-block
-    ``_hopeless_for_target`` prunes, and bounds the fuel reserve above; that
-    bound is only sound when completions cannot emit past the target, which
-    holds for exact-output searches and not for prefix-set ones.
+    ``exact_target`` names the one output an exact-output search accepts;
+    it enables the in-block ``_hopeless_for_target`` prunes.
     """
     results: list[ProgramRecord] = []
     best_len: Optional[int] = None
     seen: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    out_cap = ample = None
-    if exact_target is not None:
-        out_cap = len(exact_target)
-        ample = 3 * cfg.max_program_len + 2 * out_cap + 8
-    root = _Cpu(aux, cfg.fuel, out_cap)
+    root = _Cpu(aux, cfg.fuel)
     if not viable(""):
         return results
     # depth-first in lexicographic order: "0" branch explored before "1"
@@ -532,7 +513,7 @@ def search_programs(
         # take over the parent that only the "0" child had to copy
         cpu = parent if bit == "1" else parent.copy()
         state = cpu.feed(bit)
-        if state in (_OUT_OF_FUEL, _DEAD):
+        if state == _OUT_OF_FUEL:
             continue
         out = cpu.output
         if not viable(out):
@@ -553,15 +534,12 @@ def search_programs(
             continue
         if mode == "min" and cpu.phase == _PH_OPCODE and cpu.opbuf == "":
             key = (out, min(cpu.aux_pos, len(aux)))
-            steps = cpu.steps
-            if ample is not None and cfg.fuel - steps >= ample:
-                steps = 0
+            n, steps = len(program), cpu.steps
             pareto = seen.setdefault(key, [])
-            if any(l <= len(program) and s <= steps for l, s in pareto):
+            if any(l <= n and s <= steps for l, s in pareto):
                 continue
-            pareto[:] = [(l, s) for l, s in pareto
-                         if not (len(program) <= l and steps <= s)]
-            pareto.append((len(program), steps))
+            pareto[:] = [(l, s) for l, s in pareto if not (n <= l and steps <= s)]
+            pareto.append((n, steps))
         stack.append((program, "1", cpu))
         stack.append((program, "0", cpu))
     if mode == "all":
@@ -603,9 +581,6 @@ def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
     def accept(out: str) -> bool:
         return any(out.startswith(x) for x in targets)
 
-    # no ample-fuel collapse here: a minimal prefix witness may overshoot the
-    # members via a repeat jump, so completion costs are not bounded by the
-    # member lengths the way exact-output completions are
     found = search_programs(cfg, aux, viable, accept, mode="min")
     return found[0] if found else None
 

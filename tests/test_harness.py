@@ -264,6 +264,7 @@ _INPUT_FILES = {
     "theta": uniform_table(3).serialize(),
     "q": f"{encode_string_set(['0', '1'])}\t1/2^0\n",
     "q_light": f"{encode_string_set(['0'])}\t1/2^0\n",
+    "q_bad": "01\t1/2^0\n",
     "m": "0\t1/2^1\n1\t1/2^1\n",
 }
 
@@ -314,6 +315,12 @@ def _with_files(argv, tmp_path):
     (["nu", "preimage", "@theta", "0", "-1"], "argument n: not a nonnegative integer"),
     (["nu", "build", "@theta", "--stages", "-1"],
      "argument --stages: not a nonnegative integer"),
+    (["stoch", "--element", "0"], "--max-v-len 20 exceeds --max-len 14"),
+    (["stoch", "--element", "0", "--max-v-len", "-1"], "bounds must be at least 1"),
+    (["stoch", "--element", "0", "--max-v-len", "8", "--fuel-v", "-5"],
+     "bounds must be at least 1"),
+    (["hitvec", "--sets", "@q_bad", "--measure", "@m", "-i", "0", "-c", "1", "-d", "1"],
+     "q_bad:1: trailing bits after set encoding"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:

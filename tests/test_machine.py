@@ -133,8 +133,7 @@ bit_strings = st.text(alphabet="01", max_size=8)
 def test_targeted_search_with_aux_matches_enumeration(aux, max_len, fuel, probes, members):
     # oracle for the output-pruned walks: filter the full enumeration, on
     # every reachable output, on arbitrary (often unreachable) probes, and on
-    # short member sets; the fuel range spans both the out-of-fuel edge and
-    # the ample-fuel collapse of the dominance prune
+    # short member sets; the fuel range reaches the out-of-fuel edge
     cfg = MachineConfig(max_len, fuel)
     records = enumerate_halting(cfg, aux)
     for x in sorted({r.output for r in records}) + probes:
@@ -148,8 +147,7 @@ def test_targeted_search_with_aux_matches_enumeration(aux, max_len, fuel, probes
 @pytest.mark.parametrize("aux", ["", "0", "0110", "1111"])
 def test_targeted_search_at_tight_fuel(aux):
     # fuel s - 1, s and s + 1 around the steps s of each output's least
-    # witness: there the fuel reserve is far below the ample-fuel collapse,
-    # so the steps coordinate of the dominance prune is live
+    # witness
     max_len = 10
     records = enumerate_halting(MachineConfig(max_len, 512), aux)
     filtered = {}
@@ -162,6 +160,25 @@ def test_targeted_search_at_tight_fuel(aux):
             want = [r for r in filtered[fuel] if r.output == x]
             assert programs_for_output(x, cfg, aux) == want
             assert min_program_for_output(x, cfg, aux) == _least(want)
+
+
+def test_dominance_prune_keeps_the_steps_coordinate():
+    # at fuel 43 the least witness is EMIT 000000 then RAW8_HALT (27 bits,
+    # 43 steps).  Its 16-bit EMIT prefix (23 steps) reaches the state
+    # (output 000000, aux position 0) after the lex-smaller 15-bit prefix
+    # EMIT of the empty literal, COPY_N 6 (29 steps), which cannot finish
+    # within fuel; a dominance map keyed on length alone drops the witness.
+    # The all-mode walk has no dominance map and serves as the oracle.
+    x = "00000001010101"
+    cfg = MachineConfig(27, 43)
+    best = min_program_for_output(x, cfg)
+    assert best is not None
+    assert (best.program, best.steps) == ("100111111000000010101010101", 43)
+    replay = run(best.program, "", cfg.fuel)
+    assert replay.halted and replay.output == x and replay.steps == 43
+    assert best == _least(programs_for_output(x, cfg))
+    roomy = min_program_for_output(x, MachineConfig(27, 44))
+    assert (roomy.program, roomy.steps) == ("1110111011010101010101", 44)
 
 
 def test_targeted_search_equals_enumeration_filter(fixture_cfg, enumeration):
