@@ -217,7 +217,8 @@ def main(argv=None) -> int:
                        help="bounded stochasticity search")
     p.add_argument("--element", required=True)
     p.add_argument("--cond", default="")
-    p.add_argument("--max-v-len", type=int, default=20, dest="stoch_max_v_len")
+    p.add_argument("--max-v-len", type=int, default=None, dest="stoch_max_v_len",
+                   help="default: --max-len")
     p.add_argument("--fuel-v", type=int, default=256, dest="stoch_fuel")
     p.add_argument("--scoring", choices=("3logk", "k"), default="3logk")
 
@@ -333,14 +334,17 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         return 0
 
     if args.command == "stoch":
-        if min(args.stoch_max_v_len, args.stoch_fuel) < 1:
+        max_v_len = args.stoch_max_v_len
+        if max_v_len is None:
+            max_v_len = cfg.max_program_len
+        if min(max_v_len, args.stoch_fuel) < 1:
             raise _UsageError("--max-v-len and --fuel-v bounds must be at least 1")
-        if args.stoch_max_v_len > cfg.max_program_len:
-            raise _UsageError(f"--max-v-len {args.stoch_max_v_len} exceeds "
+        if max_v_len > cfg.max_program_len:
+            raise _UsageError(f"--max-v-len {max_v_len} exceeds "
                               f"--max-len {cfg.max_program_len}")
         res = stochasticity(
             _read_bits_token(args.element), _read_bits_token(args.cond),
-            StochBounds(args.stoch_max_v_len, args.stoch_fuel), cfg,
+            StochBounds(max_v_len, args.stoch_fuel), cfg,
             scoring=args.scoring,
         )
         print(json.dumps({

@@ -37,6 +37,7 @@ prefix actually read, the aux string, and the fuel.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -101,6 +102,7 @@ _OPCODES = {
     "11110": "COPY_ALL",
     "11111": "HALT",
 }
+_CODE = {name: code for code, name in _OPCODES.items()}
 
 # phases of the operand reader
 _PH_OPCODE = 0
@@ -420,16 +422,15 @@ def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:
 # output-viability prune keeps the walked tree small)
 # ---------------------------------------------------------------------------
 
-def _hopeless_for_target(cpu: "_Cpu", target: str, mode: str) -> bool:
+def _hopeless_for_target(cpu: "_Cpu", target: str) -> bool:
     """Target-aware prunes that look inside an operand block in progress.
 
     Payload bits of the emit-family instructions reach the output verbatim,
     so a mismatch against the target is fatal before the block completes.
     A partially read repeat or copy count already bounds the bits the
     instruction must emit; once that lower bound exceeds what the target has
-    room for, no completion can work (the zero-count null completions either
-    produce a wrong output or, in "min" mode, are beaten by the two-bit
-    empty-literal halt from the same position).
+    room for, no completion can work (the zero-count null completions
+    produce a wrong output).
     """
     op, phase = cpu.op, cpu.phase
     remaining = len(target) - cpu.out_len
@@ -446,9 +447,8 @@ def _hopeless_for_target(cpu: "_Cpu", target: str, mode: str) -> bool:
             if reps == 0:
                 # zero repeats: the instruction halts with the output
                 # unchanged, so the whole y block is junk unless the target
-                # is already complete; even then the two-bit empty-literal
-                # halt beats it in a minimality search
-                return remaining > 0 or mode == "min"
+                # is already complete
+                return remaining > 0
             if phase == _PH_UNARY:
                 return cpu.unary >= 1 and (reps is _HUGE or reps * cpu.unary > remaining)
             if phase == _PH_PAYLOAD:
@@ -457,7 +457,7 @@ def _hopeless_for_target(cpu: "_Cpu", target: str, mode: str) -> bool:
                 return not target.startswith("".join(cpu.paybuf), cpu.out_len)
         if cpu.block == 0 and phase == _PH_PAYLOAD:
             v_min = int("".join(cpu.paybuf), 2) << cpu.need if cpu.paybuf else 0
-            if v_min >= 1 and (remaining > 0 or mode == "min"):
+            if v_min >= 1 and remaining > 0:
                 reps = _pow_reps(v_min)
                 return reps is _HUGE or reps > remaining
     if op == "COPY_N" and phase == _PH_PAYLOAD:
@@ -481,6 +481,8 @@ def search_programs(
     classifies a halting output.  mode "all" returns every accepted minimal
     program; mode "min" returns at most one record, the (length, lex)-least
     accepted program, pruning branches that cannot beat the best found.
+    Least programs for one exact output come from ``min_program_for_output``
+    instead, so "min" mode serves the prefix-set search.
 
     In "min" mode a dominance prune runs at instruction boundaries, keyed on
     the machine state (output, aux position), where aux positions past the
@@ -492,8 +494,8 @@ def search_programs(
     instructions, which would otherwise make the walk exponential in the
     length bound.
 
-    ``exact_target`` names the one output an exact-output search accepts;
-    it enables the in-block ``_hopeless_for_target`` prunes.
+    ``exact_target`` names the one output an all-mode search accepts; it
+    enables the in-block ``_hopeless_for_target`` prunes.
     """
     results: list[ProgramRecord] = []
     best_len: Optional[int] = None
@@ -519,7 +521,7 @@ def search_programs(
         if not viable(out):
             continue
         if exact_target is not None and state == _NEED_INPUT \
-                and _hopeless_for_target(cpu, exact_target, mode):
+                and _hopeless_for_target(cpu, exact_target):
             continue
         program = prefix + bit
         if state == _HALTED:
@@ -558,16 +560,156 @@ def programs_for_output(x: str, cfg: MachineConfig, aux: str = "") -> list[Progr
     )
 
 
+_NO_PATH = 1 << 62  # a path weight above every budget
+
+# POW_HALT counts with a finite repeat count (see _pow_reps), and that count
+_POW_COUNTS = [(m, m ** m) for m in range(1, 16)]
+
+
+def _literal(y: str) -> str:
+    return "1" * len(y) + "0" + y
+
+
+def _target_edges(x: str, aux: str, o: int, a: int, room: int):
+    """The instructions that may follow the boundary (o, a) in a program for
+    exactly x, with codes of at most ``room`` bits, as (code, next boundary
+    or None after a halt, code length + extra steps).
+
+    At a boundary the output is x[:o] and a = min(aux position, len(aux)).
+    Literal payloads are fixed by x, and every count takes its shortest
+    number block.  EMIT of the empty literal, COPY_N 0 and COPY_ALL on the
+    sentinel leave the boundary as it was, so no least program uses them,
+    and at o = len(x) the two-bit empty-literal halt beats every other halt.
+    An instruction's extra steps are its dispatch and the aux cells it reads.
+    """
+    n, rest = len(aux), len(x) - o
+    code = _CODE["EMIT_HALT"] + _literal(x[o:])
+    if len(code) <= room:
+        yield code, None, len(code) + 1
+    if rest == 8 and len(_CODE["RAW8_HALT"]) + 8 <= room:
+        code = _CODE["RAW8_HALT"] + x[o:]
+        yield code, None, len(code) + 1
+    for m, reps in _POW_COUNTS:
+        if reps > rest:
+            break
+        y = x[o:o + rest // reps]
+        code = _CODE["POW_HALT"] + _literal(format(m, "b")) + _literal(y)
+        if len(code) <= room and y * reps == x[o:]:
+            yield code, None, len(code) + 1
+    room -= 2  # a continuing instruction leaves room for the shortest halt
+    for j in range(1, min(rest, (room - 4) // 2) + 1):
+        code = _CODE["EMIT"] + _literal(x[o:o + j])
+        yield code, (o + j, a), len(code) + 1
+    k = 0  # COPY_N k needs the k cells from a to match x[o:o + k]
+    while k < rest and (aux[a + k] if a + k < n else "0") == x[o + k]:
+        k += 1
+        code = _CODE["COPY_N"] + _literal(format(k, "b"))
+        if len(code) > room:
+            break
+        yield code, (o + k, min(a + k, n)), len(code) + 1 + k
+    code = _CODE["COPY_ALL"]
+    if a < n and n - a <= rest and len(code) <= room and x.startswith(aux[a:], o):
+        # the n - a data cells and the sentinel
+        yield code, (o + n - a, n), len(code) + 1 + n - a + 1
+
+
 def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optional[ProgramRecord]:
-    """The (length, lex)-least program computing exactly x, or None."""
-    found = search_programs(
-        cfg, aux,
-        viable=lambda out: x.startswith(out),
-        accept=lambda out: out == x,
-        mode="min",
-        exact_target=x,
-    )
-    return found[0] if found else None
+    """The (length, lex)-least program computing exactly x, or None.
+
+    A least-path dynamic program over the instruction boundaries of
+    ``_target_edges``.  A halting program takes len(program) + len(x) steps
+    plus its instructions' extra steps, so the fuel bounds the path weight,
+    the sum of code lengths and extra steps, by fuel - len(x).  The codes
+    out of one boundary are prefix-free, so among suffixes of one length the
+    first instruction decides the lex order.
+
+    A forward pass finds the least prefix length of each boundary reachable
+    within L bits.  A backward pass, in decreasing output length, finds the
+    least suffix of each boundary that still fits within L, and its path
+    weight.  When that weight is over the budget, ``_least_within_budget``
+    answers instead.
+    """
+    L = cfg.max_program_len
+    root = (0, 0)
+    prefix = {root: 0}
+    heap, order = [root], []
+    while heap:  # every continuing instruction emits, so (o, a) order is topological
+        s = heapq.heappop(heap)
+        order.append(s)
+        for code, t, _w in _target_edges(x, aux, *s, L - prefix[s]):
+            d = prefix[s] + len(code)
+            if t is not None and d < prefix.get(t, L + 1):
+                if t not in prefix:
+                    heapq.heappush(heap, t)
+                prefix[t] = d
+
+    # boundary -> (length, first code, next boundary, first edge weight, path
+    # weight) of its least suffix within L, or None
+    best: dict = {}
+    for s in reversed(order):
+        room = L - prefix[s]
+        choice = None
+        for code, t, w in _target_edges(x, aux, *s, room):
+            length, path_w = len(code), w
+            if t is not None:
+                if best[t] is None:
+                    continue
+                length, path_w = length + best[t][0], path_w + best[t][4]
+            if length <= room and (choice is None or (length, code) < choice[:2]):
+                choice = (length, code, t, w, path_w)
+        best[s] = choice
+
+    budget = cfg.fuel - len(x)
+    if best[root] is None:
+        return None
+    if best[root][4] > budget:
+        return _least_within_budget(x, aux, L, prefix, order, budget)
+    codes, s = [], root
+    while s is not None:
+        _length, code, s, _w, _path_w = best[s]
+        codes.append(code)
+    return ProgramRecord("".join(codes), x, len(x) + best[root][4], aux)
+
+
+def _least_within_budget(x: str, aux: str, L: int, prefix: dict, order: list,
+                         budget: int) -> Optional[ProgramRecord]:
+    """The least program for x whose path weight is at most ``budget``.
+
+    Lengths are bounded by L where budgets are not, so each boundary keeps
+    the least path weight of its suffixes of every exact length up to its
+    room.  The least feasible length at the root fixes the program length;
+    a forward walk then takes the lex-least first code that can still finish
+    at that length within the budget left.
+    """
+    lightest: dict = {}
+    for s in reversed(order):
+        room = L - prefix[s]
+        row = [_NO_PATH] * (room + 1)
+        for code, t, w in _target_edges(x, aux, *s, room):
+            c = len(code)
+            if t is None:
+                row[c] = min(row[c], w)
+            else:
+                row[c:] = map(min, row[c:], [v + w for v in lightest[t][:room - c + 1]])
+        lightest[s] = row
+
+    root = (0, 0)
+    length = next((n for n, v in enumerate(lightest[root]) if v <= budget), None)
+    if length is None:
+        return None
+
+    def finishes(code, t, w):  # a suffix of exactly `left` bits within the budget left
+        if t is None:
+            return len(code) == left and w <= budget - spent
+        return w + lightest[t][left - len(code)] <= budget - spent
+
+    codes, s, left, spent = [], root, length, 0
+    while s is not None:
+        code, s, w = min(e for e in _target_edges(x, aux, *s, left) if finishes(*e))
+        codes.append(code)
+        left -= len(code)
+        spent += w
+    return ProgramRecord("".join(codes), x, len(x) + spent, aux)
 
 
 def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,

@@ -19,7 +19,7 @@ from ait.complexity import (
     reachable_outputs,
 )
 from ait.dyadic import Dyadic, ceil_neg_log2, dyadic_sum
-from ait.frozen import CHAIN, FROZEN
+from ait.frozen import CHAIN, FROZEN, calibrate
 from ait.harness import default_predicate_family, default_prefix_free_family
 from ait.machine import (
     MachineConfig,
@@ -229,6 +229,12 @@ def test_chain_rule_sample_within_frozen_constant():
         assert rep.gap <= FROZEN["c_chain"]
         assert rep.k_pair.value == k_t(encode_self_delim(x) + encode_self_delim(y),
                                        "", CHAIN).value
+
+
+def test_calibrate_reproduces_frozen():
+    # the full recomputation, including the 63x63 chain-rule sweep at CHAIN;
+    # a constant frozen too high would pass every upper-bound check above
+    assert calibrate() == FROZEN
 
 
 def test_pair_aux_convention():

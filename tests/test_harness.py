@@ -211,6 +211,12 @@ def test_cli_stoch(capsys):
     assert row["value"] == 11
 
 
+def test_cli_stoch_max_v_len_defaults_to_max_len(capsys):
+    assert main(["stoch", "--element", "-"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["value"], row["witness"]) == (11, "10110101010")
+
+
 def test_cli_hitvec(tmp_path, capsys):
     sets = tmp_path / "q.txt"
     sets.write_text(
@@ -315,7 +321,7 @@ def _with_files(argv, tmp_path):
     (["nu", "preimage", "@theta", "0", "-1"], "argument n: not a nonnegative integer"),
     (["nu", "build", "@theta", "--stages", "-1"],
      "argument --stages: not a nonnegative integer"),
-    (["stoch", "--element", "0"], "--max-v-len 20 exceeds --max-len 14"),
+    (["stoch", "--element", "0", "--max-v-len", "20"], "--max-v-len 20 exceeds --max-len 14"),
     (["stoch", "--element", "0", "--max-v-len", "-1"], "bounds must be at least 1"),
     (["stoch", "--element", "0", "--max-v-len", "8", "--fuel-v", "-5"],
      "bounds must be at least 1"),

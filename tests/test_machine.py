@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ait.codec import all_strings_upto, is_prefix_free
+from ait.codec import Lcg, all_strings_upto, is_prefix_free
 from ait.dyadic import Dyadic, dyadic_sum
+from ait.frozen import CHAIN
 from ait.machine import (
     _OPCODES,
     MachineConfig,
@@ -179,6 +180,46 @@ def test_dominance_prune_keeps_the_steps_coordinate():
     assert best == _least(programs_for_output(x, cfg))
     roomy = min_program_for_output(x, MachineConfig(27, 44))
     assert (roomy.program, roomy.steps) == ("1110111011010101010101", 44)
+    # the prefix-set search is the one "min"-mode walk, so the dominance map
+    # is pinned through it too
+    assert min_program_with_prefix_in([x], cfg) == best
+    assert min_program_with_prefix_in([x], MachineConfig(27, 44)) == roomy
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(aux=st.text(alphabet="01", max_size=6), max_len=st.sampled_from([12, 14]))
+@example(aux="", max_len=14)
+def test_least_program_matches_enumeration_at_tight_fuel(aux, max_len):
+    # halting is fuel-monotone, so the programs within fuel f are the records
+    # of one enumeration at fuel 4096 that take at most f steps; probe fuel
+    # s - 1, s and s + 1 around the steps s of each output's least witness
+    top = 4096
+    by_output = {}
+    for r in enumerate_halting(MachineConfig(max_len, top), aux):
+        by_output.setdefault(r.output, []).append(r)
+    for x, records in by_output.items():
+        steps = _least(records).steps
+        for fuel in range(steps - 1, min(steps + 1, top) + 1):
+            want = _least([r for r in records if r.steps <= fuel])
+            assert min_program_for_output(x, MachineConfig(max_len, fuel), aux) == want
+
+
+def _random_bits(seed, n):
+    rng = Lcg(seed)
+    return "".join(str(rng.next(2)) for _ in range(n))
+
+
+@pytest.mark.parametrize("x, cfg, aux, program", [
+    ("0" * 3125, MachineConfig(14, 4096), "", "1101110101100"),
+    ("01" * 60, CHAIN, "", "100111111111111001010101010111011011111100101"),
+    (_random_bits(150, 150), CHAIN, "0110", None),
+], ids=["zeros_3125", "alternating_120", "random_150"])
+def test_least_program_on_long_targets(x, cfg, aux, program):
+    best = min_program_for_output(x, cfg, aux)
+    assert (best and best.program) == program
+    if best is not None:
+        replay = run(best.program, aux, cfg.fuel)
+        assert replay.halted and replay.output == x and replay.steps == best.steps
 
 
 def test_targeted_search_equals_enumeration_filter(fixture_cfg, enumeration):
