@@ -320,6 +320,8 @@ def _dispatch(args, cfg: MachineConfig) -> int:
 
     if args.command == "km":
         members = _read_set_file(args.file)
+        if not members:
+            raise _UsageError(f"{args.file}: prefix set must be nonempty")
         result = km_t(members, cfg)
         print(json.dumps({"input": members, "value": result.value,
                           "witness": result.witness}, sort_keys=True))

@@ -27,9 +27,9 @@ from .machine import (
     ProgramRecord,
     get_enumeration,
     get_output_index,
+    mass_for_output,
     min_program_for_output,
     min_program_with_prefix_in,
-    programs_for_output,
 )
 
 
@@ -60,10 +60,10 @@ def pair_aux_nat(x: str, n: int) -> str:
 
 
 # Unconditional queries at or below this length bound are answered from the
-# cached enumeration's output index: one enumeration costs 35-40 ms at L=16,
-# about twenty targeted searches, and grows by about x1.65 per bit.  Above it,
-# and on every conditional query (each aux string needs its own enumeration),
-# the targeted searches answer.
+# cached enumeration's output index: one enumeration costs 35-40 ms at L=16
+# and grows by about x1.65 per bit.  Above it, and on every conditional query
+# (each aux string needs its own enumeration), the machine's dynamic programs
+# over instruction boundaries answer.
 _INDEX_MAX_LEN = 16
 
 
@@ -91,7 +91,7 @@ def m_t(x: str, y: str = "", cfg: MachineConfig = None) -> Dyadic:
     """Total 2^-len mass of fuel-bounded programs computing x from aux y."""
     index = _output_index(y, cfg)
     if index is None:
-        return dyadic_sum(Dyadic(1, len(r.program)) for r in programs_for_output(x, cfg, y))
+        return mass_for_output(x, cfg, y)
     return index[x][1] if x in index else Dyadic.zero()
 
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable
 
-from .codec import interval_of, left_of
 from .dyadic import Dyadic
 from .machine import (
     ExecOutcome,
@@ -235,23 +234,6 @@ def is_total(x: str, cfg: MachineConfig, machine: str = "U", aux: str = "") -> b
     raise ValueError(f"unknown machine {machine!r}")
 
 
-def is_total_uprime_by_walk(x: str, table: IntervalTable, depth: Optional[int] = None) -> bool:
-    """Independent oracle: walk the depth-(L+1) tree under x checking that
-    every leaf path hits a transformed halting prefix."""
-    depth = depth if depth is not None else table.config.max_program_len + 1
-    if len(x) > depth:
-        raise ValueError("string deeper than the walk")
-
-    def down(y: str) -> bool:
-        if run_left_total(y, table).halted:
-            return True
-        if len(y) == depth:
-            return False
-        return down(y + "0") and down(y + "1")
-
-    return down(x)
-
-
 # ---------------------------------------------------------------------------
 # border prefix and the halting-probability pair
 # ---------------------------------------------------------------------------
@@ -402,11 +384,3 @@ def shortest_total_satisfying(
                 )
             return found
     raise TotalSearchNotFound("no total string within bounds satisfies the predicate")
-
-
-def left_of_pairs_consistent(x: str, y: str) -> bool:
-    """x left-of y agrees with interval order for prefix-incomparable x, y."""
-    if x.startswith(y) or y.startswith(x):
-        return True
-    ix, iy = interval_of(x), interval_of(y)
-    return left_of(x, y) == ix.entirely_left_of(iy)

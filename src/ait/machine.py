@@ -418,98 +418,31 @@ def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:
 
 
 # ---------------------------------------------------------------------------
-# targeted searches (equivalent to filtering the full enumeration, but the
-# output-viability prune keeps the walked tree small)
+# the output-pruned tree walk (equivalent to filtering the full enumeration)
 # ---------------------------------------------------------------------------
-
-def _hopeless_for_target(cpu: "_Cpu", target: str) -> bool:
-    """Target-aware prunes that look inside an operand block in progress.
-
-    Payload bits of the emit-family instructions reach the output verbatim,
-    so a mismatch against the target is fatal before the block completes.
-    A partially read repeat or copy count already bounds the bits the
-    instruction must emit; once that lower bound exceeds what the target has
-    room for, no completion can work (the zero-count null completions
-    produce a wrong output).
-    """
-    op, phase = cpu.op, cpu.phase
-    remaining = len(target) - cpu.out_len
-    if op in ("EMIT", "EMIT_HALT", "RAW8_HALT"):
-        if phase == _PH_UNARY:
-            return cpu.unary > remaining
-        if phase in (_PH_PAYLOAD, _PH_RAW):
-            if len(cpu.paybuf) > remaining:
-                return True
-            return not target.startswith("".join(cpu.paybuf), cpu.out_len)
-    if op == "POW_HALT":
-        if cpu.block == 1:
-            reps = _pow_reps(cpu.num_val)
-            if reps == 0:
-                # zero repeats: the instruction halts with the output
-                # unchanged, so the whole y block is junk unless the target
-                # is already complete
-                return remaining > 0
-            if phase == _PH_UNARY:
-                return cpu.unary >= 1 and (reps is _HUGE or reps * cpu.unary > remaining)
-            if phase == _PH_PAYLOAD:
-                if len(cpu.paybuf) > remaining:
-                    return True
-                return not target.startswith("".join(cpu.paybuf), cpu.out_len)
-        if cpu.block == 0 and phase == _PH_PAYLOAD:
-            v_min = int("".join(cpu.paybuf), 2) << cpu.need if cpu.paybuf else 0
-            if v_min >= 1 and remaining > 0:
-                reps = _pow_reps(v_min)
-                return reps is _HUGE or reps > remaining
-    if op == "COPY_N" and phase == _PH_PAYLOAD:
-        v_min = int("".join(cpu.paybuf), 2) << cpu.need if cpu.paybuf else 0
-        return v_min > remaining
-    return False
-
 
 def search_programs(
     cfg: MachineConfig,
     aux: str,
     viable: Callable[[str], bool],
     accept: Callable[[str], bool],
-    mode: str = "all",
-    exact_target: Optional[str] = None,
 ) -> list[ProgramRecord]:
-    """Walk the program tree keeping only branches whose output stays viable.
+    """Every minimal halting program within bounds whose output is accepted,
+    sorted by (steps, program) like the enumeration.
 
-    ``viable(out)`` must be monotone: once false it stays false for every
-    extension of the output (output only ever grows).  ``accept(out)``
-    classifies a halting output.  mode "all" returns every accepted minimal
-    program; mode "min" returns at most one record, the (length, lex)-least
-    accepted program, pruning branches that cannot beat the best found.
-    Least programs for one exact output come from ``min_program_for_output``
-    instead, so "min" mode serves the prefix-set search.
-
-    In "min" mode a dominance prune runs at instruction boundaries, keyed on
-    the machine state (output, aux position), where aux positions past the
-    tape end are one state (every later cell is the sentinel).  A prefix
-    that is no longer and has spent no more steps than a later one reaching
-    the same state halts on every continuation the later one halts on, with
-    the same output; it was visited first, so it is also lex-smaller, and
-    the later prefix is dropped.  This collapses chains of no-effect
-    instructions, which would otherwise make the walk exponential in the
-    length bound.
-
-    ``exact_target`` names the one output an all-mode search accepts; it
-    enables the in-block ``_hopeless_for_target`` prunes.
+    The walk keeps only branches whose output stays viable.  ``viable(out)``
+    must be monotone: once false it stays false for every extension of the
+    output (output only ever grows).  ``accept(out)`` classifies a halting
+    output.
     """
     results: list[ProgramRecord] = []
-    best_len: Optional[int] = None
-    seen: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    root = _Cpu(aux, cfg.fuel)
     if not viable(""):
         return results
-    # depth-first in lexicographic order: "0" branch explored before "1"
+    root = _Cpu(aux, cfg.fuel)
     stack: list[tuple[str, str, _Cpu]] = [("", "1", root), ("", "0", root)]
     while stack:
         prefix, bit, parent = stack.pop()
         if len(prefix) >= cfg.max_program_len:
-            continue
-        if mode == "min" and best_len is not None and len(prefix) >= best_len:
             continue
         # the "1" sibling is popped after the "0" subtree is done, so it can
         # take over the parent that only the "0" child had to copy
@@ -520,60 +453,39 @@ def search_programs(
         out = cpu.output
         if not viable(out):
             continue
-        if exact_target is not None and state == _NEED_INPUT \
-                and _hopeless_for_target(cpu, exact_target):
-            continue
         program = prefix + bit
         if state == _HALTED:
             if accept(out):
-                rec = ProgramRecord(program, out, cpu.steps, aux)
-                if mode == "min":
-                    if best_len is None or len(program) < best_len:
-                        best_len = len(program)
-                        results = [rec]
-                else:
-                    results.append(rec)
+                results.append(ProgramRecord(program, out, cpu.steps, aux))
             continue
-        if mode == "min" and cpu.phase == _PH_OPCODE and cpu.opbuf == "":
-            key = (out, min(cpu.aux_pos, len(aux)))
-            n, steps = len(program), cpu.steps
-            pareto = seen.setdefault(key, [])
-            if any(l <= n and s <= steps for l, s in pareto):
-                continue
-            pareto[:] = [(l, s) for l, s in pareto if not (n <= l and steps <= s)]
-            pareto.append((n, steps))
         stack.append((program, "1", cpu))
         stack.append((program, "0", cpu))
-    if mode == "all":
-        results.sort(key=lambda r: (r.steps, r.program))
+    results.sort(key=lambda r: (r.steps, r.program))
     return results
 
 
-def programs_for_output(x: str, cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
-    """Every minimal halting program (within bounds) whose output equals x."""
-    return search_programs(
-        cfg, aux,
-        viable=lambda out: x.startswith(out),
-        accept=lambda out: out == x,
-        mode="all",
-        exact_target=x,
-    )
-
+# ---------------------------------------------------------------------------
+# the boundary graph: programs for one output are paths between instruction
+# boundaries
+# ---------------------------------------------------------------------------
 
 _NO_PATH = 1 << 62  # a path weight above every budget
-
-# POW_HALT counts with a finite repeat count (see _pow_reps), and that count
-_POW_COUNTS = [(m, m ** m) for m in range(1, 16)]
+_NUMBERED = (_CODE["POW_HALT"], _CODE["COPY_N"])  # operands open with a number block
 
 
 def _literal(y: str) -> str:
     return "1" * len(y) + "0" + y
 
 
+# POW_HALT with each count that has a finite repeat count (see _pow_reps):
+# the opcode and the count's shortest number block, and the repeat count
+_POW_HEADS = [(_CODE["POW_HALT"] + _literal(format(m, "b")), m ** m) for m in range(1, 16)]
+
+
 def _target_edges(x: str, aux: str, o: int, a: int, room: int):
-    """The instructions that may follow the boundary (o, a) in a program for
-    exactly x, with codes of at most ``room`` bits, as (code, next boundary
-    or None after a halt, code length + extra steps).
+    """The instructions that may follow the boundary (o, a) in a least
+    program for exactly x, with codes of at most ``room`` bits, as (code,
+    next boundary or None after a halt, code length + extra steps).
 
     At a boundary the output is x[:o] and a = min(aux position, len(aux)).
     Literal payloads are fixed by x, and every count takes its shortest
@@ -589,11 +501,11 @@ def _target_edges(x: str, aux: str, o: int, a: int, room: int):
     if rest == 8 and len(_CODE["RAW8_HALT"]) + 8 <= room:
         code = _CODE["RAW8_HALT"] + x[o:]
         yield code, None, len(code) + 1
-    for m, reps in _POW_COUNTS:
+    for head, reps in _POW_HEADS:
         if reps > rest:
             break
         y = x[o:o + rest // reps]
-        code = _CODE["POW_HALT"] + _literal(format(m, "b")) + _literal(y)
+        code = head + _literal(y)
         if len(code) <= room and y * reps == x[o:]:
             yield code, None, len(code) + 1
     room -= 2  # a continuing instruction leaves room for the shortest halt
@@ -613,6 +525,84 @@ def _target_edges(x: str, aux: str, o: int, a: int, room: int):
         yield code, (o + n - a, n), len(code) + 1 + n - a + 1
 
 
+def _extending_edges(x: str, aux: str, o: int, a: int, room: int):
+    """The ``_target_edges`` of a least program whose output extends x, and
+    the instructions past the end of x that can still be least, each adding
+    its output bits past x to its weight: RAW8_HALT of x[o:] padded with
+    zeros; POW_HALT of the shortest y whose repeats run past x[o:] and agree
+    with it; and COPY_ALL of an aux rest extending x[o:], to the boundary
+    (len(x), len(aux)), where the empty-literal halt follows.  EMIT_HALT or
+    EMIT past the end loses to EMIT_HALT x[o:], and COPY_N past the end to
+    COPY_N len(x) - o and that halt."""
+    yield from _target_edges(x, aux, o, a, room)
+    n, rest = len(aux), len(x) - o
+    if rest < 8 and len(_CODE["RAW8_HALT"]) + 8 <= room:
+        code = _CODE["RAW8_HALT"] + x[o:] + "0" * (8 - rest)
+        yield code, None, len(code) + 1 + 8 - rest
+    for head, reps in _POW_HEADS if rest else ():
+        for j in range(-(-rest // reps), min(rest, (room - len(head) - 1) // 2) + 1):
+            if x.startswith(x[o + j:], o):  # x[o:] has period j
+                if j * reps > rest:  # j * reps == rest is a _target_edges halt
+                    code = head + _literal(x[o:o + j])
+                    yield code, None, len(code) + 1 + j * reps - rest
+                break
+    code = _CODE["COPY_ALL"]
+    if n - a > rest and len(code) <= room - 2 and aux.startswith(x[o:], a):
+        yield code, (len(x), n), len(code) + 1 + n - a + 1 + n - a - rest
+
+
+def _count_edges(x: str, aux: str, o: int, a: int, room: int):
+    """Every instruction that may follow the boundary (o, a) in a program for
+    exactly x, with codes of at most ``room`` bits, as (code length, next
+    boundary or None after a halt, code length + extra steps, number of
+    codes).
+
+    Besides the ``_target_edges``, each number block also takes leading
+    zeros, two bits more apiece; EMIT of the empty literal, COPY_N 0 at every
+    width and COPY_ALL on the sentinel loop on the boundary; and at
+    o = len(x) the program may also HALT, or halt by POW_HALT with the empty
+    literal and any u-bit count (2^u codes) or by POW_HALT 0 with any j-bit
+    literal (2^j codes).
+    """
+    s = (o, a)
+    for code, t, w in _target_edges(x, aux, o, a, room):
+        top = len(code)
+        if code.startswith(_NUMBERED):
+            top = room if t is None else room - 2
+        for extra in range(0, top - len(code) + 1, 2):
+            yield len(code) + extra, t, w + extra, 1
+    yield 4, s, 5, 1
+    for c in range(5, room - 1, 2):
+        yield c, s, c + 1, 1
+    if a == len(aux):
+        yield 5, s, 7, 1  # the sentinel cell is read
+    if o == len(x):
+        for c in range(5, room + 1, 2):  # 3 opcode bits and a (c - 5) / 2-bit count
+            yield c, None, c + 1, 1 << (c - 5) // 2
+            for j in range(1, (room - c) // 2 + 1):
+                yield c + 2 * j, None, c + 2 * j + 1, 1 << j
+        if room >= 5:
+            yield 5, None, 6, 1
+
+
+def _boundaries(x: str, aux: str, L: int, edges):
+    """The boundaries reachable within L bits in topological (o, a) order,
+    and the least prefix length of each."""
+    root = (0, 0)
+    prefix = {root: 0}
+    heap, order = [root], []
+    while heap:  # (o, a) grows along every continuing edge, so heap order is topological
+        s = heapq.heappop(heap)
+        order.append(s)
+        for code, t, _w in edges(x, aux, *s, L - prefix[s]):
+            d = prefix[s] + len(code)
+            if t is not None and d < prefix.get(t, L + 1):
+                if t not in prefix:
+                    heapq.heappush(heap, t)
+                prefix[t] = d
+    return prefix, order
+
+
 def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optional[ProgramRecord]:
     """The (length, lex)-least program computing exactly x, or None.
 
@@ -629,19 +619,14 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     weight.  When that weight is over the budget, ``_least_within_budget``
     answers instead.
     """
+    return _least_path(x, cfg, aux, _target_edges)
+
+
+def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[ProgramRecord]:
+    """``min_program_for_output`` over the edges ``edges``, recording output x."""
     L = cfg.max_program_len
     root = (0, 0)
-    prefix = {root: 0}
-    heap, order = [root], []
-    while heap:  # every continuing instruction emits, so (o, a) order is topological
-        s = heapq.heappop(heap)
-        order.append(s)
-        for code, t, _w in _target_edges(x, aux, *s, L - prefix[s]):
-            d = prefix[s] + len(code)
-            if t is not None and d < prefix.get(t, L + 1):
-                if t not in prefix:
-                    heapq.heappush(heap, t)
-                prefix[t] = d
+    prefix, order = _boundaries(x, aux, L, edges)
 
     # boundary -> (length, first code, next boundary, first edge weight, path
     # weight) of its least suffix within L, or None
@@ -649,7 +634,7 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     for s in reversed(order):
         room = L - prefix[s]
         choice = None
-        for code, t, w in _target_edges(x, aux, *s, room):
+        for code, t, w in edges(x, aux, *s, room):
             length, path_w = len(code), w
             if t is not None:
                 if best[t] is None:
@@ -663,7 +648,7 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     if best[root] is None:
         return None
     if best[root][4] > budget:
-        return _least_within_budget(x, aux, L, prefix, order, budget)
+        return _least_within_budget(x, aux, L, prefix, order, budget, edges)
     codes, s = [], root
     while s is not None:
         _length, code, s, _w, _path_w = best[s]
@@ -672,8 +657,8 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
 
 
 def _least_within_budget(x: str, aux: str, L: int, prefix: dict, order: list,
-                         budget: int) -> Optional[ProgramRecord]:
-    """The least program for x whose path weight is at most ``budget``.
+                         budget: int, edges) -> Optional[ProgramRecord]:
+    """The least path whose weight is at most ``budget``.
 
     Lengths are bounded by L where budgets are not, so each boundary keeps
     the least path weight of its suffixes of every exact length up to its
@@ -685,7 +670,7 @@ def _least_within_budget(x: str, aux: str, L: int, prefix: dict, order: list,
     for s in reversed(order):
         room = L - prefix[s]
         row = [_NO_PATH] * (room + 1)
-        for code, t, w in _target_edges(x, aux, *s, room):
+        for code, t, w in edges(x, aux, *s, room):
             c = len(code)
             if t is None:
                 row[c] = min(row[c], w)
@@ -705,26 +690,66 @@ def _least_within_budget(x: str, aux: str, L: int, prefix: dict, order: list,
 
     codes, s, left, spent = [], root, length, 0
     while s is not None:
-        code, s, w = min(e for e in _target_edges(x, aux, *s, left) if finishes(*e))
+        code, s, w = min(e for e in edges(x, aux, *s, left) if finishes(*e))
         codes.append(code)
         left -= len(code)
         spent += w
     return ProgramRecord("".join(codes), x, len(x) + spent, aux)
 
 
+def mass_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Dyadic:
+    """The exact mass, sum 2^-len(p), of the programs p within bounds that
+    compute exactly x.
+
+    A path count over the boundaries of ``min_program_for_output``, taken in
+    decreasing output length.  Each boundary counts its suffixes by code
+    length, up to its room, and by path weight, up to fuel - len(x), over
+    every encoding of ``_count_edges``.  Its self-loops are at least four
+    bits long, so they close in increasing length.
+    """
+    L, budget = cfg.max_program_len, cfg.fuel - len(x)
+    prefix, order = _boundaries(x, aux, L, _target_edges)
+    counts: dict = {}  # boundary -> per suffix length, {path weight: suffixes}
+    for s in reversed(order):
+        room = L - prefix[s]
+        rows: list[dict] = [{} for _ in range(room + 1)]
+        loops = []
+        for c, t, w, k in _count_edges(x, aux, *s, room):
+            if t == s:
+                loops.append((c, w, k))
+            elif t is None:
+                _add_shifted(rows[c], {0: 1}, w, k, budget)
+            else:
+                for length, row in enumerate(counts[t][:room - c + 1], c):
+                    _add_shifted(rows[length], row, w, k, budget)
+        for length, row in enumerate(rows):
+            for c, w, k in loops:
+                if c <= length:
+                    _add_shifted(row, rows[length - c], w, k, budget)
+        counts[s] = rows
+    total = sum(n << (L - length) for length, row in enumerate(counts[(0, 0)])
+                for n in row.values())
+    return Dyadic(total, L)
+
+
+def _add_shifted(row: dict, source: dict, w: int, k: int, budget: int) -> None:
+    """row += k * source, with every path weight raised by w, within budget."""
+    for v, n in source.items():
+        if v + w <= budget:
+            row[v + w] = row.get(v + w, 0) + k * n
+
+
 def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
                                aux: str = "") -> Optional[ProgramRecord]:
-    """The (length, lex)-least program whose output extends a member."""
-    targets = tuple(members)
-
-    def viable(out: str) -> bool:
-        return any(x.startswith(out) or out.startswith(x) for x in targets)
-
-    def accept(out: str) -> bool:
-        return any(out.startswith(x) for x in targets)
-
-    found = search_programs(cfg, aux, viable, accept, mode="min")
-    return found[0] if found else None
+    """The (length, lex)-least program whose output extends a member: the
+    least over members of the least path of ``_extending_edges``."""
+    paths = (_least_path(x, cfg, aux, _extending_edges) for x in members)
+    best = min((r for r in paths if r is not None),
+               key=lambda r: (len(r.program), r.program), default=None)
+    if best is None:
+        return None
+    out = run(best.program, aux, cfg.fuel)  # the output may run past the member
+    return ProgramRecord(best.program, out.output, out.steps, aux)
 
 
 # ---------------------------------------------------------------------------

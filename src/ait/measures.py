@@ -367,7 +367,6 @@ def stochasticity(
         search_cfg, y,
         viable=lambda out: _measure_prefix_state(out, a) != "dead",
         accept=lambda out: _measure_prefix_state(out, a) == "complete",
-        mode="all",
     )
     best: Optional[tuple[int, int, str]] = None
     best_payload = None

@@ -58,7 +58,8 @@ def test_criterion_01_machine_soundness(enumeration):
 
 
 def test_criterion_02_left_total_transform(interval_table):
-    from ait.leftward import is_total_uprime, is_total_uprime_by_walk
+    from ait.leftward import is_total_uprime
+    from oracles import is_total_uprime_by_walk
 
     started = time.time()
     L = FIXTURE.max_program_len
@@ -100,7 +101,8 @@ def test_criterion_02_left_total_transform(interval_table):
 
 
 def test_criterion_03_border_and_omega(interval_table):
-    from ait.leftward import border_prefix, is_total_uprime_by_walk, omega_pair
+    from ait.leftward import border_prefix, omega_pair
+    from oracles import is_total_uprime_by_walk
 
     b = border_prefix(FIXTURE)
     om, om_hat = omega_pair(b, FIXTURE)

@@ -23,9 +23,9 @@ from ait.frozen import CHAIN, FROZEN, calibrate
 from ait.harness import default_predicate_family, default_prefix_free_family
 from ait.machine import (
     MachineConfig,
+    mass_for_output,
     min_program_for_output,
     min_program_with_prefix_in,
-    programs_for_output,
     run,
 )
 from ait.predicates import BinaryPredicate, cylinder
@@ -249,12 +249,11 @@ def _as_value(rec, cfg):
 
 def _assert_index_matches_targeted(cfg, families):
     # the unconditional queries read the output index at these bounds; the
-    # targeted searches are their oracle, on every reachable output and on
-    # every string of at most 6 bits, reachable or not
+    # boundary-graph searches are their oracle, on every reachable output and
+    # on every string of at most 6 bits, reachable or not
     for x in reachable_outputs(cfg) + list(all_strings_upto(6)):
         assert k_t(x, "", cfg) == _as_value(min_program_for_output(x, cfg), cfg)
-        assert m_t(x, "", cfg) == dyadic_sum(
-            Dyadic(1, len(r.program)) for r in programs_for_output(x, cfg))
+        assert m_t(x, "", cfg) == mass_for_output(x, cfg)
     for members in families:
         assert km_t(members, cfg) == _as_value(min_program_with_prefix_in(members, cfg), cfg)
 
@@ -283,3 +282,19 @@ def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
     # mixed lengths: the least witness, 0^27, extends only the 9-bit member
     families.append(PrefixFreeSet(["0" * 9, "1" * 54]))
     _assert_index_matches_targeted(fixture_cfg, families)
+
+
+def test_output_index_matches_targeted_searches_at_l16():
+    # the largest bound the index serves; 15-bit programs first reach it with
+    # POW_HALT codes whose count exceeds 15 and whose literal is empty
+    cfg = MachineConfig(16, 4096)
+    families = [members for _name, members in default_prefix_free_family(20)]
+    families += [cylinder(g) for _name, g in default_predicate_family(20)]
+    _assert_index_matches_targeted(cfg, families)
+
+
+def test_coding_direction_at_chain():
+    # the floor of the set bound, -log m(D) <= min over x in D of K(x), at
+    # L=48 where no enumeration reaches, for every x of at most 8 bits
+    for x in all_strings_upto(8):
+        assert ceil_neg_log2(m_t(x, "", CHAIN)) <= k_t(x, "", CHAIN).value

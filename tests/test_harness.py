@@ -250,6 +250,23 @@ def test_cli_predicate(tmp_path, capsys):
     assert row["output"][1] == "0" and row["output"][3] == "0"
 
 
+@pytest.mark.parametrize("member, witness", [
+    ("0" * 300, "1101110101100"),  # POW_HALT 5 of "0": 3125 zeros
+    ("01" * 20, "1101101111001"),  # POW_HALT 3 of "01": 27 repeats
+], ids=["zeros_300", "alternating_40"])
+def test_cli_km_beyond_the_index(member, witness, tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    path.write_text(member + "\n")
+    assert main(["--max-len", "48", "--fuel", "4096", "km", str(path)]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["value"], row["witness"]) == (13, witness)
+
+
+def test_cli_m_beyond_the_index(capsys):
+    assert main(["--max-len", "20", "m", "0101"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "1657/2^20"
+
+
 def test_cli_mb_prefix_longer_than_the_grid(capsys):
     # an 18-bit prefix lies inside one grid cell at L=14: the pieces left of
     # that cell count, and none extends the prefix
@@ -272,6 +289,7 @@ _INPUT_FILES = {
     "q_light": f"{encode_string_set(['0'])}\t1/2^0\n",
     "q_bad": "01\t1/2^0\n",
     "m": "0\t1/2^1\n1\t1/2^1\n",
+    "empty_set": "\n",
 }
 
 
@@ -327,6 +345,7 @@ def _with_files(argv, tmp_path):
      "bounds must be at least 1"),
     (["hitvec", "--sets", "@q_bad", "--measure", "@m", "-i", "0", "-c", "1", "-d", "1"],
      "q_bad:1: trailing bits after set encoding"),
+    (["km", "@empty_set"], "empty_set: prefix set must be nonempty"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ait.codec import Lcg, is_prefix_free, left_of
+from ait.codec import Lcg, interval_of, is_prefix_free, left_of
 from ait.dyadic import Dyadic
 import ait.leftward as leftward
 from ait.leftward import (
@@ -13,7 +13,6 @@ from ait.leftward import (
     get_interval_table,
     is_total,
     is_total_uprime,
-    is_total_uprime_by_walk,
     m_b,
     m_b_set,
     mass_filtered,
@@ -23,6 +22,7 @@ from ait.leftward import (
     total_strings_of_length,
 )
 from ait.machine import Status, kraft_sum
+from oracles import is_total_uprime_by_walk
 
 
 def all_strings_of(n):
@@ -372,8 +372,8 @@ def test_shortest_total_parent_never_total(fixture_cfg, interval_table):
 
 
 def test_left_of_interval_consistency_small():
-    from ait.leftward import left_of_pairs_consistent
-
+    # x left-of y agrees with interval order for prefix-incomparable x, y
     strings = all_strings_of(3) + all_strings_of(5)
     for x, y in itertools.permutations(strings, 2):
-        assert left_of_pairs_consistent(x, y)
+        if not (x.startswith(y) or y.startswith(x)):
+            assert left_of(x, y) == interval_of(x).entirely_left_of(interval_of(y))

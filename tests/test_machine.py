@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,10 +13,11 @@ from ait.machine import (
     Status,
     enumerate_halting,
     kraft_sum,
+    mass_for_output,
     min_program_for_output,
     min_program_with_prefix_in,
-    programs_for_output,
     run,
+    search_programs,
 )
 
 # the designated empty-output program, located by exhaustive enumeration at L=16, t=4096
@@ -132,14 +135,14 @@ bit_strings = st.text(alphabet="01", max_size=8)
        members=st.lists(st.text(alphabet="01", max_size=4), min_size=1, max_size=3))
 @example(aux="0110", max_len=10, fuel=256, probes=[], members=["0110"])
 def test_targeted_search_with_aux_matches_enumeration(aux, max_len, fuel, probes, members):
-    # oracle for the output-pruned walks: filter the full enumeration, on
+    # oracle for the boundary-graph searches: filter the full enumeration, on
     # every reachable output, on arbitrary (often unreachable) probes, and on
     # short member sets; the fuel range reaches the out-of-fuel edge
     cfg = MachineConfig(max_len, fuel)
     records = enumerate_halting(cfg, aux)
     for x in sorted({r.output for r in records}) + probes:
         want = [r for r in records if r.output == x]
-        assert programs_for_output(x, cfg, aux) == want
+        assert mass_for_output(x, cfg, aux) == kraft_sum(want)
         assert min_program_for_output(x, cfg, aux) == _least(want)
     extending = [r for r in records if any(r.output.startswith(m) for m in members)]
     assert min_program_with_prefix_in(members, cfg, aux) == _least(extending)
@@ -159,7 +162,7 @@ def test_targeted_search_at_tight_fuel(aux):
             if fuel not in filtered:
                 filtered[fuel] = enumerate_halting(cfg, aux)
             want = [r for r in filtered[fuel] if r.output == x]
-            assert programs_for_output(x, cfg, aux) == want
+            assert mass_for_output(x, cfg, aux) == kraft_sum(want)
             assert min_program_for_output(x, cfg, aux) == _least(want)
 
 
@@ -168,8 +171,8 @@ def test_dominance_prune_keeps_the_steps_coordinate():
     # 43 steps).  Its 16-bit EMIT prefix (23 steps) reaches the state
     # (output 000000, aux position 0) after the lex-smaller 15-bit prefix
     # EMIT of the empty literal, COPY_N 6 (29 steps), which cannot finish
-    # within fuel; a dominance map keyed on length alone drops the witness.
-    # The all-mode walk has no dominance map and serves as the oracle.
+    # within fuel; keeping only the shorter prefix of each state drops the
+    # witness.  The all-output tree walk, filtered to x, is the oracle.
     x = "00000001010101"
     cfg = MachineConfig(27, 43)
     best = min_program_for_output(x, cfg)
@@ -177,11 +180,11 @@ def test_dominance_prune_keeps_the_steps_coordinate():
     assert (best.program, best.steps) == ("100111111000000010101010101", 43)
     replay = run(best.program, "", cfg.fuel)
     assert replay.halted and replay.output == x and replay.steps == 43
-    assert best == _least(programs_for_output(x, cfg))
+    assert best == _least(search_programs(cfg, "", viable=lambda out: x.startswith(out),
+                                          accept=lambda out: out == x))
     roomy = min_program_for_output(x, MachineConfig(27, 44))
     assert (roomy.program, roomy.steps) == ("1110111011010101010101", 44)
-    # the prefix-set search is the one "min"-mode walk, so the dominance map
-    # is pinned through it too
+    # the prefix-set search runs the same least-path DP over more edges
     assert min_program_with_prefix_in([x], cfg) == best
     assert min_program_with_prefix_in([x], MachineConfig(27, 44)) == roomy
 
@@ -192,16 +195,32 @@ def test_dominance_prune_keeps_the_steps_coordinate():
 def test_least_program_matches_enumeration_at_tight_fuel(aux, max_len):
     # halting is fuel-monotone, so the programs within fuel f are the records
     # of one enumeration at fuel 4096 that take at most f steps; probe fuel
-    # s - 1, s and s + 1 around the steps s of each output's least witness
+    # s - 1, s and s + 1 around the steps s of each least witness
     top = 4096
-    by_output = {}
-    for r in enumerate_halting(MachineConfig(max_len, top), aux):
-        by_output.setdefault(r.output, []).append(r)
-    for x, records in by_output.items():
+    everything = sorted(enumerate_halting(MachineConfig(max_len, top), aux),
+                        key=lambda r: r.output)
+    outputs = [r.output for r in everything]
+
+    def extending(x):  # the records whose output extends x: one run of the list
+        return everything[bisect_left(outputs, x):bisect_left(outputs, x + "2")]
+
+    def around(records):
         steps = _least(records).steps
-        for fuel in range(steps - 1, min(steps + 1, top) + 1):
-            want = _least([r for r in records if r.steps <= fuel])
-            assert min_program_for_output(x, MachineConfig(max_len, fuel), aux) == want
+        return [MachineConfig(max_len, f) for f in (steps - 1, steps, steps + 1) if f <= top]
+
+    for x in dict.fromkeys(outputs):
+        records = [r for r in extending(x) if r.output == x]
+        for cfg in around(records):
+            want = [r for r in records if r.steps <= cfg.fuel]
+            assert min_program_for_output(x, cfg, aux) == _least(want)
+            assert mass_for_output(x, cfg, aux) == kraft_sum(want)
+    # halves of outputs are often unreachable, so their least extending
+    # programs run past them
+    for x in dict.fromkeys(outputs + [out[:len(out) // 2] for out in outputs]):
+        records = extending(x)
+        for cfg in around(records):
+            assert min_program_with_prefix_in([x], cfg, aux) == \
+                _least([r for r in records if r.steps <= cfg.fuel])
 
 
 def _random_bits(seed, n):
@@ -223,14 +242,14 @@ def test_least_program_on_long_targets(x, cfg, aux, program):
 
 
 def test_targeted_search_equals_enumeration_filter(fixture_cfg, enumeration):
-    # the dual route: output-pruned walks find exactly the enumerated programs
+    # the dual route: the boundary graph counts exactly the enumerated programs
     by_output = {}
     for r in enumeration:
         by_output.setdefault(r.output, set()).add(r.program)
     outputs = sorted(by_output, key=lambda o: (len(o), o))
     for out in outputs[:60] + outputs[-20:]:
-        got = {r.program for r in programs_for_output(out, fixture_cfg)}
-        assert got == by_output[out]
+        assert mass_for_output(out, fixture_cfg) == \
+            dyadic_sum(Dyadic(1, len(p)) for p in by_output[out])
         best = min_program_for_output(out, fixture_cfg)
         assert (len(best.program), best.program) == min(
             (len(p), p) for p in by_output[out]
