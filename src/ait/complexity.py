@@ -156,25 +156,23 @@ def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
     return _PROXY_CACHE[key]
 
 
+def _info(x: str, aux: str, cfg: MachineConfig) -> Optional[int]:
+    """``mutual_info_t``, or None when either side is infinite at these bounds."""
+    try:
+        return mutual_info_t(x, aux, cfg)
+    except InformationUndefined:
+        return None
+
+
 def info_with_halting(x: str, cfg: MachineConfig) -> Optional[int]:
     """I(x : H_t) proxy: k_t(x) - k_t(x | proxy bits); None when either side
     is infinite at these bounds."""
-    base = k_t(x, "", cfg)
-    if not base.is_finite:
-        return None
-    cond = k_t(x, halting_proxy(cfg).bits, cfg)
-    if not cond.is_finite:
-        return None
-    return base.value - cond.value
+    return _info(x, halting_proxy(cfg).bits, cfg)
 
 
 def info_with_set(x: str, members, cfg: MachineConfig) -> Optional[int]:
     """I_t(x ; <D>) with the set condition under its canonical encoding."""
-    base = k_t(x, "", cfg)
-    cond = k_t(x, encode_string_set(members), cfg)
-    if not (base.is_finite and cond.is_finite):
-        return None
-    return base.value - cond.value
+    return _info(x, encode_string_set(members), cfg)
 
 
 @dataclass(frozen=True)

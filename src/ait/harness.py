@@ -363,21 +363,16 @@ def exp_distortion(y: str, spec: DistortionSpec, cfg: MachineConfig) -> Experime
     except TotalSearchNotFound:
         rep.measure("b.search", "not-found-within-bounds")
     rep.measure("codeword.k", best[1])
-    info_xy = _info_between(x_best, y, cfg)
+    try:
+        info_xy = cx.mutual_info_t(x_best, y, cfg)
+    except cx.InformationUndefined:
+        info_xy = None
     info_yh = cx.info_with_halting(y, cfg)
     rep.measure("info.x_best_vs_y", _fmt_inf(info_xy))
     rep.measure("info.y_vs_halting", _fmt_inf(info_yh))
     if info_xy is not None and info_yh is not None:
         rep.measure("slack.vs_bound", best[1] - info_xy - info_yh)
     return rep
-
-
-def _info_between(x: str, y: str, cfg: MachineConfig) -> Optional[int]:
-    base = cx.k_t(x, "", cfg)
-    cond = cx.k_t(x, y, cfg)
-    if base.is_finite and cond.is_finite:
-        return base.value - cond.value
-    return None
 
 
 # -- clopen (prefix sets against a compiled transducer) ----------------------

@@ -469,7 +469,6 @@ def search_programs(
 # boundaries
 # ---------------------------------------------------------------------------
 
-_NO_PATH = 1 << 62  # a path weight above every budget
 _NUMBERED = (_CODE["POW_HALT"], _CODE["COPY_N"])  # operands open with a number block
 
 
@@ -551,21 +550,21 @@ def _extending_edges(x: str, aux: str, o: int, a: int, room: int):
         yield code, (len(x), n), len(code) + 1 + n - a + 1 + n - a - rest
 
 
-def _count_edges(x: str, aux: str, o: int, a: int, room: int):
+def _count_edges(x: str, aux: str, o: int, a: int, room: int, target: list):
     """Every instruction that may follow the boundary (o, a) in a program for
     exactly x, with codes of at most ``room`` bits, as (code length, next
     boundary or None after a halt, code length + extra steps, number of
     codes).
 
-    Besides the ``_target_edges``, each number block also takes leading
-    zeros, two bits more apiece; EMIT of the empty literal, COPY_N 0 at every
-    width and COPY_ALL on the sentinel loop on the boundary; and at
-    o = len(x) the program may also HALT, or halt by POW_HALT with the empty
-    literal and any u-bit count (2^u codes) or by POW_HALT 0 with any j-bit
-    literal (2^j codes).
+    ``target`` holds the boundary's ``_target_edges`` within ``room``.
+    Besides those, each number block also takes leading zeros, two bits more
+    apiece; EMIT of the empty literal, COPY_N 0 at every width and COPY_ALL
+    on the sentinel loop on the boundary; and at o = len(x) the program may
+    also HALT, or halt by POW_HALT with the empty literal and any u-bit count
+    (2^u codes) or by POW_HALT 0 with any j-bit literal (2^j codes).
     """
     s = (o, a)
-    for code, t, w in _target_edges(x, aux, o, a, room):
+    for code, t, w in target:
         top = len(code)
         if code.startswith(_NUMBERED):
             top = room if t is None else room - 2
@@ -586,21 +585,23 @@ def _count_edges(x: str, aux: str, o: int, a: int, room: int):
 
 
 def _boundaries(x: str, aux: str, L: int, edges):
-    """The boundaries reachable within L bits in topological (o, a) order,
-    and the least prefix length of each."""
+    """The boundaries reachable within L bits, with the least prefix length
+    of each, and the list of ``edges`` out of each within its room, L minus
+    that prefix length, keyed in topological (o, a) order."""
     root = (0, 0)
-    prefix = {root: 0}
-    heap, order = [root], []
-    while heap:  # (o, a) grows along every continuing edge, so heap order is topological
+    heap, prefix, out = [root], {root: 0}, {}
+    # (o, a) grows along every continuing edge, so heap order is topological
+    # and a boundary's prefix length is final when it is popped
+    while heap:
         s = heapq.heappop(heap)
-        order.append(s)
-        for code, t, _w in edges(x, aux, *s, L - prefix[s]):
+        out[s] = list(edges(x, aux, *s, L - prefix[s]))
+        for code, t, _w in out[s]:
             d = prefix[s] + len(code)
             if t is not None and d < prefix.get(t, L + 1):
                 if t not in prefix:
                     heapq.heappush(heap, t)
                 prefix[t] = d
-    return prefix, order
+    return prefix, out
 
 
 def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optional[ProgramRecord]:
@@ -613,84 +614,52 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     out of one boundary are prefix-free, so among suffixes of one length the
     first instruction decides the lex order.
 
-    A forward pass finds the least prefix length of each boundary reachable
-    within L bits.  A backward pass, in decreasing output length, finds the
-    least suffix of each boundary that still fits within L, and its path
-    weight.  When that weight is over the budget, ``_least_within_budget``
-    answers instead.
+    A forward pass lists the boundaries reachable within L bits and the
+    edges out of each, once.  A backward pass, in decreasing output length,
+    keeps the Pareto front of each boundary's suffixes that fit within L:
+    the least path weight at each length where it falls.  The program length
+    is the least length at the root whose weight fits the budget, and a
+    forward walk takes at each boundary the lex-least first code that can
+    still finish within both the bits and the budget left.
     """
     return _least_path(x, cfg, aux, _target_edges)
 
 
 def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[ProgramRecord]:
     """``min_program_for_output`` over the edges ``edges``, recording output x."""
-    L = cfg.max_program_len
-    root = (0, 0)
-    prefix, order = _boundaries(x, aux, L, edges)
-
-    # boundary -> (length, first code, next boundary, first edge weight, path
-    # weight) of its least suffix within L, or None
-    best: dict = {}
-    for s in reversed(order):
+    L, budget = cfg.max_program_len, cfg.fuel - len(x)
+    prefix, out = _boundaries(x, aux, L, edges)
+    # boundary -> the Pareto front of its suffixes within its room: (length,
+    # path weight) pairs by increasing length with strictly falling weight.
+    # A halt leads to None, whose one suffix is empty.
+    front: dict = {None: [(0, 0)]}
+    for s in reversed(out):
         room = L - prefix[s]
-        choice = None
-        for code, t, w in edges(x, aux, *s, room):
-            length, path_w = len(code), w
-            if t is not None:
-                if best[t] is None:
-                    continue
-                length, path_w = length + best[t][0], path_w + best[t][4]
-            if length <= room and (choice is None or (length, code) < choice[:2]):
-                choice = (length, code, t, w, path_w)
-        best[s] = choice
-
-    budget = cfg.fuel - len(x)
-    if best[root] is None:
-        return None
-    if best[root][4] > budget:
-        return _least_within_budget(x, aux, L, prefix, order, budget, edges)
-    codes, s = [], root
-    while s is not None:
-        _length, code, s, _w, _path_w = best[s]
-        codes.append(code)
-    return ProgramRecord("".join(codes), x, len(x) + best[root][4], aux)
-
-
-def _least_within_budget(x: str, aux: str, L: int, prefix: dict, order: list,
-                         budget: int, edges) -> Optional[ProgramRecord]:
-    """The least path whose weight is at most ``budget``.
-
-    Lengths are bounded by L where budgets are not, so each boundary keeps
-    the least path weight of its suffixes of every exact length up to its
-    room.  The least feasible length at the root fixes the program length;
-    a forward walk then takes the lex-least first code that can still finish
-    at that length within the budget left.
-    """
-    lightest: dict = {}
-    for s in reversed(order):
-        room = L - prefix[s]
-        row = [_NO_PATH] * (room + 1)
-        for code, t, w in edges(x, aux, *s, room):
-            c = len(code)
-            if t is None:
-                row[c] = min(row[c], w)
-            else:
-                row[c:] = map(min, row[c:], [v + w for v in lightest[t][:room - c + 1]])
-        lightest[s] = row
+        lightest: dict = {}  # suffix length -> least path weight
+        for code, t, w in out[s]:
+            for n, v in front[t]:
+                n += len(code)
+                if n > room:
+                    break
+                lightest[n] = min(lightest.get(n, w + v), w + v)
+        front[s] = row = []
+        for n in sorted(lightest):
+            if not row or lightest[n] < row[-1][1]:
+                row.append((n, lightest[n]))
 
     root = (0, 0)
-    length = next((n for n, v in enumerate(lightest[root]) if v <= budget), None)
+    length = next((n for n, v in front[root] if v <= budget), None)
     if length is None:
         return None
 
-    def finishes(code, t, w):  # a suffix of exactly `left` bits within the budget left
-        if t is None:
-            return len(code) == left and w <= budget - spent
-        return w + lightest[t][left - len(code)] <= budget - spent
+    # no program shorter than `length` fits the budget, so a suffix that fits
+    # within both the bits and the budget left takes exactly the bits left
+    def fits(code, t, w):
+        return any(len(code) + n <= left and w + v <= budget - spent for n, v in front[t])
 
     codes, s, left, spent = [], root, length, 0
     while s is not None:
-        code, s, w = min(e for e in edges(x, aux, *s, left) if finishes(*e))
+        code, s, w = min(e for e in out[s] if fits(*e))
         codes.append(code)
         left -= len(code)
         spent += w
@@ -708,13 +677,13 @@ def mass_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Dyadic:
     bits long, so they close in increasing length.
     """
     L, budget = cfg.max_program_len, cfg.fuel - len(x)
-    prefix, order = _boundaries(x, aux, L, _target_edges)
+    prefix, out = _boundaries(x, aux, L, _target_edges)
     counts: dict = {}  # boundary -> per suffix length, {path weight: suffixes}
-    for s in reversed(order):
+    for s in reversed(out):
         room = L - prefix[s]
         rows: list[dict] = [{} for _ in range(room + 1)]
         loops = []
-        for c, t, w, k in _count_edges(x, aux, *s, room):
+        for c, t, w, k in _count_edges(x, aux, *s, room, out[s]):
             if t == s:
                 loops.append((c, w, k))
             elif t is None:

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .codec import PrefixFreeSet, encode_nat, decode_nat_from, DecodeError
 from .complexity import km_t
-from .machine import MachineConfig, P_EPSILON, min_program_for_output
+from .machine import MachineConfig, run
 
 
 @dataclass(frozen=True)
@@ -128,21 +128,14 @@ def complete_extension_search(g: BinaryPredicate, cfg: MachineConfig) -> Extensi
     """The prefix-set complexity witness for the cylinder, read as a complete
     extension by zero-padding its output.
 
-    The empty predicate constrains nothing: any halting program works and
-    the search returns the cheapest one.
+    The empty predicate constrains nothing: its prefix set is {""}, so the
+    search returns the cheapest halting program within bounds.
     """
-    if not len(g):
-        rec = min_program_for_output("", cfg)
-        program, output = (rec.program, rec.output) if rec else (P_EPSILON, "")
-        return ExtensionResult(program, output, "output bits then zeros", len(program))
-    cyl = cylinder(g)
-    witness = km_t(cyl, cfg)
+    witness = km_t(cylinder(g) if len(g) else [""], cfg)
     if not witness.is_finite:
         raise ExtensionNotFound(
             f"no program within {cfg} outputs a string extending the cylinder"
         )
-    from .machine import run
-
     output = run(witness.witness, "", cfg.fuel).output
     result = ExtensionResult(
         witness.witness, output, "output bits then zeros", witness.value - len(g)

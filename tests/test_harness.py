@@ -367,6 +367,8 @@ def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     # m({0}) = 1/2 is below 2^-0: the heaviness check fails before the greedy run
     (["hitvec", "--sets", "@q_light", "--measure", "@m", "-i", "0", "-c", "1", "-d", "1"],
      "is not 0-heavy"),
+    # the empty predicate's cheapest program, 00, does not fit in one bit
+    (["--max-len", "1", "predicate", "complete", "@empty_set"], "no program within"),
 ])
 def test_cli_domain_errors_exit_1(argv, message, tmp_path, capsys, monkeypatch):
     import ait.cli as cli

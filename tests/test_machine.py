@@ -232,13 +232,28 @@ def _random_bits(seed, n):
     ("0" * 3125, MachineConfig(14, 4096), "", "1101110101100"),
     ("01" * 60, CHAIN, "", "100111111111111001010101010111011011111100101"),
     (_random_bits(150, 150), CHAIN, "0110", None),
-], ids=["zeros_3125", "alternating_120", "random_150"])
+    # at fuel 4096 a 19-bit program prints "0"*40 in 101 steps; at fuel 70
+    # the fuel binds, and only a longer program that takes 70 steps fits
+    ("0" * 40, MachineConfig(48, 4096), "", "1110111111010100000"),
+    ("0" * 40, MachineConfig(48, 70), "", "11011010111111111100000000000"),
+    ("0" * 40, MachineConfig(48, 69), "", None),
+    ("0" * 300, MachineConfig(48, 400), "", "111011111101011001101110100100"),
+], ids=["zeros_3125", "alternating_120", "random_150", "zeros_40_fuel_4096",
+        "zeros_40_fuel_70", "zeros_40_fuel_69", "zeros_300_fuel_400"])
 def test_least_program_on_long_targets(x, cfg, aux, program):
     best = min_program_for_output(x, cfg, aux)
     assert (best and best.program) == program
     if best is not None:
         replay = run(best.program, aux, cfg.fuel)
         assert replay.halted and replay.output == x and replay.steps == best.steps
+
+
+def test_least_extending_program_within_a_binding_budget():
+    # at fuel 4096 the 13-bit POW_HALT 5 of 0 prints 3125 zeros; within fuel
+    # 1000 the least is POW_HALT 4 of 00, 4^4 copies of 00 past the member's
+    # end, in 15 input steps, a dispatch and 512 output steps
+    best = min_program_with_prefix_in(["0" * 300], MachineConfig(48, 1000))
+    assert (best.program, best.output, best.steps) == ("110111010011000", "0" * 512, 528)
 
 
 def test_targeted_search_equals_enumeration_filter(fixture_cfg, enumeration):
