@@ -418,7 +418,8 @@ def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:
 
 
 # ---------------------------------------------------------------------------
-# the output-pruned tree walk (equivalent to filtering the full enumeration)
+# the output-pruned level-order walk (equivalent to filtering the full
+# enumeration)
 # ---------------------------------------------------------------------------
 
 def search_programs(
@@ -426,6 +427,8 @@ def search_programs(
     aux: str,
     viable: Callable[[str], bool],
     accept: Callable[[str], bool],
+    *,
+    cutoff: Optional[Callable[[ProgramRecord], int]] = None,
 ) -> list[ProgramRecord]:
     """Every minimal halting program within bounds whose output is accepted,
     sorted by (steps, program) like the enumeration.
@@ -434,32 +437,41 @@ def search_programs(
     must be monotone: once false it stays false for every extension of the
     output (output only ever grows).  ``accept(out)`` classifies a halting
     output.
+
+    The walk goes in level order: every program of length n before any of
+    length n + 1, lexicographically within a level.  ``cutoff(record)`` is
+    called on each accepted record in that order, and no level longer than
+    the least value it has returned is started; only the records found up
+    to there are returned.
     """
     results: list[ProgramRecord] = []
     if not viable(""):
         return results
-    root = _Cpu(aux, cfg.fuel)
-    stack: list[tuple[str, str, _Cpu]] = [("", "1", root), ("", "0", root)]
-    while stack:
-        prefix, bit, parent = stack.pop()
-        if len(prefix) >= cfg.max_program_len:
-            continue
-        # the "1" sibling is popped after the "0" subtree is done, so it can
-        # take over the parent that only the "0" child had to copy
-        cpu = parent if bit == "1" else parent.copy()
-        state = cpu.feed(bit)
-        if state == _OUT_OF_FUEL:
-            continue
-        out = cpu.output
-        if not viable(out):
-            continue
-        program = prefix + bit
-        if state == _HALTED:
-            if accept(out):
-                results.append(ProgramRecord(program, out, cpu.steps, aux))
-            continue
-        stack.append((program, "1", cpu))
-        stack.append((program, "0", cpu))
+    limit = cfg.max_program_len
+    level: list[tuple[str, _Cpu]] = [("", _Cpu(aux, cfg.fuel))]
+    n = 0
+    while level and n < limit:
+        n += 1
+        below: list[tuple[str, _Cpu]] = []
+        for prefix, parent in level:
+            for bit in ("0", "1"):
+                # the "1" child takes over the parent, which only the "0"
+                # child had to copy
+                cpu = parent.copy() if bit == "0" else parent
+                state = cpu.feed(bit)
+                if state == _OUT_OF_FUEL:
+                    continue
+                out = cpu.output
+                if not viable(out):
+                    continue
+                if state == _NEED_INPUT:
+                    below.append((prefix + bit, cpu))
+                elif accept(out):
+                    rec = ProgramRecord(prefix + bit, out, cpu.steps, aux)
+                    results.append(rec)
+                    if cutoff is not None:
+                        limit = min(limit, cutoff(rec))
+        level = below
     results.sort(key=lambda r: (r.steps, r.program))
     return results
 

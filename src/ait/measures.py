@@ -352,35 +352,42 @@ def stochasticity(
 ) -> StochasticityResult:
     """min over programs v (len <= max_v_len) outputting a valid elementary
     probability measure W with a in supp(W), of len(v) + 3 log max(d, 1)
-    where d = deficiency(a | W, <v, y>).
+    where d = deficiency(a | W, <v, y>).  Ties break toward shorter then
+    lexicographically smaller v.
 
-    The program scan is exhaustive over the bounded space: the walk only
-    prunes branches whose output can no longer extend to a valid encoding,
-    so it finds exactly the programs a naive scan over all 2^max_v_len
-    strings would find.  Ties break toward shorter then lexicographically
-    smaller v.
+    The walk prunes branches whose output can no longer extend to a valid
+    encoding and scores each candidate as it finds it, in order of length.
+    Both scorings add a nonnegative term to len(v), so no program longer
+    than the best value found so far can win, and the walk stops after that
+    length.  The result is the one a naive scan over all 2^max_v_len
+    strings gives.
     """
     search_cfg = MachineConfig(bounds.max_v_len, bounds.fuel)
     if bounds.max_v_len > cfg.max_program_len:
         raise ValueError("search bounds exceed the governing config")
-    candidates = search_programs(
-        search_cfg, y,
-        viable=lambda out: _measure_prefix_state(out, a) != "dead",
-        accept=lambda out: _measure_prefix_state(out, a) == "complete",
-    )
     best: Optional[tuple[int, int, str]] = None
     best_payload = None
-    for rec in candidates:
+
+    def score(rec) -> int:
+        nonlocal best, best_payload
         w = decode_measure(rec.output, PROBABILITY)
         try:
             d = deficiency(a, w, pair_aux(rec.program, y), cfg)
         except UnreachableSupport:
-            continue
+            return bounds.max_v_len
         value = len(rec.program) + _int_log_score(d.value, scoring)
         key = (value, len(rec.program), rec.program)
         if best is None or key < best:
             best = key
             best_payload = (rec, w, d)
+        return best[0]
+
+    search_programs(
+        search_cfg, y,
+        viable=lambda out: _measure_prefix_state(out, a) != "dead",
+        accept=lambda out: _measure_prefix_state(out, a) == "complete",
+        cutoff=score,
+    )
     if best_payload is None:
         raise StochasticityNotFound(
             f"no measure covering {a!r} is reachable within {bounds}"

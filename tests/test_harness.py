@@ -217,6 +217,14 @@ def test_cli_stoch_max_v_len_defaults_to_max_len(capsys):
     assert (row["value"], row["witness"]) == (11, "10110101010")
 
 
+def test_cli_stoch_at_chain_length(capsys):
+    # the walk stops after 11 bits, so --max-v-len 48 is within reach
+    assert main(["--max-len", "48", "stoch", "--element", "-"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "deficiency": -2, "measure_support": [""], "value": 11, "witness": "10110101010",
+    }
+
+
 def test_cli_hitvec(tmp_path, capsys):
     sets = tmp_path / "q.txt"
     sets.write_text(

@@ -122,6 +122,30 @@ def test_enumeration_matches_definitional_brute_force():
         assert got == expected
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(aux=st.text(alphabet="01", max_size=6), max_len=st.integers(1, 12),
+       fuel=st.sampled_from([64, 256]), slack=st.integers(0, 3))
+@example(aux="0110", max_len=12, fuel=256, slack=0)
+def test_level_order_walk_matches_enumeration(aux, max_len, fuel, slack):
+    # oracle for search_programs: with every output viable and accepted it
+    # walks the whole domain, and a cutoff of the first record's length plus
+    # slack keeps exactly the programs up to that length, seen in order of
+    # (length, program)
+    cfg = MachineConfig(max_len, fuel)
+    everything = enumerate_halting(cfg, aux)
+    assert search_programs(cfg, aux, lambda out: True, lambda out: True) == everything
+    seen = []
+
+    def cutoff(rec):
+        seen.append(rec)
+        return len(seen[0].program) + slack
+
+    cut = search_programs(cfg, aux, lambda out: True, lambda out: True, cutoff=cutoff)
+    limit = min((len(r.program) for r in everything), default=0) + slack
+    assert cut == [r for r in everything if len(r.program) <= limit]
+    assert seen == sorted(cut, key=lambda r: (len(r.program), r.program))
+
+
 def _least(records):
     return min(records, key=lambda r: (len(r.program), r.program), default=None)
 

@@ -1,16 +1,20 @@
+import zlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ait.codec import Lcg, encode_string_set, is_prefix_free
-from ait.machine import MachineConfig, run
+from ait.codec import Lcg, decode_self_delim_from, encode_string_set, is_prefix_free
+from ait.complexity import pair_aux
+from ait.machine import MachineConfig, run, search_programs
 from ait.measures import (
+    DeficiencyValue,
     ElementaryMeasure,
     PROBABILITY,
     SEMIMEASURE,
     StochBounds,
     StochasticityNotFound,
+    UnreachableSupport,
     condition_measure,
     decode_measure,
     deficiency,
@@ -205,6 +209,56 @@ def test_stochasticity_matches_naive_scan():
     assert best is not None
     assert res.value == best[0]
     assert res.witness_program == best[2]
+
+
+def _fake_deficiency(unreachable_below):
+    # a deterministic stand-in keyed on the pairing <v, y>: most programs get
+    # a positive deficiency, a quarter an unreachable element, and every
+    # program shorter than ``unreachable_below`` the latter
+    def fake(a, w, aux, cfg):
+        program, _ = decode_self_delim_from(aux)
+        h = zlib.crc32(aux.encode())
+        if len(program) < unreachable_below or h % 4 == 0:
+            raise UnreachableSupport(program)
+        d = h % 10 - 1
+        return DeficiencyValue(d, d, 0)
+    return fake
+
+
+@pytest.mark.parametrize("y", ["", "0", "1"])
+def test_stochasticity_cut_matches_uncut_walk(monkeypatch, y):
+    # the fixture's candidates all have d < 0, so the length cutoff never
+    # acts past the first level there.  Under the fake, in 8 of these 12
+    # cases a longer program beats the first one scored, and in 2 of them
+    # its length is one below the best value found before it.  Oracle: the
+    # least (value, len, program) over every record of the uncut walk.
+    import ait.measures as measures
+
+    cfg = MachineConfig(24, 2048)
+    bounds = StochBounds(20, 256)
+    records = search_programs(
+        MachineConfig(bounds.max_v_len, bounds.fuel), y,
+        viable=lambda out: _measure_prefix_state(out, "") != "dead",
+        accept=lambda out: _measure_prefix_state(out, "") == "complete",
+    )
+    for unreachable_below in (0, 14):
+        fake = _fake_deficiency(unreachable_below)
+        monkeypatch.setattr(measures, "deficiency", fake)
+        for scoring in ("3logk", "k"):
+            best = None
+            for rec in records:
+                try:
+                    d = fake("", None, pair_aux(rec.program, y), cfg).value
+                except UnreachableSupport:
+                    continue
+                score = max(d, 0) if scoring == "k" else 3 * (max(d, 1) - 1).bit_length()
+                key = (len(rec.program) + score, len(rec.program), rec.program)
+                best = key if best is None or key < best else best
+            res = stochasticity("", y, bounds, cfg, scoring=scoring)
+            assert (res.value, res.witness_program) == (best[0], best[2])
+    monkeypatch.setattr(measures, "deficiency", _fake_deficiency(bounds.max_v_len + 1))
+    with pytest.raises(StochasticityNotFound):
+        stochasticity("", y, bounds, cfg)
 
 
 def test_stochasticity_antitone_in_bounds():
