@@ -34,6 +34,7 @@ from .measures import (
 )
 from .monotone import (
     DepthExceeded,
+    InsufficientMass,
     NuFunction,
     ThetaTable,
     build_nu,
@@ -47,6 +48,7 @@ _DOMAIN_ERRORS = (
     DepthExceeded,
     ExtensionNotFound,
     HittingInfeasible,
+    InsufficientMass,
     NotInSupport,
     StochasticityNotFound,
     SupportNotHeavy,
@@ -368,15 +370,19 @@ def _dispatch(args, cfg: MachineConfig) -> int:
 
     if args.command == "nu":
         table = ThetaTable.from_rows(_read_lines(args.table, ThetaTable.parse_row))
+        if args.nu_command == "build" and args.stages is not None:
+            table = ThetaTable(
+                {k: v for k, v in table.entries.items() if k[1] <= args.stages},
+                args.stages,
+            )
+        try:
+            transducer = build_nu(table)
+        except ValueError as err:  # a table that breaks an invariant
+            raise _UsageError(f"{args.table}: {err}") from None
         if args.nu_command == "build":
-            if args.stages is not None:
-                table = ThetaTable(
-                    {k: v for k, v in table.entries.items() if k[1] <= args.stages},
-                    args.stages,
-                )
-            print(build_nu(table).serialize())
+            print(transducer.serialize())
             return 0
-        nu = NuFunction(build_nu(table))
+        nu = NuFunction(transducer)
         if args.nu_command == "apply":
             print(nu_apply(nu, _read_bits_token(args.y)))
             return 0

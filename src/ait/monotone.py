@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -217,11 +218,13 @@ def build_nu(t: ThetaTable) -> MonotoneTransducer:
 
 @dataclass
 class NuFunction:
-    """The compiled total string-monotonic function, with lookup indexes."""
+    """The compiled total string-monotonic function, with lookup indexes and
+    a per-length tally of its images."""
 
     transducer: MonotoneTransducer
     _owners: list = field(default_factory=list, repr=False)
     _sorted_sets: list = field(default_factory=list, repr=False)
+    _tallies: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for st in self.transducer.stages:
@@ -234,6 +237,18 @@ class NuFunction:
 
     def apply(self, y: str) -> str:
         return nu_apply(self, y)
+
+    def image_counts(self, n: int) -> dict:
+        """{image: number of length-n inputs mapped to it}.  The first call
+        at a length applies nu to every one of its 2^n inputs, so every
+        depth and child-set check runs on each; later calls return the same
+        tally object, which callers read and never change."""
+        tally = self._tallies.get(n)
+        if tally is None:
+            tally = Counter(nu_apply(self, format(v, f"0{n}b") if n else "")
+                            for v in range(1 << n))
+            self._tallies[n] = tally
+        return tally
 
 
 def _has_extension(sorted_strings: list[str], y: str) -> bool:
@@ -269,20 +284,17 @@ def nu_apply(nu: NuFunction, y: str) -> str:
 
 
 def preimage_count(nu, members: Iterable[str], n: int) -> int:
-    """|{y of length n : nu(y) extends some member}| by exhaustive evaluation.
+    """|{y of length n : nu(y) extends some member}|: the summed tally
+    counts of the images that extend a member.
 
-    Accepts any total evaluator with ``apply`` and ``depth`` (the compiled
-    NuFunction, or a hand-built stand-in in tests)."""
+    Accepts any evaluator with ``depth`` and ``image_counts(n)`` (the
+    compiled NuFunction, which evaluates each input once per nu and length,
+    or a hand-built stand-in in tests)."""
     targets = tuple(set(members))
     if n > nu.depth:
         raise DepthExceeded(f"length {n} exceeds built depth {nu.depth}")
-    count = 0
-    for v in range(1 << n):
-        y = format(v, f"0{n}b") if n else ""
-        image = nu.apply(y)
-        if any(image.startswith(x) for x in targets):
-            count += 1
-    return count
+    return sum(count for image, count in nu.image_counts(n).items()
+               if any(image.startswith(x) for x in targets))
 
 
 class ThresholdNotFound(RuntimeError):
@@ -294,6 +306,9 @@ def threshold_N(nu, members: Iterable[str], i: Optional[int] = None
     """The least N' with 2^(-i+2) > count(N') 2^-N' > 2^-i, verifying the
     one-sided bound below N' and the two-sided bound up to the built depth.
     Returns (N', i); i defaults to 1 + ceil(-log of the deepest preimage mass).
+    Takes the preimage_count evaluator; the counts at every length come from
+    nu's image tallies, so each input is evaluated once per nu and length
+    however many member sets are tested.
     """
     targets = tuple(set(members))
     depth = nu.depth

@@ -1,6 +1,8 @@
-"""Independent test oracles for the left-total transform."""
+"""Independent test oracles: a tree walk for the left-total transform and a
+per-input preimage count for the compiled transducer."""
 
 from ait.leftward import IntervalTable, run_left_total
+from ait.monotone import DepthExceeded
 
 
 def is_total_uprime_by_walk(x: str, table: IntervalTable) -> bool:
@@ -18,3 +20,17 @@ def is_total_uprime_by_walk(x: str, table: IntervalTable) -> bool:
         return down(y + "0") and down(y + "1")
 
     return down(x)
+
+
+def preimage_count_by_apply(nu, members, n: int) -> int:
+    """|{y of length n : nu(y) extends some member}|, applying nu afresh to
+    every length-n input and testing its image against each member."""
+    targets = tuple(set(members))
+    if n > nu.depth:
+        raise DepthExceeded(f"length {n} exceeds built depth {nu.depth}")
+    count = 0
+    for v in range(1 << n):
+        image = nu.apply(format(v, f"0{n}b") if n else "")
+        if any(image.startswith(x) for x in targets):
+            count += 1
+    return count

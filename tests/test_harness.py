@@ -293,6 +293,11 @@ _INPUT_FILES = {
     "w": "0000\t1/2^0\n",
     "pred": "2\t0\n4\t0\n",
     "theta": uniform_table(3).serialize(),
+    # valid, but theta(0) = 5/8 cannot fund the bracket minima of 00 and 01
+    "infeasible_theta": "\t0\t1/2^0\n\t1\t1/2^0\n\t2\t1/2^0\n0\t1\t5/2^3\n"
+                        "0\t2\t5/2^3\n00\t2\t1/2^1\n01\t2\t1/2^4\n",
+    # theta(eps) = 1 lies below its children's 3/4 + 3/8
+    "invalid_theta": "\t0\t1/2^0\n0\t0\t3/2^2\n1\t0\t3/2^3\n",
     "q": f"{encode_string_set(['0', '1'])}\t1/2^0\n",
     "q_light": f"{encode_string_set(['0'])}\t1/2^0\n",
     "q_bad": "01\t1/2^0\n",
@@ -354,6 +359,8 @@ def _with_files(argv, tmp_path):
     (["hitvec", "--sets", "@q_bad", "--measure", "@m", "-i", "0", "-c", "1", "-d", "1"],
      "q_bad:1: trailing bits after set encoding"),
     (["km", "@empty_set"], "empty_set: prefix set must be nonempty"),
+    (["nu", "build", "@invalid_theta"], "invalid_theta: invalid table: theta('',0)"),
+    (["nu", "preimage", "@invalid_theta", "0", "2"], "invalid_theta: invalid table:"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -377,6 +384,8 @@ def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
      "is not 0-heavy"),
     # the empty predicate's cheapest program, 00, does not fit in one bit
     (["--max-len", "1", "predicate", "complete", "@empty_set"], "no program within"),
+    (["nu", "build", "@infeasible_theta"], "'0' holds 0 strings but '01' needs 4 more"),
+    (["nu", "apply", "@infeasible_theta", "0"], "'0' holds 0 strings but '01' needs 4 more"),
 ])
 def test_cli_domain_errors_exit_1(argv, message, tmp_path, capsys, monkeypatch):
     import ait.cli as cli

@@ -1,13 +1,19 @@
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import ait.monotone as monotone
 from ait.dyadic import Dyadic, ceil_neg_log2
 from ait.monotone import (
     DepthExceeded,
     InsufficientMass,
+    MonotoneTransducer,
     NuFunction,
+    Stage,
     ThetaTable,
+    ThresholdNotFound,
     ZeroMeasureSet,
     build_nu,
     km_sigma,
@@ -22,6 +28,7 @@ from ait.monotone import (
     validate_theta,
     xi,
 )
+from oracles import preimage_count_by_apply
 
 RANDOM_SEEDS = range(10)
 
@@ -170,14 +177,13 @@ def test_preimage_examples():
 
 
 class _Identity:
-    """A literal identity transducer standing in for nu in threshold tests."""
+    """A literal identity transducer standing in for nu in threshold tests:
+    each length-n input is its own image, so its tally is {y: 1}."""
 
     depth = 10
 
-    def apply(self, y):
-        return y
-
-    transducer = None
+    def image_counts(self, n):
+        return {y: 1 for y in all_strings_of(n)}
 
 
 def _identity_nu():
@@ -295,3 +301,77 @@ def test_gifts_recorded_in_t_sets():
     # the root gifted both children everything: its S is empty, T holds all
     assert not st1.s_sets.get("", ())
     assert mass_of(st1.t_sets[""]) == Dyadic.one()
+
+
+@pytest.mark.parametrize("members", [[], ["0"]])
+def test_preimage_count_keeps_the_child_set_check_live(members):
+    # stage 1 places 000 and 001 under 00, a grandchild of their stage-0
+    # owner "", so no next-stage set of "", "0" or "1" extends the length-2
+    # input 00 and evaluating it must fail, whatever the member set
+    stages = (
+        Stage(0, 1, {"": ("0", "1")}, {}),
+        Stage(1, 3, {"": ("010", "011", "100", "101", "110", "111"),
+                     "00": ("000", "001")}, {}),
+    )
+    nu = NuFunction(MonotoneTransducer(stages, ThetaTable({}, 1)))
+    with pytest.raises(AssertionError, match="child sets"):
+        preimage_count(nu, members, 2)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # the outcome under test includes the failure kind
+        return type(err)
+
+
+_TABLES = st.one_of(
+    st.builds(random_pow2_table, st.integers(0, 1 << 16), st.integers(1, 6)),
+    st.builds(uniform_table, st.integers(1, 3)),
+    st.builds(point_mass_table, st.integers(1, 5)),
+)
+# short members give "" and prefix-overlapping sets; long ones outrun every
+# built depth (at most 11 for these tables)
+_MEMBER_SETS = st.lists(
+    st.one_of(st.text("01", max_size=3), st.text("01", min_size=12, max_size=13)),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(table=_TABLES, members=_MEMBER_SETS)
+@example(table=uniform_table(2), members=[""])
+@example(table=random_pow2_table(3, 4), members=["0", "01", "011"])
+@example(table=point_mass_table(3), members=["0" * 12, "1"])
+def test_preimage_tally_matches_per_input_oracle(table, members):
+    nu = NuFunction(build_nu(table))
+    for n in range(nu.depth + 1):
+        assert preimage_count(nu, members, n) == preimage_count_by_apply(nu, members, n)
+    tallied = (_outcome(threshold_N, nu, members), _outcome(measure_matching_gap, table))
+    # the same two functions with every count taken by the oracle on a fresh nu
+    with mock.patch.object(monotone, "preimage_count", preimage_count_by_apply):
+        oracle = (_outcome(threshold_N, NuFunction(build_nu(table)), members),
+                  _outcome(measure_matching_gap, table))
+    assert tallied == oracle
+
+
+def test_each_input_applied_once_per_nu_and_length(monkeypatch):
+    calls = 0
+    real = monotone.nu_apply
+
+    def counted(nu, y):
+        nonlocal calls
+        calls += 1
+        return real(nu, y)
+
+    monkeypatch.setattr(monotone, "nu_apply", counted)
+    nu = NuFunction(build_nu(random_pow2_table(3, 5)))
+    for _ in range(2):
+        for members in (["0"], ["00", "01"], ["11"], ["", "10"]):
+            preimage_count(nu, members, nu.depth)
+            try:
+                threshold_N(nu, members)
+            except ThresholdNotFound:
+                pass
+    assert calls == sum(1 << n for n in range(1, nu.depth + 1))
