@@ -41,7 +41,12 @@ from .monotone import (
     nu_apply,
     preimage_count,
 )
-from .predicates import BinaryPredicate, ExtensionNotFound, complete_extension_search
+from .predicates import (
+    BinaryPredicate,
+    ExtensionNotFound,
+    complete_extension_search,
+    predicate_entry,
+)
 
 # searches and lookups that fail on well-formed input: a JSON error, exit 1
 _DOMAIN_ERRORS = (
@@ -122,7 +127,7 @@ def _read_measure_file(path: str, parse) -> ElementaryMeasure:
 
 def _predicate_pair(line: str) -> tuple[int, int]:
     idx, bit = line.split("\t")
-    return int(idx), int(bit)
+    return predicate_entry(int(idx), int(bit))
 
 
 def _read_predicate_file(path: str) -> BinaryPredicate:

@@ -14,15 +14,15 @@ Desk-scale totality is relative to the bounds: a string is total when every
 leaf of the depth-L tree under it has a prefix on which the machine halts
 within fuel.  For the transformed machine the tiles cover [0, omega)
 contiguously on the 2^-L grid, so a nonempty string is total exactly when
-its interval's right endpoint is at most omega; the brute-force tree walk is
-kept alongside as an independent oracle.
+its interval's right endpoint is at most omega.  The tests keep a
+brute-force tree walk, and the base machine's totality from its
+enumeration, as independent oracles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable
 
 from .dyadic import Dyadic
@@ -49,17 +49,6 @@ class BorderPrefix:
     config: MachineConfig
 
 
-@dataclass(frozen=True)
-class Piece:
-    """A minimal transformed program: one maximal dyadic block of a tile."""
-
-    lo: int          # grid units of 2^-L
-    hi: int
-    program: str
-    output: str
-    steps: int
-
-
 @dataclass
 class IntervalTable:
     """Consecutive open intervals over the enumeration order.  Every endpoint
@@ -69,7 +58,10 @@ class IntervalTable:
     aux: str
     entries: list[tuple[ProgramRecord, int, int]]   # (record, lo, hi) on the grid
     omega: Dyadic                      # total assigned width = the final grid position
-    pieces: list[Piece] = field(repr=False)
+    # the pieces, the maximal dyadic blocks of the tiles (the minimal
+    # transformed programs), in position order: their grid endpoints, the
+    # longest output among the first i pieces, and per output the endpoints
+    # of its pieces with their running mass
     _tile_lo: list[int] = field(repr=False)
     _piece_lo: list[int] = field(repr=False)
     _piece_hi: list[int] = field(repr=False)
@@ -102,36 +94,27 @@ def _decompose(lo: int, hi: int, grid_bits: int) -> list[tuple[int, int]]:
 
 def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     L = cfg.max_program_len
-    entries = []
-    pieces = []
+    entries, tile_lo, piece_lo, piece_hi, prefix_maxlen = [], [], [], [], [0]
+    by_output: dict[str, tuple[list[int], list[int], list[int]]] = {}
     pos = 0  # grid units
     for rec in get_enumeration(cfg, aux):
         hi = pos + (1 << (L - len(rec.program)))
         entries.append((rec, pos, hi))
+        tile_lo.append(pos)
+        los, his, mass = by_output.setdefault(rec.output, ([], [], [0]))
+        longest = max(prefix_maxlen[-1], len(rec.output))
         for blo, bhi in _decompose(pos, hi, L):
-            size = bhi - blo
-            plen = L - (size.bit_length() - 1)
-            prog = format(blo >> (size.bit_length() - 1), f"0{plen}b") if plen else ""
-            pieces.append(Piece(blo, bhi, prog, rec.output, rec.steps))
+            piece_lo.append(blo)
+            piece_hi.append(bhi)
+            prefix_maxlen.append(longest)
+            los.append(blo)
+            his.append(bhi)
+            mass.append(mass[-1] + bhi - blo)
         pos = hi
     if pos > 1 << L:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
-
-    by_output: dict[str, tuple[list[int], list[int], list[int]]] = {}
-    for p in pieces:
-        slot = by_output.setdefault(p.output, ([], [], [0]))
-        slot[0].append(p.lo)
-        slot[1].append(p.hi)
-        slot[2].append(slot[2][-1] + (p.hi - p.lo))
-
-    return IntervalTable(
-        cfg, aux, entries, Dyadic(pos, L), pieces,
-        _tile_lo=[lo for _rec, lo, _hi in entries],
-        _piece_lo=[p.lo for p in pieces],
-        _piece_hi=[p.hi for p in pieces],
-        _prefix_maxlen=list(accumulate((len(p.output) for p in pieces), max, initial=0)),
-        _by_output=by_output,
-    )
+    return IntervalTable(cfg, aux, entries, Dyadic(pos, L), tile_lo, piece_lo, piece_hi,
+                         prefix_maxlen, by_output)
 
 
 _TABLE_CACHE: dict[tuple[int, int, str], IntervalTable] = {}
@@ -180,37 +163,6 @@ def run_left_total(p_prime: str, table: IntervalTable) -> ExecOutcome:
 # totality
 # ---------------------------------------------------------------------------
 
-class UTotality:
-    """Desk-scale totality for the base machine, from its enumeration."""
-
-    def __init__(self, cfg: MachineConfig, aux: str = ""):
-        self.cfg = cfg
-        self.programs = {r.program for r in get_enumeration(cfg, aux)}
-        self._memo: dict[str, bool] = {}
-
-    def covered(self, x: str) -> bool:
-        return any(x[:i] in self.programs for i in range(len(x) + 1))
-
-    def is_total(self, x: str) -> bool:
-        if len(x) > self.cfg.max_program_len:
-            raise ValueError("string exceeds the length bound")
-        return self._total(x, self.covered(x))
-
-    def _total(self, x: str, covered: bool) -> bool:
-        if covered:
-            return True
-        if x in self._memo:
-            return self._memo[x]
-        if len(x) == self.cfg.max_program_len:
-            result = False
-        else:
-            result = all(
-                self._total(x + b, (x + b) in self.programs) for b in "01"
-            )
-        self._memo[x] = result
-        return result
-
-
 def is_total_uprime(x: str, table: IntervalTable) -> bool:
     """Tile coverage is contiguous from 0, so totality is one comparison."""
     if x == "":
@@ -221,17 +173,6 @@ def is_total_uprime(x: str, table: IntervalTable) -> bool:
         return is_total_uprime(head, table)
     lo, hi = _grid_interval(x, table.config.max_program_len)
     return hi <= table.omega_grid
-
-
-def is_total(x: str, cfg: MachineConfig, machine: str = "U", aux: str = "") -> bool:
-    """Fuel-bounded totality of x for the base ("U") or transformed ("U'") machine."""
-    if len(x) > cfg.max_program_len:
-        raise ValueError("string exceeds the length bound")
-    if machine == "U":
-        return UTotality(cfg, aux).is_total(x)
-    if machine == "U'":
-        return is_total_uprime(x, get_interval_table(cfg, aux))
-    raise ValueError(f"unknown machine {machine!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ machine's halting inputs form a prefix-free set by construction):
     100    EMIT        read a literal block, append it, continue
     101    RAW8_HALT   read the next 8 input bits verbatim, append, halt
     110    POW_HALT    read a number block m, then a literal block y;
-                       append y repeated m**m times (0 times when m = 0), halt
+                       append y repeated m**m times (0 times when m = 0), halt;
+                       a nonempty y with m > 15 never fits the fuel
     1110   COPY_N      read a number block k; copy k auxiliary data bits
                        (zero fill past the end of the aux string), continue
     11110  COPY_ALL    copy auxiliary data bits up to the sentinel, continue
@@ -33,6 +34,12 @@ Step accounting ("fuel"): one step per input bit consumed, per aux cell
 read, per output bit appended, and per completed opcode dispatch.  The fuel
 check precedes every step, so the outcome is a pure function of the program
 prefix actually read, the aux string, and the fuel.
+
+One decoder, ``_effect``, states what each instruction does.  ``run``, the
+enumeration and the level-order search all go through it one whole
+instruction at a time: the output changes only when an instruction
+completes, so the walks branch at instruction boundaries, never inside a
+code.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .dyadic import Dyadic, dyadic_sum
@@ -104,225 +112,118 @@ _OPCODES = {
 }
 _CODE = {name: code for code, name in _OPCODES.items()}
 
-# phases of the operand reader
-_PH_OPCODE = 0
-_PH_UNARY = 1
-_PH_PAYLOAD = 2
-_PH_RAW = 3
-
-# terminal / non-input internal states
-_RUNNING = 0
-_NEED_INPUT = 1
-_HALTED = 2
-_OUT_OF_FUEL = 3
-
-_HUGE = object()  # repeat count certainly exceeding any desk-scale fuel
+_HALTING = frozenset({"EMIT_HALT", "RAW8_HALT", "POW_HALT", "HALT"})
+_LITERAL = frozenset({"EMIT_HALT", "EMIT", "POW_HALT"})  # operands end in a literal block
 
 
-def _pow_reps(m: int):
-    """m**m with a cutoff: anything at least 2**64 behaves as 'never within fuel'."""
-    if m == 0:
-        return 0
-    if m > 15:
-        return _HUGE
-    return m ** m
+def _literal(y: str) -> str:
+    return "1" * len(y) + "0" + y
 
 
-class _Cpu:
-    """Resumable interpreter state; ``feed`` consumes exactly one input bit."""
+# ---------------------------------------------------------------------------
+# the instruction decoder
+# ---------------------------------------------------------------------------
 
-    __slots__ = (
-        "aux", "fuel", "steps", "bits_read", "state", "phase", "opbuf",
-        "op", "block", "unary", "need", "paybuf", "num_val", "pieces",
-        "out_len", "aux_pos", "copy_left",
-    )
+def _effect(op: str, num: int, y: str, aux: str, a: int, left: int):
+    """What the decoded instruction ``op`` does at aux position ``a`` with
+    ``left`` steps to spare after its code bits and its dispatch: (emitted
+    bits, next aux position, extra steps), or None when the extra steps
+    exceed ``left``.
 
-    def __init__(self, aux: str, fuel: int):
-        self.aux = aux
-        self.fuel = fuel
-        self.steps = 0
-        self.bits_read = 0
-        self.state = _NEED_INPUT  # every opcode starts by reading a bit
-        self.phase = _PH_OPCODE
-        self.opbuf = ""
-        self.op = ""
-        self.block = 0
-        self.unary = 0
-        self.need = 0
-        self.paybuf: list[str] = []
-        self.num_val = 0
-        self.pieces: list[str] = []
-        self.out_len = 0
-        self.aux_pos = 0
-        self.copy_left = 0
+    ``num`` is the number block of POW_HALT and COPY_N; ``y`` is the literal
+    of EMIT_HALT, EMIT and POW_HALT, the raw bits of RAW8_HALT, and empty
+    otherwise.  Each output bit appended and each aux cell read is one extra
+    step, and the cost is checked before any string is built.
+    """
+    if op == "COPY_N":
+        if 2 * num > left:
+            return None
+        cells = aux[a:a + num]
+        return cells + "0" * (num - len(cells)), a + num, 2 * num
+    if op == "COPY_ALL":  # the data cells from a, then the sentinel
+        rest = aux[a:]
+        extra = 2 * len(rest) + 1
+        return (rest, max(a, len(aux)) + 1, extra) if extra <= left else None
+    if op == "POW_HALT":
+        if not y or num == 0:
+            return "", a, 0
+        if num > 15 or len(y) * num ** num > left:  # 16**16 repeats exceed every fuel
+            return None
+        return y * num ** num, a, len(y) * num ** num
+    return (y, a, len(y)) if len(y) <= left else None  # EMIT_HALT, EMIT, RAW8_HALT, HALT
 
-    def copy(self) -> "_Cpu":
-        c = _Cpu.__new__(_Cpu)
-        c.aux = self.aux
-        c.fuel = self.fuel
-        c.steps = self.steps
-        c.bits_read = self.bits_read
-        c.state = self.state
-        c.phase = self.phase
-        c.opbuf = self.opbuf
-        c.op = self.op
-        c.block = self.block
-        c.unary = self.unary
-        c.need = self.need
-        c.paybuf = self.paybuf[:]
-        c.num_val = self.num_val
-        c.pieces = self.pieces[:]
-        c.out_len = self.out_len
-        c.aux_pos = self.aux_pos
-        c.copy_left = self.copy_left
-        return c
 
-    @property
-    def output(self) -> str:
-        return "".join(self.pieces)
+def _block(program: str, i: int) -> tuple[str, int]:
+    """The literal block at program[i], as (payload, index past it); the
+    index passes len(program) when the program ends inside the block."""
+    n = 0
+    while i + n < len(program) and program[i + n] == "1":
+        n += 1
+    return program[i + n + 1:i + 2 * n + 1], i + 2 * n + 1
 
-    # -- step helpers ---------------------------------------------------
 
-    def _charge(self) -> bool:
-        """Spend one fuel unit; False means the budget just ran out."""
-        if self.steps >= self.fuel:
-            self.state = _OUT_OF_FUEL
-            return False
-        self.steps += 1
-        return True
+def _decode(program: str, i: int):
+    """The instruction whose code starts at program[i], as (op, num, y,
+    index past its code).  The index is None when the program ends inside
+    the code, and so is op when it ends inside the opcode."""
+    j = i + 1
+    while program[i:j] not in _OPCODES:  # a complete prefix code
+        if j >= len(program):
+            return None, 0, "", None
+        j += 1
+    op, num, y = _OPCODES[program[i:j]], 0, ""
+    if op in ("POW_HALT", "COPY_N"):
+        bits, j = _block(program, j)
+        num = int(bits or "0", 2)
+    if op == "RAW8_HALT":
+        y, j = program[j:j + 8], j + 8
+    elif op in _LITERAL:
+        y, j = _block(program, j)
+    return op, num, y, j if j <= len(program) else None
 
-    def _emit_run(self, pattern: str, reps) -> bool:
-        """Append pattern repeated reps times, one step per bit; False on fuel out."""
-        if not pattern:
-            return True
-        budget = self.fuel - self.steps
-        total = None if reps is _HUGE else len(pattern) * reps
-        if total is not None and total <= budget:
-            self.pieces.append(pattern * reps)
-            self.out_len += total
-            self.steps += total
-            return True
-        whole, part = divmod(budget, len(pattern))
-        self.pieces.append(pattern * whole + pattern[:part])
-        self.out_len += budget
-        self.steps = self.fuel
-        self.state = _OUT_OF_FUEL
-        return False
 
-    def _aux_cell(self) -> tuple[int, str]:
-        i = self.aux_pos
-        self.aux_pos += 1
-        if i < len(self.aux):
-            return 1, self.aux[i]
-        return 0, "0"
+@lru_cache(maxsize=None)
+def _shapes(c: int) -> tuple:
+    """Every instruction layout whose code has exactly c bits, as (op,
+    number-block width or None, payload width)."""
+    shapes = []
+    if c % 2 == 0:  # a literal block after a 1- or 3-bit opcode
+        shapes.append(("EMIT_HALT", None, c // 2 - 1))
+        if c >= 4:
+            shapes.append(("EMIT", None, c // 2 - 2))
+    elif c >= 5:
+        s = (c - 5) // 2  # the payload bits of the operand blocks
+        shapes += [("COPY_N", s, 0)] + [("POW_HALT", u, s - u) for u in range(s + 1)]
+        if c == 5:
+            shapes += [("COPY_ALL", None, 0), ("HALT", None, 0)]
+        if c == 11:
+            shapes.append(("RAW8_HALT", None, 8))
+    return tuple(shapes)
 
-    # -- instruction completion ------------------------------------------
 
-    def _begin_operands(self):
-        op = self.op
-        if op == "HALT":
-            self.state = _HALTED
-        elif op == "COPY_ALL":
-            self._run_copy_all()
-        elif op == "RAW8_HALT":
-            self.phase = _PH_RAW
-            self.need = 8
-            self.paybuf = []
-        else:  # EMIT_HALT, EMIT, POW_HALT, COPY_N: a unary-headed block follows
-            self.phase = _PH_UNARY
-            self.unary = 0
-            self.block = 0
-
-    def _block_done(self, payload: str):
-        op = self.op
-        if op in ("EMIT_HALT", "RAW8_HALT"):
-            if self._emit_run(payload, 1):
-                self.state = _HALTED
-        elif op == "EMIT":
-            if self._emit_run(payload, 1):
-                self.phase = _PH_OPCODE
-                self.opbuf = ""
-        elif op == "POW_HALT":
-            if self.block == 0:
-                self.num_val = int(payload, 2) if payload else 0
-                self.block = 1
-                self.phase = _PH_UNARY
-                self.unary = 0
+def expand(aux: str, fuel: int, a: int, steps: int, c: int):
+    """Every instruction whose code has exactly ``c`` bits and that runs
+    within ``fuel`` from aux position ``a`` after ``steps`` steps, as (code,
+    emitted bits, next aux position or None after a halt, steps after)."""
+    left = fuel - steps - c - 1  # the code's bits and the dispatch come first
+    if left < 0:
+        return
+    for op, u, j in _shapes(c):
+        for num in range(1 << u) if u is not None else (0,):
+            head = _CODE[op]
+            if u is not None:  # the number block, leading zeros and all
+                head += _literal(format(num, f"0{u}b") if u else "")
+            for v in range(1 << j):
+                y = format(v, f"0{j}b") if j else ""
+                effect = _effect(op, num, y, aux, a, left)
+                if effect is None:
+                    break  # the extra steps depend on len(y), not on its bits
+                emitted, after, extra = effect
+                code = head + (_literal(y) if op in _LITERAL else y)
+                yield code, emitted, None if op in _HALTING else after, steps + c + 1 + extra
             else:
-                if self._emit_run(payload, _pow_reps(self.num_val)):
-                    self.state = _HALTED
-        elif op == "COPY_N":
-            self.num_val = int(payload, 2) if payload else 0
-            self._run_copy_n()
-
-    def _run_copy_n(self):
-        while self.copy_left or self.num_val:
-            if self.copy_left == 0:
-                self.copy_left = self.num_val
-                self.num_val = 0
-            if not self._charge():  # read one aux cell
-                return
-            _, bit = self._aux_cell()
-            if not self._charge():  # append its data bit
-                return
-            self.pieces.append(bit)
-            self.out_len += 1
-            self.copy_left -= 1
-        self.phase = _PH_OPCODE
-        self.opbuf = ""
-
-    def _run_copy_all(self):
-        while True:
-            if not self._charge():
-                return
-            flag, bit = self._aux_cell()
-            if flag == 0:
-                self.phase = _PH_OPCODE
-                self.opbuf = ""
-                return
-            if not self._charge():
-                return
-            self.pieces.append(bit)
-            self.out_len += 1
-
-    # -- the input feed ----------------------------------------------------
-
-    def feed(self, bit: str) -> int:
-        """Consume one input bit and run ahead; returns the resulting state."""
-        if self.state != _NEED_INPUT:
-            raise RuntimeError("machine is not waiting for input")
-        if not self._charge():
-            return self.state
-        self.bits_read += 1
-        self.state = _RUNNING
-
-        if self.phase == _PH_OPCODE:
-            self.opbuf += bit
-            # the table is a complete prefix code, so opbuf is always a
-            # codeword or a proper prefix of one
-            if self.opbuf in _OPCODES:
-                if self._charge():  # opcode dispatch
-                    self.op = _OPCODES[self.opbuf]
-                    self._begin_operands()
-        elif self.phase == _PH_UNARY:
-            if bit == "1":
-                self.unary += 1
-            else:
-                self.need = self.unary
-                self.paybuf = []
-                if self.need == 0:
-                    self._block_done("")
-                else:
-                    self.phase = _PH_PAYLOAD
-        elif self.phase in (_PH_PAYLOAD, _PH_RAW):
-            self.paybuf.append(bit)
-            self.need -= 1
-            if self.need == 0:
-                self._block_done("".join(self.paybuf))
-
-        if self.state == _RUNNING:
-            self.state = _NEED_INPUT
-        return self.state
+                continue
+            break  # and never fall as the number grows
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +231,7 @@ class _Cpu:
 # ---------------------------------------------------------------------------
 
 def run(program: str, aux: str = "", fuel: int = 2048) -> ExecOutcome:
-    """Execute ``program`` left to right with on-demand reading.
+    """Execute ``program`` left to right, one decoded instruction at a time.
 
     If the machine halts after consuming k <= len(program) bits, the outcome
     is Halted with bits_read = k: every extension of the consumed prefix
@@ -339,15 +240,25 @@ def run(program: str, aux: str = "", fuel: int = 2048) -> ExecOutcome:
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    cpu = _Cpu(aux, fuel)
-    i = 0
-    while cpu.state == _NEED_INPUT and i < len(program):
-        cpu.feed(program[i])
-        i += 1
-    if cpu.state == _HALTED:
-        return ExecOutcome(Status.HALTED, cpu.output, cpu.bits_read, cpu.steps)
-    if cpu.state == _OUT_OF_FUEL:
-        return ExecOutcome(Status.OUT_OF_FUEL)
+    output, i, a, steps = "", 0, 0, 0
+    while i < len(program):
+        op, num, y, end = _decode(program, i)
+        if end is None:
+            # the program ends inside this instruction: its bits there are
+            # read, and the dispatch is taken once the opcode is complete
+            if steps + len(program) - i + (op is not None) > fuel:
+                return ExecOutcome(Status.OUT_OF_FUEL)
+            break
+        steps += end - i + 1  # the code's bits and the dispatch
+        effect = _effect(op, num, y, aux, a, fuel - steps) if steps <= fuel else None
+        if effect is None:
+            return ExecOutcome(Status.OUT_OF_FUEL)
+        emitted, a, extra = effect
+        output += emitted
+        steps += extra
+        if op in _HALTING:
+            return ExecOutcome(Status.HALTED, output, end, steps)
+        i = end
     return ExecOutcome(Status.NEEDS_MORE_INPUT)
 
 
@@ -358,25 +269,22 @@ def run(program: str, aux: str = "", fuel: int = 2048) -> ExecOutcome:
 def enumerate_halting(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
     """All minimal halting programs with len <= L and steps <= fuel.
 
-    Sorted by (convergence time, lexicographic program) ascending; ties in
-    convergence time are broken lexicographically so enumeration order is a
-    total deterministic order.
+    A depth-first walk over instruction boundaries.  Sorted by (convergence
+    time, lexicographic program) ascending; ties in convergence time are
+    broken lexicographically so enumeration order is a total deterministic
+    order.
     """
+    L, fuel = cfg.max_program_len, cfg.fuel
     records: list[ProgramRecord] = []
-    root = _Cpu(aux, cfg.fuel)
-    stack: list[tuple[str, _Cpu]] = [("", root)]
+    stack = [("", "", 0, 0)]  # boundaries: (prefix, output, aux position, steps)
     while stack:
-        prefix, cpu = stack.pop()
-        if len(prefix) >= cfg.max_program_len:
-            continue
-        for bit in ("1", "0"):
-            child = cpu.copy() if bit == "1" else cpu
-            state = child.feed(bit)
-            program = prefix + bit
-            if state == _HALTED:
-                records.append(ProgramRecord(program, child.output, child.steps, aux))
-            elif state == _NEED_INPUT:
-                stack.append((program, child))
+        prefix, out, a, steps = stack.pop()
+        for c in range(1, L - len(prefix) + 1):
+            for code, emitted, after, spent in expand(aux, fuel, a, steps, c):
+                if after is None:
+                    records.append(ProgramRecord(prefix + code, out + emitted, spent, aux))
+                else:
+                    stack.append((prefix + code, out + emitted, after, spent))
     records.sort(key=lambda r: (r.steps, r.program))
     return records
 
@@ -439,39 +347,39 @@ def search_programs(
     output.
 
     The walk goes in level order: every program of length n before any of
-    length n + 1, lexicographically within a level.  ``cutoff(record)`` is
-    called on each accepted record in that order, and no level longer than
-    the least value it has returned is started; only the records found up
-    to there are returned.
+    length n + 1, lexicographically within a level.  At level n each open
+    instruction boundary, with a prefix of p bits, takes the instructions
+    whose codes have exactly n - p bits.  ``cutoff(record)`` is called on
+    each accepted record in that order, and no level longer than the least
+    value it has returned is started; only the records found up to there
+    are returned.
     """
     results: list[ProgramRecord] = []
     if not viable(""):
         return results
-    limit = cfg.max_program_len
-    level: list[tuple[str, _Cpu]] = [("", _Cpu(aux, cfg.fuel))]
+    fuel, limit = cfg.fuel, cfg.max_program_len
+    boundaries = [("", "", 0, 0)]  # (prefix, output, aux position, steps)
     n = 0
-    while level and n < limit:
+    while boundaries and n < limit:
         n += 1
-        below: list[tuple[str, _Cpu]] = []
-        for prefix, parent in level:
-            for bit in ("0", "1"):
-                # the "1" child takes over the parent, which only the "0"
-                # child had to copy
-                cpu = parent.copy() if bit == "0" else parent
-                state = cpu.feed(bit)
-                if state == _OUT_OF_FUEL:
+        level, reached = [], []
+        for prefix, out, a, steps in boundaries:
+            for code, emitted, after, spent in expand(aux, fuel, a, steps, n - len(prefix)):
+                output = out + emitted
+                if not viable(output):
                     continue
-                out = cpu.output
-                if not viable(out):
-                    continue
-                if state == _NEED_INPUT:
-                    below.append((prefix + bit, cpu))
-                elif accept(out):
-                    rec = ProgramRecord(prefix + bit, out, cpu.steps, aux)
-                    results.append(rec)
-                    if cutoff is not None:
-                        limit = min(limit, cutoff(rec))
-        level = below
+                if after is not None:
+                    reached.append((prefix + code, output, after, spent))
+                elif accept(output):
+                    level.append(ProgramRecord(prefix + code, output, spent, aux))
+        # a boundary stays open while a code one bit longer still fits
+        boundaries = [(prefix, out, a, steps) for prefix, out, a, steps in boundaries + reached
+                      if steps + (n + 1 - len(prefix)) + 1 <= fuel]
+        level.sort(key=lambda r: r.program)
+        for rec in level:
+            results.append(rec)
+            if cutoff is not None:
+                limit = min(limit, cutoff(rec))
     results.sort(key=lambda r: (r.steps, r.program))
     return results
 
@@ -484,11 +392,7 @@ def search_programs(
 _NUMBERED = (_CODE["POW_HALT"], _CODE["COPY_N"])  # operands open with a number block
 
 
-def _literal(y: str) -> str:
-    return "1" * len(y) + "0" + y
-
-
-# POW_HALT with each count that has a finite repeat count (see _pow_reps):
+# POW_HALT with each count whose repeats can fit the fuel (see _effect):
 # the opcode and the count's shortest number block, and the repeat count
 _POW_HEADS = [(_CODE["POW_HALT"] + _literal(format(m, "b")), m ** m) for m in range(1, 16)]
 

@@ -70,15 +70,21 @@ class ThetaTable:
 
 
 def theta_violations(t: ThetaTable) -> list[str]:
-    """First-failure descriptions for the three table invariants."""
+    """First-failure descriptions for the three table invariants, and for a
+    root that is 0 past stage 0, which leaves that stage nothing to build."""
     problems = []
     for k in range(t.max_stage + 1):
+        if k > 0:
+            if t.theta("", k).is_zero:
+                problems.append(f"theta(eps,{k}) is 0")
+            # over both supports, so that a string dropping out decreases
+            for x in canonical_sorted(set(t.support(k - 1)) | set(t.support(k))):
+                if t.theta(x, k) < t.theta(x, k - 1):
+                    problems.append(f"theta({x!r},{k}) decreased across stages")
         for x in t.support(k):
             v = t.theta(x, k)
             if x == "" and v > Dyadic.one():
                 problems.append(f"theta(eps,{k}) = {v} exceeds 1")
-            if k > 0 and v < t.theta(x, k - 1):
-                problems.append(f"theta({x!r},{k}) decreased across stages")
             if v < t.theta(x + "0", k) + t.theta(x + "1", k):
                 problems.append(f"theta({x!r},{k}) below its children's sum")
             if x and t.theta(x[:-1], k).is_zero:

@@ -19,6 +19,13 @@ from .complexity import km_t
 from .machine import MachineConfig, run
 
 
+def predicate_entry(idx: int, bit: int) -> tuple[int, int]:
+    """One entry of a predicate: a 1-based position and a bit."""
+    if idx < 1 or bit not in (0, 1):
+        raise ValueError(f"bad predicate entry ({idx}, {bit})")
+    return idx, bit
+
+
 @dataclass(frozen=True)
 class BinaryPredicate:
     """A finite map from 1-based positions to bits."""
@@ -28,8 +35,7 @@ class BinaryPredicate:
     def __init__(self, pairs):
         items = sorted(dict(pairs).items())
         for idx, bit in items:
-            if idx < 1 or bit not in (0, 1):
-                raise ValueError(f"bad predicate entry ({idx}, {bit})")
+            predicate_entry(idx, bit)
         object.__setattr__(self, "pairs", tuple(items))
 
     @property

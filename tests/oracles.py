@@ -1,8 +1,113 @@
-"""Independent test oracles: a tree walk for the left-total transform and a
+"""Independent test oracles: a bit-at-a-time interpreter and its brute-force
+enumeration for the machine; a tree walk, the pieces of the interval table
+and the base machine's totality for the left-total transform; and a
 per-input preimage count for the compiled transducer."""
 
+from typing import NamedTuple
+
 from ait.leftward import IntervalTable, run_left_total
+from ait.machine import (
+    ExecOutcome,
+    MachineConfig,
+    ProgramRecord,
+    Status,
+    get_enumeration,
+)
 from ait.monotone import DepthExceeded
+
+
+class _Stop(Exception):
+    """The run ends before a halt; the argument is its status."""
+
+
+def run_by_bits(program: str, aux: str = "", fuel: int = 2048) -> ExecOutcome:
+    """The machine read straight off the opcode table in ``ait.machine``'s
+    docstring: one input bit at a time, each step charged before it is taken."""
+    steps = read = cell = 0
+    out = []
+
+    def charge(n=1):
+        nonlocal steps
+        if steps + n > fuel:
+            raise _Stop(Status.OUT_OF_FUEL)
+        steps += n
+
+    def bit():
+        nonlocal read
+        if read == len(program):
+            raise _Stop(Status.NEEDS_MORE_INPUT)
+        charge()
+        read += 1
+        return program[read - 1]
+
+    def block():  # 1^n 0 y, with len(y) = n
+        n = 0
+        while bit() == "1":
+            n += 1
+        return "".join(bit() for _ in range(n))
+
+    def emit(y, reps=1):
+        charge(len(y) * reps)  # one step per output bit, charged before building
+        out.append(y * reps)
+
+    def read_cell():  # (flag, data bit); past the aux string, sentinel cells (0, 0)
+        nonlocal cell
+        charge()
+        cell += 1
+        return (1, aux[cell - 1]) if cell <= len(aux) else (0, "0")
+
+    try:
+        while True:
+            op = bit()
+            while op not in ("0", "100", "101", "110", "1110", "11110", "11111"):
+                op += bit()
+            charge()  # the dispatch
+            if op == "0":  # EMIT_HALT
+                emit(block())
+                break
+            if op == "100":  # EMIT
+                emit(block())
+            elif op == "101":  # RAW8_HALT
+                emit("".join(bit() for _ in range(8)))
+                break
+            elif op == "110":  # POW_HALT
+                m = int(block() or "0", 2)
+                y = block()
+                if y and m:
+                    if m > 15:  # 16**16 repeats exceed every fuel
+                        raise _Stop(Status.OUT_OF_FUEL)
+                    emit(y, m ** m)
+                break
+            elif op == "1110":  # COPY_N
+                k = int(block() or "0", 2)
+                charge(2 * k)  # k cells read and k bits appended
+                out.append((aux[cell:cell + k] + "0" * k)[:k])
+                cell += k
+            elif op == "11110":  # COPY_ALL
+                while True:
+                    flag, data = read_cell()
+                    if not flag:
+                        break
+                    emit(data)
+            else:  # HALT
+                break
+    except _Stop as stop:
+        return ExecOutcome(stop.args[0])
+    return ExecOutcome(Status.HALTED, "".join(out), read, steps)
+
+
+def halting_by_bits(max_len: int, fuel: int, aux: str = "") -> list[ProgramRecord]:
+    """Every program of at most ``max_len`` bits that ``run_by_bits`` halts on
+    after reading all of it, sorted by (steps, program)."""
+    records = []
+    for n in range(1, max_len + 1):
+        for v in range(1 << n):
+            p = format(v, f"0{n}b")
+            out = run_by_bits(p, aux, fuel)
+            if out.halted and out.bits_read == n:
+                records.append(ProgramRecord(p, out.output, out.steps, aux))
+    records.sort(key=lambda r: (r.steps, r.program))
+    return records
 
 
 def is_total_uprime_by_walk(x: str, table: IntervalTable) -> bool:
@@ -34,3 +139,65 @@ def preimage_count_by_apply(nu, members, n: int) -> int:
         if any(image.startswith(x) for x in targets):
             count += 1
     return count
+
+
+class Piece(NamedTuple):
+    """A minimal transformed program: one maximal dyadic block of a tile."""
+
+    lo: int  # grid units of 2^-L
+    hi: int
+    program: str
+    output: str
+    steps: int
+
+
+def table_pieces(table: IntervalTable) -> list[Piece]:
+    """The pieces of every tile in position order: the strings whose grid
+    interval lies inside the tile and whose parent's does not, found by a
+    descent from the root."""
+    L = table.config.max_program_len
+    pieces = []
+
+    def down(p, lo, hi, rec, t_lo, t_hi):
+        if t_lo <= lo and hi <= t_hi:
+            pieces.append(Piece(lo, hi, p, rec.output, rec.steps))
+        elif lo < t_hi and t_lo < hi:
+            mid = (lo + hi) // 2
+            down(p + "0", lo, mid, rec, t_lo, t_hi)
+            down(p + "1", mid, hi, rec, t_lo, t_hi)
+
+    for rec, t_lo, t_hi in table.entries:
+        down("", 0, 1 << L, rec, t_lo, t_hi)
+    return pieces
+
+
+class UTotality:
+    """Desk-scale totality for the base machine, from its enumeration: x is
+    total when every leaf of the depth-L tree under it has a halting prefix."""
+
+    def __init__(self, cfg: MachineConfig, aux: str = ""):
+        self.cfg = cfg
+        self.programs = {r.program for r in get_enumeration(cfg, aux)}
+        self._memo: dict[str, bool] = {}
+
+    def covered(self, x: str) -> bool:
+        return any(x[:i] in self.programs for i in range(len(x) + 1))
+
+    def is_total(self, x: str) -> bool:
+        if len(x) > self.cfg.max_program_len:
+            raise ValueError("string exceeds the length bound")
+        return self._total(x, self.covered(x))
+
+    def _total(self, x: str, covered: bool) -> bool:
+        if covered:
+            return True
+        if x in self._memo:
+            return self._memo[x]
+        if len(x) == self.cfg.max_program_len:
+            result = False
+        else:
+            result = all(
+                self._total(x + b, (x + b) in self.programs) for b in "01"
+            )
+        self._memo[x] = result
+        return result

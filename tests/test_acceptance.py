@@ -59,11 +59,11 @@ def test_criterion_01_machine_soundness(enumeration):
 
 def test_criterion_02_left_total_transform(interval_table):
     from ait.leftward import is_total_uprime
-    from oracles import is_total_uprime_by_walk
+    from oracles import is_total_uprime_by_walk, table_pieces
 
     started = time.time()
     L = FIXTURE.max_program_len
-    pieces = interval_table.pieces
+    pieces = table_pieces(interval_table)
     uprime_prefix_free = is_prefix_free([p.program for p in pieces])
 
     # every q left of a transformed halting program is total, all lengths <= L
@@ -102,9 +102,10 @@ def test_criterion_02_left_total_transform(interval_table):
 
 def test_criterion_03_border_and_omega(interval_table):
     from ait.leftward import border_prefix, omega_pair
-    from oracles import is_total_uprime_by_walk
+    from oracles import is_total_uprime_by_walk, table_pieces
 
     b = border_prefix(FIXTURE)
+    pieces = table_pieces(interval_table)
     om, om_hat = omega_pair(b, FIXTURE)
     gap_ok = Dyadic.zero() <= om - om_hat <= Dyadic(1, len(b.bits))
 
@@ -112,7 +113,7 @@ def test_criterion_03_border_and_omega(interval_table):
     def subtree_has_halting(x):
         lo = int(x, 2) << (14 - len(x)) if x else 0
         hi = (int(x, 2) + 1) << (14 - len(x)) if x else 1 << 14
-        return any(lo <= p.lo and p.hi <= hi for p in interval_table.pieces)
+        return any(lo <= p.lo and p.hi <= hi for p in pieces)
 
     x = ""
     while len(x) < 14:

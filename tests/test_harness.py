@@ -298,6 +298,12 @@ _INPUT_FILES = {
                         "0\t2\t5/2^3\n00\t2\t1/2^1\n01\t2\t1/2^4\n",
     # theta(eps) = 1 lies below its children's 3/4 + 3/8
     "invalid_theta": "\t0\t1/2^0\n0\t0\t3/2^2\n1\t0\t3/2^3\n",
+    # stage 4 keeps only the root: every other string of stage 3 drops to 0
+    "dropping_theta": uniform_table(3).serialize() + "\t4\t1/2^0\n",
+    # the one row is 0, so the root is 0 at stages 1 and 2
+    "zero_theta": "001\t2\t0/2^2\n",
+    "pred_bad_bit": "2\t2\n",
+    "pred_bad_index": "0\t1\n",
     "q": f"{encode_string_set(['0', '1'])}\t1/2^0\n",
     "q_light": f"{encode_string_set(['0'])}\t1/2^0\n",
     "q_bad": "01\t1/2^0\n",
@@ -361,6 +367,14 @@ def _with_files(argv, tmp_path):
     (["km", "@empty_set"], "empty_set: prefix set must be nonempty"),
     (["nu", "build", "@invalid_theta"], "invalid_theta: invalid table: theta('',0)"),
     (["nu", "preimage", "@invalid_theta", "0", "2"], "invalid_theta: invalid table:"),
+    (["nu", "apply", "@dropping_theta", "000000"],
+     "dropping_theta: invalid table: theta('0',4) decreased across stages"),
+    (["nu", "preimage", "@dropping_theta", "0", "6"], "dropping_theta: invalid table:"),
+    (["nu", "apply", "@zero_theta", "00"], "zero_theta: invalid table: theta(eps,1) is 0"),
+    (["nu", "preimage", "@zero_theta", "0", "2"], "zero_theta: invalid table:"),
+    (["predicate", "complete", "@pred_bad_bit"], "pred_bad_bit:1: bad predicate entry (2, 2)"),
+    (["predicate", "complete", "@pred_bad_index"],
+     "pred_bad_index:1: bad predicate entry (0, 1)"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -11,7 +11,6 @@ from ait.leftward import (
     border_prefix,
     build_interval_table,
     get_interval_table,
-    is_total,
     is_total_uprime,
     m_b,
     m_b_set,
@@ -22,7 +21,7 @@ from ait.leftward import (
     total_strings_of_length,
 )
 from ait.machine import Status, kraft_sum
-from oracles import is_total_uprime_by_walk
+from oracles import UTotality, is_total_uprime_by_walk, table_pieces
 
 
 def all_strings_of(n):
@@ -41,7 +40,8 @@ def _probes(table):
 
     probes = [b for n in range(6) for b in all_strings_of(n)]
     probes += [bits(1 + rng.next(L + 4)) for _ in range(100)]
-    probes += [table.pieces[rng.next(len(table.pieces))].program + bits(1 + rng.next(4))
+    pieces = table_pieces(table)
+    probes += [pieces[rng.next(len(pieces))].program + bits(1 + rng.next(4))
                for _ in range(100)]
     return probes
 
@@ -81,27 +81,40 @@ def test_table_serialization_golden(fixture_cfg, interval_table):
 
 def test_pieces_partition_and_length_bound(fixture_cfg, interval_table):
     L = fixture_cfg.max_program_len
+    pieces = table_pieces(interval_table)
     pos = 0
-    for piece in interval_table.pieces:
+    for piece in pieces:
         assert piece.lo == pos
         assert len(piece.program) <= L
         pos = piece.hi
     assert pos == interval_table.omega_grid
-    assert is_prefix_free([p.program for p in interval_table.pieces])
+    assert is_prefix_free([p.program for p in pieces])
+    # the table's piece lists, against the pieces found by descent
+    assert interval_table._piece_lo == [p.lo for p in pieces]
+    assert interval_table._piece_hi == [p.hi for p in pieces]
+    assert interval_table._prefix_maxlen == \
+        list(itertools.accumulate((len(p.output) for p in pieces), max, initial=0))
+    by_output = {}
+    for p in pieces:
+        los, his, mass = by_output.setdefault(p.output, ([], [], [0]))
+        los.append(p.lo)
+        his.append(p.hi)
+        mass.append(mass[-1] + p.hi - p.lo)
+    assert interval_table._by_output == by_output
 
 
 def test_transform_preserves_output_within_one_bit(interval_table):
     # for every base program there is a transformed program at most one bit longer
+    pieces = table_pieces(interval_table)
     for rec, lo, hi in interval_table.entries:
-        inside = [p for p in interval_table.pieces if p.lo >= lo and p.hi <= hi]
+        inside = [p for p in pieces if p.lo >= lo and p.hi <= hi]
         assert min(len(p.program) for p in inside) <= len(rec.program) + 1
         assert all(p.output == rec.output for p in inside)
 
 
 def test_run_left_total_rules(interval_table):
     # spec containment rules on a hand-checked tile: (1/4, 1/2) accepts "01"
-    synthetic = [p for p in interval_table.pieces]
-    first = synthetic[0]
+    first = table_pieces(interval_table)[0]
     out = run_left_total(first.program, interval_table)
     assert out.halted and out.output == first.output
     assert out.bits_read == len(first.program)
@@ -120,7 +133,7 @@ def test_transform_mass_equals_base_mass(fixture_cfg, interval_table, enumeratio
     for r in enumeration:
         base[r.output] = base[r.output] + Dyadic(1, len(r.program))
     trans = defaultdict(lambda: Dyadic.zero())
-    for p in interval_table.pieces:
+    for p in table_pieces(interval_table):
         trans[p.output] = trans[p.output] + Dyadic(1, len(p.program))
     assert dict(base) == dict(trans)
 
@@ -129,7 +142,7 @@ def test_left_totality_exhaustive(fixture_cfg, interval_table):
     # every string left of a transformed halting program is total:
     # equivalently any non-total string has nothing to its right
     L = fixture_cfg.max_program_len
-    max_lo = max(p.lo for p in interval_table.pieces)
+    max_lo = max(p.lo for p in table_pieces(interval_table))
     omega = interval_table.omega_grid
     for n in range(0, L + 1):
         for v in range(1 << n):
@@ -145,14 +158,15 @@ def test_left_totality_exhaustive(fixture_cfg, interval_table):
                 is_total_uprime_by_walk(q, interval_table)
 
 
-def test_is_total_dispatch(fixture_cfg):
-    assert is_total("0", fixture_cfg, "U'") is True
-    assert is_total("", fixture_cfg, "U'") is False
+def test_is_total_dispatch(fixture_cfg, interval_table):
+    assert is_total_uprime("0", interval_table) is True
+    assert is_total_uprime("", interval_table) is False
     # a halting base program is total for the base machine
-    assert is_total("00", fixture_cfg, "U") is True
-    assert is_total("", fixture_cfg, "U") is False
+    base = UTotality(fixture_cfg)
+    assert base.is_total("00") is True
+    assert base.is_total("") is False
     with pytest.raises(ValueError):
-        is_total("0", fixture_cfg, "T")
+        base.is_total("0" * (fixture_cfg.max_program_len + 1))
 
 
 def test_total_implies_children_total(fixture_cfg, interval_table):
@@ -167,9 +181,11 @@ def test_border_against_brute_force(fixture_cfg, interval_table):
 
     # independent brute-force walk: totality via the tree-walk oracle, and
     # "subtree holds a halting program" via a scan over transformed programs
+    pieces = table_pieces(interval_table)
+
     def subtree_has_halting(x):
         lo, hi = _lo(x, fixture_cfg), _hi(x, fixture_cfg)
-        return any(lo <= p.lo and p.hi <= hi for p in interval_table.pieces)
+        return any(lo <= p.lo and p.hi <= hi for p in pieces)
 
     def mixed(x):
         walk_total = lambda s: is_total_uprime_by_walk(s, interval_table)
@@ -228,9 +244,9 @@ def test_omega_pair_bounds(fixture_cfg):
 @pytest.mark.parametrize("aux", ["", "0110"])
 def test_omega_hat_oracle(fixture_cfg, aux):
     table = get_interval_table(fixture_cfg, aux)
+    pieces = table_pieces(table)
     for b in _probes(table):
-        left = [Dyadic(1, len(p.program)) for p in table.pieces
-                if left_of(p.program, b)]
+        left = [Dyadic(1, len(p.program)) for p in pieces if left_of(p.program, b)]
         assert omega_pair(b, fixture_cfg, aux)[1] == sum(left, Dyadic.zero())
 
 
@@ -243,12 +259,13 @@ def test_omega_matches_kraft(fixture_cfg, enumeration):
 def test_bb_definition_oracle(fixture_cfg, aux):
     # brute force over pieces using the left-of / extends filter on strings
     table = get_interval_table(fixture_cfg, aux)
+    pieces = table_pieces(table)
 
     def oracle(b):
         if not is_total_uprime(b, table):
             return 0
         best = 0
-        for p in table.pieces:
+        for p in pieces:
             if left_of(p.program, b) or p.program.startswith(b):
                 best = max(best, len(p.output))
         return best
@@ -273,10 +290,11 @@ def test_m_b_zero_for_non_total(fixture_cfg):
 def test_m_b_oracle_and_monotonicity(fixture_cfg, aux):
     table = get_interval_table(fixture_cfg, aux)
     outputs = ["", "0", "1", "00", "0000", "0110"]
+    pieces = table_pieces(table)
 
     def oracle(b, x):
         total = Dyadic.zero()
-        for p in table.pieces:
+        for p in pieces:
             if p.output == x and (left_of(p.program, b) or p.program.startswith(b)):
                 total = total + Dyadic(1, len(p.program))
         return total
@@ -351,7 +369,7 @@ def test_m_b_with_conditioning(fixture_cfg):
     assert aux in table._by_output
     value = m_b("0", aux, aux, fixture_cfg)
     oracle = Dyadic.zero()
-    for p in table.pieces:
+    for p in table_pieces(table):
         if p.output == aux and (left_of(p.program, "0") or p.program.startswith("0")):
             oracle = oracle + Dyadic(1, len(p.program))
     assert value == oracle

@@ -1,4 +1,5 @@
 from bisect import bisect_left
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from ait.machine import (
     run,
     search_programs,
 )
+from oracles import halting_by_bits, run_by_bits
 
 # the designated empty-output program, located by exhaustive enumeration at L=16, t=4096
 def test_p_epsilon_is_the_designated_fixture():
@@ -120,6 +122,75 @@ def test_enumeration_matches_definitional_brute_force():
                     expected[s] = (out.output, out.steps)
         got = {r.program: (r.output, r.steps) for r in enumerate_halting(cfg, aux)}
         assert got == expected
+
+
+def _outcome(out):
+    return out.status, out.output, out.bits_read, out.steps
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(program=st.text(alphabet="01", max_size=48), aux=st.text(alphabet="01", max_size=12),
+       fuel=st.integers(1, 64) | st.integers(1, 10 ** 6))
+@example(program="110" + "1110101" + "100", aux="", fuel=3141)  # 5**5 zeros, one step short
+@example(program="1110" + "1111011111" + "00", aux="01", fuel=64)  # COPY_N 31 past the aux end
+def test_run_matches_bit_level_oracle(program, aux, fuel):
+    # truncated programs, out-of-fuel runs and halts with unread bits alike
+    assert _outcome(run(program, aux, fuel)) == _outcome(run_by_bits(program, aux, fuel))
+
+
+def _search_by_filter(records, max_len, viable, accept, cutoff):
+    """search_programs read off a full record list: the records with a viable
+    accepted output, handed to ``cutoff`` level by level, lexicographically
+    within a level, until a level passes the least value it returned."""
+    found = sorted((r for r in records if viable(r.output) and accept(r.output)),
+                   key=lambda r: (len(r.program), r.program))
+    kept, limit = [], max_len
+    for n, level in groupby(found, key=lambda r: len(r.program)):
+        if n > limit:
+            break
+        for rec in level:
+            kept.append(rec)
+            limit = min(limit, cutoff(rec))
+    return sorted(kept, key=lambda r: (r.steps, r.program))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(aux=st.text(alphabet="01", max_size=4), max_len=st.integers(1, 10),
+       fuel=st.integers(1, 64) | st.sampled_from([128, 512]),
+       banned=st.text(alphabet="01", min_size=1, max_size=4), cap=st.integers(0, 12),
+       modulus=st.integers(1, 5), cuts=st.lists(st.integers(0, 12), min_size=1, max_size=6))
+@example(aux="", max_len=10, fuel=512, banned="111", cap=12, modulus=1, cuts=[12])
+def test_walks_match_bit_level_enumeration(aux, max_len, fuel, banned, cap, modulus, cuts):
+    # oracle: run every string of at most max_len bits.  Halting is monotone
+    # in the fuel, so the records within a smaller fuel f are those taking at
+    # most f steps; the sweep puts f at the steps of every accepted record,
+    # where a walk that closes a boundary one step early loses it.  A
+    # monotone viable keeps exactly the records whose final output is viable
+    everything = halting_by_bits(max_len, fuel, aux)
+    assert enumerate_halting(MachineConfig(max_len, fuel), aux) == everything
+
+    def viable(out):
+        return banned not in out and len(out) <= cap
+
+    def accept(out):
+        return int("1" + out, 2) % modulus != 1
+
+    def recorder(seen):
+        def cutoff(rec):
+            seen.append(rec)
+            return cuts[len(seen) % len(cuts)]
+        return cutoff
+
+    sweep = {fuel} | {r.steps for r in everything if viable(r.output) and accept(r.output)}
+    for f in sorted(sweep):
+        cfg = MachineConfig(max_len, f)
+        within = [r for r in everything if r.steps <= f]
+        assert search_programs(cfg, aux, viable, accept) == \
+            _search_by_filter(within, max_len, viable, accept, lambda rec: max_len)
+        seen, expected_seen = [], []
+        got = search_programs(cfg, aux, viable, accept, cutoff=recorder(seen))
+        assert got == _search_by_filter(within, max_len, viable, accept, recorder(expected_seen))
+        assert seen == expected_seen
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -318,7 +389,7 @@ def test_aux_zero_fill(fixture_cfg):
 
 
 def test_opcode_table_is_a_complete_prefix_code():
-    # feed relies on this: every bit stream starts with exactly one opcode
+    # the decoder relies on this: every bit stream starts with exactly one opcode
     assert is_prefix_free(list(_OPCODES))
     assert dyadic_sum(Dyadic(1, len(code)) for code in _OPCODES) == Dyadic.one()
 

@@ -47,6 +47,12 @@ def test_validate_theta_examples():
     assert any("decreased" in p for p in theta_violations(decreasing))
     orphan = ThetaTable({("", 0): Dyadic.one(), ("00", 0): Dyadic(1, 2)}, 0)
     assert not validate_theta(orphan)
+    # a later stage that drops a string decreases it to 0
+    dropping = ThetaTable({**uniform_table(3).entries, ("", 4): Dyadic.one()}, 4)
+    assert "theta('0',4) decreased across stages" in theta_violations(dropping)
+    # a root of 0 past stage 0 leaves its stage nothing to build
+    zero = ThetaTable({("001", 2): Dyadic.zero()}, 2)
+    assert theta_violations(zero) == ["theta(eps,1) is 0", "theta(eps,2) is 0"]
 
 
 def test_table_serialization_roundtrip():
