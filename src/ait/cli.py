@@ -15,11 +15,12 @@ import sys
 from .codec import assert_bits, decode_string_set
 from .complexity import k_t, km_t, m_set, m_t
 from .dyadic import Dyadic
-from .frozen import FROZEN, calibrate
+from .frozen import FROZEN, CalibrationUndefined, calibrate
 from .harness import EXPERIMENTS, run_all, run_experiment
 from .leftward import bb, border_prefix, get_interval_table, m_b, omega_pair
 from .machine import MachineConfig, get_enumeration
 from .measures import (
+    SEMIMEASURE,
     HittingInfeasible,
     NotInSupport,
     StochBounds,
@@ -29,6 +30,7 @@ from .measures import (
     deficiency,
     hitting_score,
     hitting_vector,
+    measure_violations,
     stochasticity,
     ElementaryMeasure,
 )
@@ -50,6 +52,7 @@ from .predicates import (
 
 # searches and lookups that fail on well-formed input: a JSON error, exit 1
 _DOMAIN_ERRORS = (
+    CalibrationUndefined,
     DepthExceeded,
     ExtensionNotFound,
     HittingInfeasible,
@@ -122,7 +125,12 @@ def _set_measure_entry(line: str):
 
 
 def _read_measure_file(path: str, parse) -> ElementaryMeasure:
-    return ElementaryMeasure(dict(_read_lines(path, parse)), "probability")
+    """A measure file, whose weights must be positive with a sum of at most 1."""
+    w = ElementaryMeasure(dict(_read_lines(path, parse)), SEMIMEASURE)
+    problems = measure_violations(w)
+    if problems:
+        raise _UsageError(f"{path}: invalid measure: {problems[0]}")
+    return w
 
 
 def _predicate_pair(line: str) -> tuple[int, int]:
@@ -276,6 +284,11 @@ def main(argv=None) -> int:
         return 1
 
 
+def _emit(result: dict) -> int:
+    print(json.dumps(result, sort_keys=True))
+    return 0
+
+
 def _dispatch(args, cfg: MachineConfig) -> int:
     if args.command == "machine" and args.machine_command == "enumerate":
         for rec in get_enumeration(cfg, _read_bits_token(args.aux)):
@@ -289,11 +302,8 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         # border, so the proxy's k is reported next to its length, never
         # asserted against it
         k_border = k_t(b.bits, "", cfg)
-        print(json.dumps({"border": b.bits, "length": len(b.bits),
-                          "k": k_border.value,
-                          "omega": str(om), "omega_hat": str(omh)},
-                         sort_keys=True))
-        return 0
+        return _emit({"border": b.bits, "length": len(b.bits), "k": k_border.value,
+                      "omega": str(om), "omega_hat": str(omh)})
 
     if args.command == "omega":
         table = get_interval_table(cfg, "")
@@ -308,39 +318,30 @@ def _dispatch(args, cfg: MachineConfig) -> int:
 
     if args.command == "k":
         result = k_t(_read_bits_token(args.x), _read_bits_token(args.cond), cfg)
-        print(json.dumps({"input": args.x, "value": result.value,
-                          "witness": result.witness}, sort_keys=True))
-        return 0
+        return _emit({"input": args.x, "value": result.value, "witness": result.witness})
 
     if args.command == "m":
         value = m_t(_read_bits_token(args.x), _read_bits_token(args.cond), cfg)
-        print(json.dumps({"input": args.x, "value": str(value), "witness": None},
-                         sort_keys=True))
-        return 0
+        return _emit({"input": args.x, "value": str(value), "witness": None})
 
     if args.command == "mset":
         members = _read_set_file(args.file)
         value = m_set(members, _read_bits_token(args.cond), cfg)
-        print(json.dumps({"input": members, "value": str(value), "witness": None},
-                         sort_keys=True))
-        return 0
+        return _emit({"input": members, "value": str(value), "witness": None})
 
     if args.command == "km":
         members = _read_set_file(args.file)
         if not members:
             raise _UsageError(f"{args.file}: prefix set must be nonempty")
         result = km_t(members, cfg)
-        print(json.dumps({"input": members, "value": result.value,
-                          "witness": result.witness}, sort_keys=True))
-        return 0
+        return _emit({"input": members, "value": result.value, "witness": result.witness})
 
     if args.command == "deficiency":
         w = _read_measure_file(args.measure, _measure_entry)
         d = deficiency(_read_bits_token(args.element), w,
                        _read_bits_token(args.cond), cfg)
-        print(json.dumps({"value": d.value, "floor_neg_log_weight": d.floor_neg_log_weight,
-                          "conditional_k": d.conditional_k}, sort_keys=True))
-        return 0
+        return _emit({"value": d.value, "floor_neg_log_weight": d.floor_neg_log_weight,
+                      "conditional_k": d.conditional_k})
 
     if args.command == "stoch":
         max_v_len = args.stoch_max_v_len
@@ -356,22 +357,17 @@ def _dispatch(args, cfg: MachineConfig) -> int:
             StochBounds(max_v_len, args.stoch_fuel), cfg,
             scoring=args.scoring,
         )
-        print(json.dumps({
-            "value": res.value, "witness": res.witness_program,
-            "deficiency": res.deficiency.value,
-            "measure_support": list(res.witness_measure.support),
-        }, sort_keys=True))
-        return 0
+        return _emit({"value": res.value, "witness": res.witness_program,
+                      "deficiency": res.deficiency.value,
+                      "measure_support": list(res.witness_measure.support)})
 
     if args.command == "hitvec":
         q = _read_measure_file(args.sets, _set_measure_entry)
         m = _read_measure_file(args.measure, _measure_entry)
         z = hitting_vector(q, m, args.i, args.c, args.d)
         score = hitting_score(z, q, m)
-        print(json.dumps({"elements": list(z.elements),
-                          "score": f"{score.numerator}/{score.denominator}"},
-                         sort_keys=True))
-        return 0
+        return _emit({"elements": list(z.elements),
+                      "score": f"{score.numerator}/{score.denominator}"})
 
     if args.command == "nu":
         table = ThetaTable.from_rows(_read_lines(args.table, ThetaTable.parse_row))
@@ -399,9 +395,8 @@ def _dispatch(args, cfg: MachineConfig) -> int:
     if args.command == "predicate" and args.predicate_command == "complete":
         g = _read_predicate_file(args.file)
         res = complete_extension_search(g, cfg)
-        print(json.dumps({"program": res.program, "output": res.raw_output,
-                          "slack": res.bound_slack}, sort_keys=True))
-        return 0
+        return _emit({"program": res.program, "output": res.raw_output,
+                      "slack": res.bound_slack})
 
     if args.command == "experiment":
         reports = run_all(cfg) if args.name == "all" else run_experiment(args.name, cfg)

@@ -19,7 +19,7 @@ used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dyadic import Dyadic, ceil_neg_log2, dyadic_sum  # noqa: F401  (re-exported)
 
@@ -53,10 +53,6 @@ def all_strings_upto(n: int) -> Iterator[str]:
     for length in range(1, n + 1):
         for v in range(1 << length):
             yield format(v, f"0{length}b")
-
-
-def is_proper_prefix(p: str, x: str) -> bool:
-    return len(p) < len(x) and x.startswith(p)
 
 
 def left_of(x: str, y: str) -> bool:
@@ -180,10 +176,9 @@ class PrefixFreeSet:
 
     def __init__(self, members: Iterable[str]):
         ordered = canonical_sorted(assert_bits(m) for m in members)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                if is_proper_prefix(a, b):
-                    raise ValueError(f"{a!r} is a proper prefix of {b!r}")
+        pair = prefix_pair(ordered)
+        if pair is not None:
+            raise ValueError("%r is a proper prefix of %r" % pair)
         object.__setattr__(self, "members", tuple(ordered))
 
     def __iter__(self) -> Iterator[str]:
@@ -199,9 +194,16 @@ class PrefixFreeSet:
         return dyadic_sum(Dyadic(1, len(m)) for m in self.members)
 
 
+def prefix_pair(strings: Iterable[str]) -> Optional[tuple[str, str]]:
+    """The first lexicographic neighbours (a, b) with a a proper prefix of b,
+    or None when the strings are prefix-free.  Neighbours suffice: every
+    string lexicographically between a and an extension of a extends a."""
+    ordered = sorted(set(strings))
+    return next(((a, b) for a, b in zip(ordered, ordered[1:]) if b.startswith(a)), None)
+
+
 def is_prefix_free(strings: Sequence[str]) -> bool:
-    ordered = sorted(strings)
-    return not any(is_proper_prefix(a, b) for a, b in zip(ordered, ordered[1:]))
+    return prefix_pair(strings) is None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .codec import (
-    all_strings_upto,
     canonical_sorted,
     encode_self_delim,
     encode_string_set,
@@ -139,20 +138,25 @@ class HaltingProxy:
 
 
 _PROXY_CACHE: dict[tuple[int, int, str], HaltingProxy] = {}
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
     key = (cfg.max_program_len, cfg.fuel, aux)
     if key not in _PROXY_CACHE:
-        programs = {r.program for r in get_enumeration(cfg, aux)}
-        bits: list[str] = []
-        # in canonical order the one-bit-shorter prefix of the i-th string is
-        # the ((i - 1) // 2)-th, so a string halts when it is a program or
-        # that prefix halts
-        for i, s in enumerate(all_strings_upto(cfg.max_program_len)):
-            halts = s in programs or (i > 0 and bits[(i - 1) // 2] == "1")
-            bits.append("1" if halts else "0")
-        _PROXY_CACHE[key] = HaltingProxy("".join(bits), cfg)
+        by_length: dict[int, list[int]] = {}
+        for r in get_enumeration(cfg, aux):
+            by_length.setdefault(len(r.program), []).append(int(r.program, 2))
+        # level n holds one byte per string of length n, lexicographically; a
+        # string halts when it is a program or its one-bit-shorter prefix halts
+        levels = [bytearray(1)]  # the empty string never halts
+        for n in range(1, cfg.max_program_len + 1):
+            lvl = bytearray(1 << n)
+            lvl[0::2] = lvl[1::2] = levels[-1]
+            for v in by_length.get(n, ()):
+                lvl[v] = 1
+            levels.append(lvl)
+        _PROXY_CACHE[key] = HaltingProxy(b"".join(levels).translate(_BIT_CHARS).decode(), cfg)
     return _PROXY_CACHE[key]
 
 

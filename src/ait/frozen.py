@@ -32,6 +32,10 @@ FROZEN = {
 }
 
 
+class CalibrationUndefined(RuntimeError):
+    """A constant needs a complexity that is infinite at the given bounds."""
+
+
 def calibrate(cfg: MachineConfig = FIXTURE) -> dict[str, int]:
     """Recompute every measured constant; compare with FROZEN for drift."""
     from . import complexity as cx
@@ -44,17 +48,18 @@ def calibrate(cfg: MachineConfig = FIXTURE) -> dict[str, int]:
         uniform_table,
     )
 
-    out: dict[str, int] = {}
+    def k(x: str, y: str) -> int:
+        value = cx.k_t(x, y, cfg).value
+        if value is None:
+            raise CalibrationUndefined(f"k_t({x!r} | {y!r}) is infinite at these bounds")
+        return value
 
+    out: dict[str, int] = {}
     worst = 0
     for y in all_strings_upto(6):
-        k = cx.k_t(y, "", cfg)
-        worst = max(worst, k.value - (2 * len(y) + 1))
+        worst = max(worst, k(y, "") - (2 * len(y) + 1))
     out["c_machine"] = worst
-
-    out["c_copy"] = max(
-        cx.k_t(x, x, cfg).value for x in all_strings_upto(6)
-    )
+    out["c_copy"] = max(k(x, x) for x in all_strings_upto(6))
 
     worst = 0
     for x in all_strings_upto(5):

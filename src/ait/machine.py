@@ -1,6 +1,6 @@
 """The reference prefix-free machine: on-demand input, an auxiliary
-read-only tape, fuel-bounded deterministic execution, and the enumerators
-of its halting programs.
+read-only tape, fuel-bounded deterministic execution, and the walk over
+its halting programs.
 
 Every measured constant in this package depends on the machine below, so its
 definition is frozen bit-exactly here.
@@ -35,11 +35,11 @@ read, per output bit appended, and per completed opcode dispatch.  The fuel
 check precedes every step, so the outcome is a pure function of the program
 prefix actually read, the aux string, and the fuel.
 
-One decoder, ``_effect``, states what each instruction does.  ``run``, the
-enumeration and the level-order search all go through it one whole
+One decoder, ``_effect``, states what each instruction does.  ``run`` and
+the level-order walk ``search_programs`` both go through it one whole
 instruction at a time: the output changes only when an instruction
-completes, so the walks branch at instruction boundaries, never inside a
-code.
+completes, so the walk branches at instruction boundaries, never inside a
+code.  The enumeration of the whole domain is that walk with nothing cut.
 """
 
 from __future__ import annotations
@@ -266,27 +266,19 @@ def run(program: str, aux: str = "", fuel: int = 2048) -> ExecOutcome:
 # exhaustive enumeration of the fuel-bounded domain
 # ---------------------------------------------------------------------------
 
+def _anything(out: str) -> bool:
+    return True
+
+
 def enumerate_halting(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
     """All minimal halting programs with len <= L and steps <= fuel.
 
-    A depth-first walk over instruction boundaries.  Sorted by (convergence
-    time, lexicographic program) ascending; ties in convergence time are
-    broken lexicographically so enumeration order is a total deterministic
-    order.
+    The level-order walk of ``search_programs`` with every output viable and
+    accepted and no cutoff.  Sorted by (convergence time, lexicographic
+    program) ascending; ties in convergence time are broken
+    lexicographically so enumeration order is a total deterministic order.
     """
-    L, fuel = cfg.max_program_len, cfg.fuel
-    records: list[ProgramRecord] = []
-    stack = [("", "", 0, 0)]  # boundaries: (prefix, output, aux position, steps)
-    while stack:
-        prefix, out, a, steps = stack.pop()
-        for c in range(1, L - len(prefix) + 1):
-            for code, emitted, after, spent in expand(aux, fuel, a, steps, c):
-                if after is None:
-                    records.append(ProgramRecord(prefix + code, out + emitted, spent, aux))
-                else:
-                    stack.append((prefix + code, out + emitted, after, spent))
-    records.sort(key=lambda r: (r.steps, r.program))
-    return records
+    return search_programs(cfg, aux, _anything, _anything)
 
 
 _ENUM_CACHE: dict[tuple[int, int, str], list[ProgramRecord]] = {}
@@ -326,8 +318,7 @@ def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:
 
 
 # ---------------------------------------------------------------------------
-# the output-pruned level-order walk (equivalent to filtering the full
-# enumeration)
+# the level-order walk over instruction boundaries
 # ---------------------------------------------------------------------------
 
 def search_programs(
@@ -339,7 +330,7 @@ def search_programs(
     cutoff: Optional[Callable[[ProgramRecord], int]] = None,
 ) -> list[ProgramRecord]:
     """Every minimal halting program within bounds whose output is accepted,
-    sorted by (steps, program) like the enumeration.
+    sorted by (steps, program).
 
     The walk keeps only branches whose output stays viable.  ``viable(out)``
     must be monotone: once false it stays false for every extension of the

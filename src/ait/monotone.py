@@ -210,6 +210,9 @@ def build_nu(t: ThetaTable) -> MonotoneTransducer:
 
         if pending:
             raise AssertionError("gifts addressed outside the support tree")
+        covered = sum(map(len, s_new.values()))  # disjoint: a gift leaves its donor
+        if covered != 1 << n_k:
+            raise AssertionError(f"stage {k}: the S sets cover {covered} of {1 << n_k} strings")
         s_now = s_new
         t_now = {x: sorted(ys) for x, ys in t_new.items()}
         stages.append(Stage(
@@ -229,13 +232,11 @@ class NuFunction:
 
     transducer: MonotoneTransducer
     _owners: list = field(default_factory=list, repr=False)
-    _sorted_sets: list = field(default_factory=list, repr=False)
     _tallies: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for st in self.transducer.stages:
             self._owners.append(st.owner_index())
-            self._sorted_sets.append({x: list(ys) for x, ys in st.s_sets.items()})
 
     @property
     def depth(self) -> int:
@@ -257,7 +258,7 @@ class NuFunction:
         return tally
 
 
-def _has_extension(sorted_strings: list[str], y: str) -> bool:
+def _has_extension(sorted_strings: tuple[str, ...], y: str) -> bool:
     """Any member extending y?  Fixed-length members with prefix y form a
     contiguous lexicographic range."""
     i = bisect_left(sorted_strings, y)
@@ -279,11 +280,11 @@ def nu_apply(nu: NuFunction, y: str) -> str:
             return nu._owners[idx][y]
         if st.n < len(y) and idx + 1 < len(stages) and len(y) < stages[idx + 1].n:
             x = nu._owners[idx][y[:st.n]]
-            nxt = nu._sorted_sets[idx + 1]
-            if _has_extension(nxt.get(x, []), y):
+            nxt = stages[idx + 1].s_sets
+            if _has_extension(nxt.get(x, ()), y):
                 return x
             for b in "01":
-                if _has_extension(nxt.get(x + b, []), y):
+                if _has_extension(nxt.get(x + b, ()), y):
                     return x
             raise AssertionError("every extension must stay within the child sets")
     raise DepthExceeded(f"input length {len(y)} falls outside built stages")

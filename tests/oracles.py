@@ -1,10 +1,12 @@
 """Independent test oracles: a bit-at-a-time interpreter and its brute-force
-enumeration for the machine; a tree walk, the pieces of the interval table
-and the base machine's totality for the left-total transform; and a
-per-input preimage count for the compiled transducer."""
+enumeration for the machine, and a prefix scan for its halting-sequence
+proxy; a tree walk, the pieces of the interval table and the base
+machine's totality for the left-total transform; and a per-input preimage
+count for the compiled transducer."""
 
 from typing import NamedTuple
 
+from ait.codec import all_strings_upto
 from ait.leftward import IntervalTable, run_left_total
 from ait.machine import (
     ExecOutcome,
@@ -201,3 +203,12 @@ class UTotality:
             )
         self._memo[x] = result
         return result
+
+
+def halting_proxy_by_scan(cfg: MachineConfig, aux: str = "") -> str:
+    """The halting-sequence proxy bits, one per string of at most L bits in
+    canonical order: a string halts when one of its prefixes is a minimal
+    halting program."""
+    programs = {r.program for r in get_enumeration(cfg, aux)}
+    return "".join("1" if any(s[:i] in programs for i in range(len(s) + 1)) else "0"
+                   for s in all_strings_upto(cfg.max_program_len))

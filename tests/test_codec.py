@@ -19,6 +19,7 @@ from ait.codec import (
     is_prefix_free,
     left_of,
     nat_to_bits,
+    prefix_pair,
 )
 from ait.dyadic import Dyadic
 
@@ -108,6 +109,21 @@ def test_left_of_matches_interval_order_exhaustive():
 def test_prefix_free_set_rejects_prefixes():
     with pytest.raises(ValueError):
         PrefixFreeSet(["0", "01"])
+    # "0" and "011" sit apart in canonical order ("0", "1", "011") but side
+    # by side lexicographically, and the error names them
+    with pytest.raises(ValueError, match="'0' is a proper prefix of '011'"):
+        PrefixFreeSet(["0", "1", "011"])
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.text(alphabet="01", max_size=5), max_size=8))
+def test_prefix_pair_matches_all_pairs(strings):
+    # oracle: compare every pair
+    offending = {(a, b) for a in strings for b in strings
+                 if len(a) < len(b) and b.startswith(a)}
+    pair = prefix_pair(strings)
+    assert (pair is None) == (not offending) == is_prefix_free(strings)
+    assert pair is None or pair in offending
 
 
 def test_kraft_sum_exact():

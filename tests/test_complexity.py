@@ -30,6 +30,8 @@ from ait.machine import (
 )
 from ait.predicates import BinaryPredicate, cylinder
 
+from oracles import halting_proxy_by_scan
+
 
 def test_witness_reproduces_target(fixture_cfg):
     for x in ("", "0", "0101", "10110010"):
@@ -194,6 +196,14 @@ def test_halting_proxy_shape(fixture_cfg, enumeration):
     for s in ("0", "11111", "110", "0100", "1110111"):
         expect = "1" if run(s, "", fixture_cfg.fuel).halted else "0"
         assert proxy.bits[idx[s]] == expect
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(max_len=st.integers(1, 14), fuel=st.integers(1, 64) | st.integers(65, 4096),
+       aux=st.text(alphabet="01", max_size=8))
+def test_halting_proxy_matches_prefix_scan(max_len, fuel, aux):
+    cfg = MachineConfig(max_len, fuel)
+    assert halting_proxy(cfg, aux).bits == halting_proxy_by_scan(cfg, aux)
 
 
 def test_halting_proxy_fuel_monotone(fixture_cfg, double_fuel_cfg):

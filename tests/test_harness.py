@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ait.cli import main
 from ait.codec import PrefixFreeSet, encode_string_set
@@ -19,7 +25,13 @@ from ait.harness import (
     s_n_set,
 )
 from ait.measures import HittingInfeasible
-from ait.monotone import ThresholdNotFound, ZeroMeasureSet, uniform_table
+from ait.monotone import (
+    ThresholdNotFound,
+    ZeroMeasureSet,
+    point_mass_table,
+    random_pow2_table,
+    uniform_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -454,3 +466,121 @@ def test_rewrite_frozen_updates_constants(tmp_path):
     _rewrite_frozen({"c_chain": 23}, str(stub))
     assert '"c_chain": 23' in stub.read_text()
     assert '"c_machine": 1' in stub.read_text()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main(): random argv and input files end in an exit code, never in
+# a traceback
+# ---------------------------------------------------------------------------
+
+def _mostly(good, bad):
+    """``good`` seven times in eight, else ``bad``: malformed input reaches
+    the parsers, and well-formed input reaches the computations behind them."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+
+
+_BITS = st.text(alphabet="01", max_size=3)  # short, so elements meet supports
+_TOKEN = _mostly(_BITS | st.just("-"), st.sampled_from(["x", "012", "-1", " 0", "0" * 30]))
+_SMALL = _mostly(st.integers(0, 3).map(str), st.sampled_from(["-1", "x", ""]))
+_DYADIC = _mostly(st.builds("1/2^{}".format, st.integers(0, 4)),
+                  st.builds("{}/2^{}".format, st.integers(-1, 9), st.integers(0, 6))
+                  | st.sampled_from(["1/3", "x", "", "0"]))
+_JUNK = _mostly(st.just(""), st.sampled_from(["\t\n", "a\tb\tc\n", "caf\u00e9\n"]))
+
+
+def _lines(line, max_size=3):
+    """A file of generated lines, sometimes with a malformed one at the end."""
+    return st.builds(lambda rows, junk: "".join(r + "\n" for r in rows) + junk,
+                     st.lists(line, max_size=max_size), _JUNK)
+
+
+_SET_ENCODING = st.lists(_BITS, max_size=3).map(
+    lambda members: encode_string_set(sorted(set(members), key=lambda x: (len(x), x))))
+_TABLE_ROW = st.builds("{}\t{}\t{}".format, st.text(alphabet="01", max_size=3),
+                       st.integers(-1, 4), _DYADIC)
+_TABLE = st.builds(uniform_table, st.integers(0, 3)) \
+    | st.builds(point_mass_table, st.integers(0, 4)) \
+    | st.builds(random_pow2_table, st.integers(0, 99), st.integers(0, 4))
+_FILES = {
+    "set": _lines(_TOKEN),
+    "measure": _lines(st.builds("{}\t{}".format, _BITS, _DYADIC)),
+    "sets": _lines(st.builds("{}\t{}".format, _mostly(_SET_ENCODING, _BITS), _DYADIC)),
+    "table": _mostly(_TABLE.map(lambda t: t.serialize()),
+                     st.builds(str.__add__, _TABLE.map(lambda t: t.serialize()),
+                               _lines(_TABLE_ROW)) | _lines(_TABLE_ROW, 6)),
+    "pred": _lines(st.builds("{}\t{}".format, _mostly(st.integers(1, 6), st.integers(-1, 0)),
+                             _mostly(st.integers(0, 1), st.just(2)))),
+    "config": _lines(_mostly(
+        st.builds("{}={}".format, st.sampled_from(["max_len", "fuel", "stoch_max_v_len"]),
+                  st.integers(1, 10)) | st.sampled_from(["lambda_scoring=k", "# note"]),
+        st.sampled_from(["seed=1", "fuel=x", "max_len=0", "lambda_scoring=x", "fuel"]))),
+}
+
+# one argv tail per subcommand; "@name" stands for the path of a generated
+# file and "!name" for a path under a directory that does not exist
+_COMMANDS = st.one_of(
+    st.builds(lambda a: ["machine", "enumerate", "--aux", a], _TOKEN),
+    st.sampled_from([["border"], ["omega"], ["calibrate"]]),
+    st.builds(lambda p, t, c: ["mb", "--prefix", p, "--target", t, "--cond", c],
+              _TOKEN, _TOKEN, _TOKEN),
+    st.builds(lambda cmd, x, c: [cmd, x, "--cond", c], st.sampled_from(["k", "m"]),
+              _TOKEN, _TOKEN),
+    st.builds(lambda c: ["mset", "@set", "--cond", c], _TOKEN),
+    st.just(["km", "@set"]),
+    st.builds(lambda e, c: ["deficiency", "--element", e, "--measure", "@measure",
+                            "--cond", c], _TOKEN, _TOKEN),
+    st.builds(lambda e, flags: ["stoch", "--element", e] + flags, _TOKEN, st.lists(
+        st.builds(lambda flag, value: [flag, value],
+                  st.sampled_from(["--max-v-len", "--fuel-v"]), _SMALL)
+        | st.sampled_from([["--scoring", "k"], ["--scoring", "3logk"], ["--scoring", "x"]]),
+        max_size=2).map(lambda pairs: sum(pairs, []))),
+    st.builds(lambda i, c, d: ["hitvec", "--sets", "@sets", "--measure", "@measure",
+                               "-i", i, "-c", c, "-d", d], _SMALL, _SMALL, _SMALL),
+    st.builds(lambda k: ["nu", "build", "@table"] + k,
+              st.lists(_SMALL, max_size=1).map(lambda k: ["--stages"] + k if k else [])),
+    st.builds(lambda y: ["nu", "apply", "@table", y], _mostly(st.text("01", max_size=12), _TOKEN)),
+    st.builds(lambda g, n: ["nu", "preimage", "@table", ",".join(g), n],
+              st.lists(_BITS, min_size=1, max_size=3), _mostly(st.integers(0, 8).map(str), _SMALL)),
+    st.just(["predicate", "complete", "@pred"]),
+    st.builds(lambda name, out: ["experiment", name, "--out", out],
+              st.sampled_from(["set_probability", "clopen", "predicate", "all"]),
+              _mostly(st.just("@report"), st.just("!report"))),
+)
+
+
+_EMPTY_FILES = dict.fromkeys(_FILES, "")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=_COMMANDS, files=st.fixed_dictionaries(_FILES),
+       max_len=_mostly(st.integers(1, 10), st.integers(-1, 0)),
+       fuel=_mostly(st.integers(1, 300), st.integers(-1, 0)),
+       config=st.booleans(), trailing=st.booleans())
+# the two tracebacks the generator found: k_t(000000) is infinite in 4 bits,
+# and a weight of 2 has no log-weight
+@example(command=["calibrate"], files=_EMPTY_FILES, max_len=4, fuel=64,
+         config=False, trailing=False)
+@example(command=["deficiency", "--element", "0", "--measure", "@measure", "--cond", "-"],
+         files={**_EMPTY_FILES, "measure": "0\t2/2^0\n"}, max_len=4, fuel=64,
+         config=False, trailing=False)
+def test_cli_never_ends_in_a_traceback(command, files, max_len, fuel, config, trailing):
+    bounds = ["--max-len", str(max_len), "--fuel", str(fuel)]
+    argv = command + bounds if trailing else bounds + command
+    if config:
+        argv = ["--config", "@config"] + argv
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, t[1:]) if t.startswith("@")
+                else os.path.join(tmp, "absent", t[1:]) if t.startswith("!")
+                else t for t in argv]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exit_info:
+                code = exit_info.code
+    assert code in (0, 1, 2), argv
+    if code == 2:  # a subcommand's parser names itself: "ait nu apply: error:"
+        assert re.search(r"^ait[a-z ]*: error: ", stderr.getvalue(), re.M), argv

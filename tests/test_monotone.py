@@ -117,6 +117,15 @@ def test_s_sets_partition_and_lengths():
             assert len(members) == 1 << st.n  # the sets tile the whole level
 
 
+def test_build_asserts_that_s_sets_tile_each_level(monkeypatch):
+    # stage 4 keeps only the root, so with the stage check switched off the
+    # strings of stage 3's other sets have no owner at stage 4
+    monkeypatch.setattr(monotone, "theta_violations", lambda t: [])
+    dropping = ThetaTable({**uniform_table(3).entries, ("", 4): Dyadic.one()}, 4)
+    with pytest.raises(AssertionError, match="stage 4: the S sets cover 0 of 64 strings"):
+        build_nu(dropping)
+
+
 def test_insufficient_mass_raises():
     # a valid table where the parent's bracket minimum cannot fund both
     # children's bracket minima: theta(0)=5/8 gives the parent mass 1/2,
