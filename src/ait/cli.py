@@ -255,7 +255,8 @@ def main(argv=None) -> int:
     pa.add_argument("y")
     pp = nsub.add_parser("preimage", parents=[common])
     pp.add_argument("table")
-    pp.add_argument("members", help="comma-separated prefix set")
+    pp.add_argument("members", help="comma-separated prefix set; an empty item or - is the "
+                    "empty string, and a list that opens with it is written ,0 or -- -,0")
     pp.add_argument("n", type=_nonnegative)
 
     p = sub.add_parser("predicate", help="predicate operations")

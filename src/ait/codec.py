@@ -111,18 +111,23 @@ def encode_self_delim(x: str) -> str:
     return "1" * len(x) + "0" + x
 
 
+def self_delim_at(s: str, pos: int = 0) -> tuple[str, int]:
+    """The self-delimiting code at s[pos], as (payload, index past it).
+    Never raises: the index passes len(s) when s ends inside the code."""
+    z = s.find("0", pos)
+    if z < 0:
+        return "", len(s) + 1
+    end = 2 * z + 1 - pos
+    return s[z + 1:end], end
+
+
 def decode_self_delim_from(s: str, pos: int = 0) -> tuple[str, int]:
-    n = 0
-    i = pos
-    while i < len(s) and s[i] == "1":
-        n += 1
-        i += 1
-    if i >= len(s):
-        raise DecodeError("unterminated unary header")
-    i += 1  # the '0' terminator
-    if i + n > len(s):
+    x, end = self_delim_at(s, pos)
+    if end > len(s):
+        if s.find("0", pos) < 0:
+            raise DecodeError("unterminated unary header")
         raise DecodeError("truncated payload")
-    return s[i:i + n], i + n
+    return x, end
 
 
 def decode_self_delim(s: str) -> str:
@@ -263,19 +268,40 @@ def encode_measure_entries(entries: Sequence[tuple[str, int, int]]) -> str:
     return "".join(out)
 
 
-def decode_measure_entries(s: str) -> list[tuple[str, int, int]]:
-    n, pos = decode_nat_from(s, 0)
+def decode_measure_prefix(s: str) -> tuple[Optional[int], list[tuple[str, int, int]], bool]:
+    """Read the measure encoding at the start of s as far as s goes: (the
+    count, or None while s ends inside its code; the entries read in full;
+    whether s is the whole encoding).
+
+    Each entry is checked when its third block completes.  Bits that are
+    malformed raise DecodeError as soon as they are read; a prefix that is
+    only cut short never raises.
+    """
+    count, pos = self_delim_at(s)
+    if pos > len(s):
+        return None, [], False
+    n = bits_to_nat(count)
     entries: list[tuple[str, int, int]] = []
-    for _ in range(n):
-        x, pos = decode_self_delim_from(s, pos)
-        num, pos = decode_nat_from(s, pos)
-        exp, pos = decode_nat_from(s, pos)
+    while len(entries) < n:
+        x, i = self_delim_at(s, pos)
+        num, j = self_delim_at(s, i)
+        exp, end = self_delim_at(s, j)
+        if end > len(s):
+            return n, entries, False
+        num, exp = bits_to_nat(num), bits_to_nat(exp)
         if num <= 0 or (num % 2 == 0 and exp > 0):
             raise DecodeError(f"non-canonical weight {num}/2^{exp}")
+        if entries and canon_key(x) <= canon_key(entries[-1][0]):
+            raise DecodeError("measure entries not in canonical order")
         entries.append((x, num, exp))
+        pos = end
     if pos != len(s):
         raise DecodeError("trailing bits after measure encoding")
-    keys = [canon_key(e[0]) for e in entries]
-    if keys != sorted(keys) or len(set(keys)) != len(keys):
-        raise DecodeError("measure entries not in canonical order")
+    return n, entries, True
+
+
+def decode_measure_entries(s: str) -> list[tuple[str, int, int]]:
+    _, entries, whole = decode_measure_prefix(s)
+    if not whole:
+        raise DecodeError("truncated measure encoding")
     return entries

@@ -191,8 +191,7 @@ class ChainRuleReport:
 
 def chain_rule_report(x: str, y: str, cfg: MachineConfig) -> ChainRuleReport:
     """Both sides of the chain rule at these bounds, with the signed gap."""
-    pair = encode_self_delim(x) + encode_self_delim(y)
-    k_pair = k_t(pair, "", cfg)
+    k_pair = k_t(pair_aux(x, y), "", cfg)
     k_x = k_t(x, "", cfg)
     if k_x.is_finite:
         k_y_given = k_t(y, pair_aux_nat(x, k_x.value), cfg)

@@ -259,7 +259,7 @@ def _conditional_removal_rows(rep: ExperimentReport, cfg: MachineConfig):
     """Conditional vs unconditional stochasticity, against the 3-log-k cost
     of the removed condition; search bounds are widened so that measure
     encodings stay reachable (the rows state their own bounds)."""
-    from .measures import StochBounds, StochasticityNotFound, stochasticity
+    from .measures import StochBounds, StochasticityNotFound, _int_log_score, stochasticity
 
     stoch_cfg = MachineConfig(max(cfg.max_program_len, 24), cfg.fuel)
     bounds = StochBounds(20, 256)
@@ -278,7 +278,7 @@ def _conditional_removal_rows(rep: ExperimentReport, cfg: MachineConfig):
             rep.measure(f"cond_removal.lambda(''|{y!r})", "not-found-within-bounds")
             continue
         k_y = cx.k_t(y, "", cfg)
-        cost = 3 * max(k_y.value - 1, 0).bit_length() if k_y.is_finite else None
+        cost = _int_log_score(k_y.value, "3logk") if k_y.is_finite else None
         rep.measure(f"cond_removal.lambda_cond.xe.y{y}", lam_cond,
                     against=f"max_v_len={bounds.max_v_len},fuel={bounds.fuel}")
         rep.measure(f"cond_removal.lambda_plus_3logk.xe.y{y}",
@@ -363,10 +363,7 @@ def exp_distortion(y: str, spec: DistortionSpec, cfg: MachineConfig) -> Experime
     except TotalSearchNotFound:
         rep.measure("b.search", "not-found-within-bounds")
     rep.measure("codeword.k", best[1])
-    try:
-        info_xy = cx.mutual_info_t(x_best, y, cfg)
-    except cx.InformationUndefined:
-        info_xy = None
+    info_xy = cx._info(x_best, y, cfg)
     info_yh = cx.info_with_halting(y, cfg)
     rep.measure("info.x_best_vs_y", _fmt_inf(info_xy))
     rep.measure("info.y_vs_halting", _fmt_inf(info_yh))

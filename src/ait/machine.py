@@ -50,6 +50,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
+from .codec import self_delim_at
 from .dyadic import Dyadic, dyadic_sum
 
 # ---------------------------------------------------------------------------
@@ -153,15 +154,6 @@ def _effect(op: str, num: int, y: str, aux: str, a: int, left: int):
     return (y, a, len(y)) if len(y) <= left else None  # EMIT_HALT, EMIT, RAW8_HALT, HALT
 
 
-def _block(program: str, i: int) -> tuple[str, int]:
-    """The literal block at program[i], as (payload, index past it); the
-    index passes len(program) when the program ends inside the block."""
-    n = 0
-    while i + n < len(program) and program[i + n] == "1":
-        n += 1
-    return program[i + n + 1:i + 2 * n + 1], i + 2 * n + 1
-
-
 def _decode(program: str, i: int):
     """The instruction whose code starts at program[i], as (op, num, y,
     index past its code).  The index is None when the program ends inside
@@ -173,12 +165,12 @@ def _decode(program: str, i: int):
         j += 1
     op, num, y = _OPCODES[program[i:j]], 0, ""
     if op in ("POW_HALT", "COPY_N"):
-        bits, j = _block(program, j)
+        bits, j = self_delim_at(program, j)
         num = int(bits or "0", 2)
     if op == "RAW8_HALT":
         y, j = program[j:j + 8], j + 8
     elif op in _LITERAL:
-        y, j = _block(program, j)
+        y, j = self_delim_at(program, j)
     return op, num, y, j if j <= len(program) else None
 
 

@@ -18,7 +18,9 @@ from .codec import (
     assert_bits,
     canon_key,
     canonical_sorted,
+    DecodeError,
     decode_measure_entries,
+    decode_measure_prefix,
     decode_string_set,
     encode_measure_entries,
 )
@@ -278,68 +280,24 @@ def _int_log_score(k: int, scoring: str) -> int:
 def _measure_prefix_state(bits: str, a: str) -> str:
     """Classify a candidate output prefix: 'dead', 'viable', or 'complete'.
 
-    The grammar is the canonical measure encoding; a prefix is viable while
-    some extension could still decode to a valid probability measure whose
-    support contains ``a``.
+    A prefix is viable while some extension could still decode to a valid
+    probability measure whose support contains ``a``.
     """
-    pos = 0
-    blocks: list[str] = []
-    while True:
-        n = 0
-        i = pos
-        while i < len(bits) and bits[i] == "1":
-            n += 1
-            i += 1
-        if i >= len(bits) or i + 1 + n > len(bits):
-            return _classify_partial(blocks, a, final=False)
-        blocks.append(bits[i + 1:i + 1 + n])
-        pos = i + 1 + n
-        verdict = _classify_partial(blocks, a, final=pos == len(bits))
-        if verdict != "viable" or pos == len(bits):
-            return verdict
-
-
-def _classify_partial(blocks: list[str], a: str, final: bool) -> str:
-    if not blocks:
-        return "viable"
-    if blocks[0].startswith("0"):
-        return "dead"  # non-canonical count
-    n = int(blocks[0], 2) if blocks[0] else 0
-    if n == 0:
-        return "dead"  # a probability measure needs support
-    entry_blocks = blocks[1:]
-    if len(entry_blocks) > 3 * n:
+    try:
+        count, entries, whole = decode_measure_prefix(bits)
+    except DecodeError:
         return "dead"
-    total = Fraction(0)
-    seen_a = False
-    prev_key = None
-    for j in range(0, len(entry_blocks) - len(entry_blocks) % 3, 3):
-        x, num_bits, exp_bits = entry_blocks[j:j + 3]
-        if num_bits.startswith("0") or exp_bits.startswith("0"):
-            return "dead"  # non-canonical numbers
-        num = int(num_bits, 2) if num_bits else 0
-        exp = int(exp_bits, 2) if exp_bits else 0
-        if num <= 0 or (num % 2 == 0 and exp > 0):
-            return "dead"
-        key = canon_key(x)
-        if prev_key is not None and key <= prev_key:
-            return "dead"
-        prev_key = key
-        seen_a = seen_a or x == a
-        total += Fraction(num, 1 << exp)
-        if total > 1:
-            return "dead"
-    entries_done = len(entry_blocks) // 3
-    if not seen_a:
-        # canonical order: once past a's position, a can no longer appear
-        if entries_done and prev_key is not None and prev_key > canon_key(a):
-            return "dead"
-        if entries_done == n:
-            return "dead"
-    if entries_done == n and len(entry_blocks) % 3 == 0:
-        if total != 1:
-            return "dead"
-        return "complete" if final else "dead"
+    if count is None:
+        return "viable"
+    total = sum(Fraction(num, 1 << exp) for _, num, exp in entries)
+    if count == 0 or total > 1:
+        return "dead"  # a probability measure needs support and mass at most 1
+    if all(x != a for x, _, _ in entries) and (
+        whole or entries and canon_key(entries[-1][0]) > canon_key(a)
+    ):
+        return "dead"  # canonical order: once past a's place, a cannot appear
+    if whole:
+        return "complete" if total == 1 else "dead"
     return "viable"
 
 

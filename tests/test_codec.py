@@ -11,7 +11,11 @@ from ait.codec import (
     bits_to_nat,
     canonical_sorted,
     decode_self_delim,
+    decode_measure_entries,
+    decode_measure_prefix,
+    decode_self_delim_from,
     decode_string_set,
+    encode_measure_entries,
     encode_nat,
     encode_self_delim,
     encode_string_set,
@@ -20,6 +24,7 @@ from ait.codec import (
     left_of,
     nat_to_bits,
     prefix_pair,
+    self_delim_at,
 )
 from ait.dyadic import Dyadic
 
@@ -44,6 +49,40 @@ def test_self_delim_roundtrip_exhaustive():
 def test_self_delim_image_prefix_free_exhaustive():
     codes = sorted(encode_self_delim(x) for x in all_strings_upto(10))
     assert is_prefix_free(codes)
+
+
+def test_self_delim_at_passes_the_end_exactly_when_decoding_raises():
+    # every truncation of every code, read at the start and after another code
+    for x in all_strings_upto(8):
+        code = encode_self_delim(x)
+        for cut in range(len(code) + 1):
+            for head in ("", "101"):
+                s = head + code[:cut]
+                at = self_delim_at(s, len(head))
+                try:
+                    assert decode_self_delim_from(s, len(head)) == at
+                except DecodeError:
+                    assert at[1] > len(s), s
+                else:
+                    assert at[1] <= len(s), s
+        assert self_delim_at(code) == (x, len(code))
+
+
+def test_measure_decoder_accepts_only_canonical_encodings():
+    # a string decodes only to the entries whose encoding it is, and reading
+    # any proper prefix of it returns the entries read so far without raising
+    decoded = 0
+    for s in all_strings_upto(14):
+        try:
+            entries = decode_measure_entries(s)
+        except DecodeError:
+            continue
+        decoded += 1
+        assert encode_measure_entries(entries) == s
+        for cut in range(len(s)):
+            _, read, whole = decode_measure_prefix(s[:cut])
+            assert not whole and read == entries[:len(read)]
+    assert decoded == 74
 
 
 def test_nat_convention():

@@ -262,6 +262,17 @@ def test_cli_nu(tmp_path, capsys):
     assert payload[0]["N"] == 1
 
 
+def test_cli_nu_preimage_empty_member_first(tmp_path, capsys):
+    # argparse reads "-,0" as an option; ",0" and "-- -,0" name the same set as "0,-"
+    path = tmp_path / "theta.tsv"
+    path.write_text(uniform_table(3).serialize())
+    counts = []
+    for members in ([",0"], ["--", "-,0"], ["0,-"]):
+        assert main(["nu", "preimage", str(path), *members, "4"]) == 0
+        counts.append(capsys.readouterr().out.strip())
+    assert counts == ["16"] * 3
+
+
 def test_cli_predicate(tmp_path, capsys):
     path = tmp_path / "pred.tsv"
     path.write_text("2\t0\n4\t0\n")

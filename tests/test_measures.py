@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ait.codec import Lcg, decode_self_delim_from, encode_string_set, is_prefix_free
+from ait.codec import (
+    DecodeError,
+    Lcg,
+    all_strings_upto,
+    decode_self_delim_from,
+    encode_nat,
+    encode_self_delim,
+    encode_string_set,
+    is_prefix_free,
+)
 from ait.complexity import pair_aux
 from ait.machine import MachineConfig, run, search_programs
 from ait.measures import (
@@ -163,6 +172,64 @@ def test_measure_prefix_state_grammar():
         assert _measure_prefix_state(enc[:cut], "") in ("viable", "dead")
     assert _measure_prefix_state(enc[:3], "") == "viable"
     assert _measure_prefix_state("0", "") == "dead"  # zero-count measure
+
+    def two_of_three(*entries):  # three entries announced, two read
+        return encode_nat(3) + "".join(
+            encode_self_delim(x) + encode_nat(num) + encode_nat(exp) for x, num, exp in entries)
+
+    halves = two_of_three(("0", 1, 1), ("1", 1, 2))
+    assert _measure_prefix_state(halves, "00") == "viable"
+    assert _measure_prefix_state(halves, "") == "dead"  # past a's place
+    assert _measure_prefix_state(two_of_three(("0", 1, 0), ("1", 1, 1)), "0") == "dead"  # mass 3/2
+    assert _measure_prefix_state(two_of_three(("", 1, 1), ("", 1, 2)), "") == "dead"  # repeated
+
+
+def _covers(bits, a):
+    """The definition of a complete output: it decodes to a valid
+    probability measure whose support contains a."""
+    try:
+        w = decode_measure(bits)
+    except DecodeError:
+        return False
+    return not measure_violations(w) and a in w.weights
+
+
+@pytest.mark.parametrize("a", ["", "0", "01"])
+def test_prefix_state_complete_exactly_when_the_measure_decodes(a):
+    for bits in all_strings_upto(14):
+        assert (_measure_prefix_state(bits, a) == "complete") == _covers(bits, a), bits
+
+
+@pytest.mark.parametrize("a", ["", "0", "01"])
+def test_prefix_state_dead_stays_dead(a):
+    for bits in all_strings_upto(13):
+        if _measure_prefix_state(bits, a) == "dead":
+            assert _measure_prefix_state(bits + "0", a) == "dead", bits
+            assert _measure_prefix_state(bits + "1", a) == "dead", bits
+
+
+@st.composite
+def _dyadic_probability_measures(draw):
+    """A dyadic probability measure, by cutting [0, 1] at distinct points of
+    the 2^-m grid, and one element of its support."""
+    support = draw(st.lists(st.text("01", max_size=4), min_size=1, max_size=5, unique=True))
+    m = draw(st.integers(max(1, (len(support) - 1).bit_length()), 6))
+    cuts = draw(st.sets(st.integers(1, (1 << m) - 1),
+                        min_size=len(support) - 1, max_size=len(support) - 1))
+    ends = [0, *sorted(cuts), 1 << m]
+    w = ElementaryMeasure({x: Fraction(hi - lo, 1 << m)
+                           for x, lo, hi in zip(support, ends, ends[1:])})
+    return w, draw(st.sampled_from(support))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dyadic_probability_measures())
+def test_every_proper_prefix_of_a_covering_measure_is_viable(case):
+    w, a = case
+    enc = encode_measure(w)
+    assert _measure_prefix_state(enc, a) == "complete"
+    for cut in range(len(enc)):
+        assert _measure_prefix_state(enc[:cut], a) == "viable", enc[:cut]
 
 
 def test_stochasticity_point_mass(fixture_cfg):
