@@ -23,7 +23,6 @@ from .measures import (
     SEMIMEASURE,
     HittingInfeasible,
     NotInSupport,
-    StochBounds,
     StochasticityNotFound,
     SupportNotHeavy,
     UnreachableSupport,
@@ -163,8 +162,13 @@ def _machine_config(args) -> MachineConfig:
         for entry in _read_lines(args.config, _config_entry):
             if entry is not None:
                 setattr(args, *entry)
+    return _bounds(args.max_len, args.fuel)
+
+
+def _bounds(max_len: int, fuel: int) -> MachineConfig:
+    """MachineConfig(max_len, fuel), whose own check fails as a usage error."""
     try:
-        return MachineConfig(args.max_len, args.fuel)
+        return MachineConfig(max_len, fuel)
     except ValueError as err:
         raise _UsageError(str(err)) from None
 
@@ -348,15 +352,13 @@ def _dispatch(args, cfg: MachineConfig) -> int:
         max_v_len = args.stoch_max_v_len
         if max_v_len is None:
             max_v_len = cfg.max_program_len
-        if min(max_v_len, args.stoch_fuel) < 1:
-            raise _UsageError("--max-v-len and --fuel-v bounds must be at least 1")
+        search = _bounds(max_v_len, args.stoch_fuel)
         if max_v_len > cfg.max_program_len:
             raise _UsageError(f"--max-v-len {max_v_len} exceeds "
                               f"--max-len {cfg.max_program_len}")
         res = stochasticity(
             _read_bits_token(args.element), _read_bits_token(args.cond),
-            StochBounds(max_v_len, args.stoch_fuel), cfg,
-            scoring=args.scoring,
+            search, cfg, scoring=args.scoring,
         )
         return _emit({"value": res.value, "witness": res.witness_program,
                       "deficiency": res.deficiency.value,

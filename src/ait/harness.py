@@ -259,15 +259,15 @@ def _conditional_removal_rows(rep: ExperimentReport, cfg: MachineConfig):
     """Conditional vs unconditional stochasticity, against the 3-log-k cost
     of the removed condition; search bounds are widened so that measure
     encodings stay reachable (the rows state their own bounds)."""
-    from .measures import StochBounds, StochasticityNotFound, _int_log_score, stochasticity
+    from .measures import StochasticityNotFound, _int_log_score, stochasticity
 
     stoch_cfg = MachineConfig(max(cfg.max_program_len, 24), cfg.fuel)
-    bounds = StochBounds(20, 256)
+    search = MachineConfig(20, 256)
 
     def lam(y: str) -> Optional[int]:
         """lambda('' | y), or None when no witness lies within the bounds."""
         try:
-            return stochasticity("", y, bounds, stoch_cfg).value
+            return stochasticity("", y, search, stoch_cfg).value
         except StochasticityNotFound:
             return None
 
@@ -280,7 +280,7 @@ def _conditional_removal_rows(rep: ExperimentReport, cfg: MachineConfig):
         k_y = cx.k_t(y, "", cfg)
         cost = _int_log_score(k_y.value, "3logk") if k_y.is_finite else None
         rep.measure(f"cond_removal.lambda_cond.xe.y{y}", lam_cond,
-                    against=f"max_v_len={bounds.max_v_len},fuel={bounds.fuel}")
+                    against=f"max_v_len={search.max_program_len},fuel={search.fuel}")
         rep.measure(f"cond_removal.lambda_plus_3logk.xe.y{y}",
                     None if cost is None else lam_plain + cost)
 

@@ -181,24 +181,12 @@ def is_total_uprime(x: str, table: IntervalTable) -> bool:
 
 def border_prefix(cfg: MachineConfig, aux: str = "") -> BorderPrefix:
     """Deepest prefix whose subtree still holds both total and non-total
-    expansions of the transformed machine: descend right while the right
-    child has halting mass and is not total, else descend left while the
-    left child is mixed."""
-    table = get_interval_table(cfg, aux)
-    L = cfg.max_program_len
-    omega = table.omega_grid
-    x = ""
-    while len(x) < L:
-        lo1, hi1 = _grid_interval(x + "1", L)
-        if lo1 < omega < hi1:
-            x += "1"
-            continue
-        lo0, hi0 = _grid_interval(x + "0", L)
-        if lo0 < omega < hi0:
-            x += "0"
-            continue
-        break
-    return BorderPrefix(x, cfg)
+    expansions of the transformed machine.  Totality is contiguous from 0
+    up to omega, so a prefix is mixed exactly when omega lies strictly
+    inside its interval: the L-bit expansion of omega cut before its last
+    1 bit (empty when omega is 0 or 1)."""
+    s = format(get_interval_table(cfg, aux).omega_grid, f"0{cfg.max_program_len}b")
+    return BorderPrefix(s[:max(s.rfind("1"), 0)], cfg)
 
 
 def omega_pair(b: BorderPrefix | str, cfg: MachineConfig, aux: str = "") -> tuple[Dyadic, Dyadic]:

@@ -95,7 +95,6 @@ class ProgramRecord:
     program: str
     output: str
     steps: int
-    aux: str
 
 
 # fixture located by exhaustive enumeration at L=16, t=4096: the shortest
@@ -258,19 +257,15 @@ def run(program: str, aux: str = "", fuel: int = 2048) -> ExecOutcome:
 # exhaustive enumeration of the fuel-bounded domain
 # ---------------------------------------------------------------------------
 
-def _anything(out: str) -> bool:
-    return True
-
-
 def enumerate_halting(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
     """All minimal halting programs with len <= L and steps <= fuel.
 
-    The level-order walk of ``search_programs`` with every output viable and
-    accepted and no cutoff.  Sorted by (convergence time, lexicographic
-    program) ascending; ties in convergence time are broken
+    The level-order walk of ``search_programs`` with no state callback, so
+    every output is complete, and no cutoff.  Sorted by (convergence time,
+    lexicographic program) ascending; ties in convergence time are broken
     lexicographically so enumeration order is a total deterministic order.
     """
-    return search_programs(cfg, aux, _anything, _anything)
+    return search_programs(cfg, aux)
 
 
 _ENUM_CACHE: dict[tuple[int, int, str], list[ProgramRecord]] = {}
@@ -316,29 +311,30 @@ def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:
 def search_programs(
     cfg: MachineConfig,
     aux: str,
-    viable: Callable[[str], bool],
-    accept: Callable[[str], bool],
+    state: Optional[Callable[[str], str]] = None,
     *,
     cutoff: Optional[Callable[[ProgramRecord], int]] = None,
 ) -> list[ProgramRecord]:
-    """Every minimal halting program within bounds whose output is accepted,
+    """Every minimal halting program within bounds whose output is complete,
     sorted by (steps, program).
 
-    The walk keeps only branches whose output stays viable.  ``viable(out)``
-    must be monotone: once false it stays false for every extension of the
-    output (output only ever grows).  ``accept(out)`` classifies a halting
-    output.
+    ``state(out)`` answers "dead", "viable" or "complete" for an output.  The
+    walk asks it once on the empty output and once on the output after each
+    instruction it expands.  A dead output prunes its branch, so once an
+    output is dead every extension of it must be dead too (output only ever
+    grows); a halting program is recorded when its output is complete.  With
+    no ``state`` every output is complete.
 
     The walk goes in level order: every program of length n before any of
     length n + 1, lexicographically within a level.  At level n each open
     instruction boundary, with a prefix of p bits, takes the instructions
     whose codes have exactly n - p bits.  ``cutoff(record)`` is called on
-    each accepted record in that order, and no level longer than the least
+    each recorded program in that order, and no level longer than the least
     value it has returned is started; only the records found up to there
     are returned.
     """
     results: list[ProgramRecord] = []
-    if not viable(""):
+    if state is not None and state("") == "dead":
         return results
     fuel, limit = cfg.fuel, cfg.max_program_len
     boundaries = [("", "", 0, 0)]  # (prefix, output, aux position, steps)
@@ -349,12 +345,13 @@ def search_programs(
         for prefix, out, a, steps in boundaries:
             for code, emitted, after, spent in expand(aux, fuel, a, steps, n - len(prefix)):
                 output = out + emitted
-                if not viable(output):
+                kind = "complete" if state is None else state(output)
+                if kind == "dead":
                     continue
                 if after is not None:
                     reached.append((prefix + code, output, after, spent))
-                elif accept(output):
-                    level.append(ProgramRecord(prefix + code, output, spent, aux))
+                elif kind == "complete":
+                    level.append(ProgramRecord(prefix + code, output, spent))
         # a boundary stays open while a code one bit longer still fits
         boundaries = [(prefix, out, a, steps) for prefix, out, a, steps in boundaries + reached
                       if steps + (n + 1 - len(prefix)) + 1 <= fuel]
@@ -562,7 +559,7 @@ def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[Program
         codes.append(code)
         left -= len(code)
         spent += w
-    return ProgramRecord("".join(codes), x, len(x) + spent, aux)
+    return ProgramRecord("".join(codes), x, len(x) + spent)
 
 
 def mass_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Dyadic:
@@ -617,7 +614,7 @@ def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
     if best is None:
         return None
     out = run(best.program, aux, cfg.fuel)  # the output may run past the member
-    return ProgramRecord(best.program, out.output, out.steps, aux)
+    return ProgramRecord(best.program, out.output, out.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -250,18 +250,11 @@ def condition_measure(q: ElementaryMeasure, members: Iterable[str]) -> Elementar
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StochBounds:
-    max_v_len: int
-    fuel: int
-
-
-@dataclass(frozen=True)
 class StochasticityResult:
     value: int
     witness_program: str
     witness_measure: ElementaryMeasure
     deficiency: DeficiencyValue
-    search_bounds: StochBounds
 
 
 class StochasticityNotFound(RuntimeError):
@@ -270,9 +263,12 @@ class StochasticityNotFound(RuntimeError):
 
 
 def _int_log_score(k: int, scoring: str) -> int:
-    """3 * ceil(log2 max(k, 1)) (default), or the flat alternative max(k, 0)."""
+    """3 * ceil(log2 max(k, 1)) under "3logk", or the flat alternative
+    max(k, 0) under "k"."""
     if scoring == "k":
         return max(k, 0)
+    if scoring != "3logk":
+        raise ValueError(f"unknown scoring {scoring!r}")
     k = max(k, 1)
     return 3 * ((k - 1).bit_length())
 
@@ -304,25 +300,26 @@ def _measure_prefix_state(bits: str, a: str) -> str:
 def stochasticity(
     a: str,
     y: str,
-    bounds: StochBounds,
+    search: MachineConfig,
     cfg: MachineConfig,
     scoring: str = "3logk",
 ) -> StochasticityResult:
-    """min over programs v (len <= max_v_len) outputting a valid elementary
-    probability measure W with a in supp(W), of len(v) + 3 log max(d, 1)
-    where d = deficiency(a | W, <v, y>).  Ties break toward shorter then
-    lexicographically smaller v.
+    """min over programs v within the ``search`` bounds outputting a valid
+    elementary probability measure W with a in supp(W), of len(v) + 3 log
+    max(d, 1) where d = deficiency(a | W, <v, y>).  Ties break toward
+    shorter then lexicographically smaller v.
 
-    The walk prunes branches whose output can no longer extend to a valid
-    encoding and scores each candidate as it finds it, in order of length.
+    The walk classifies each output once with ``_measure_prefix_state``,
+    prunes branches whose output can no longer extend to a valid encoding,
+    and scores each candidate as it finds it, in order of length.
     Both scorings add a nonnegative term to len(v), so no program longer
     than the best value found so far can win, and the walk stops after that
-    length.  The result is the one a naive scan over all 2^max_v_len
-    strings gives.
+    length.  The result is the one a naive scan over every string within
+    the search length gives.
     """
-    search_cfg = MachineConfig(bounds.max_v_len, bounds.fuel)
-    if bounds.max_v_len > cfg.max_program_len:
+    if search.max_program_len > cfg.max_program_len:
         raise ValueError("search bounds exceed the governing config")
+    _int_log_score(0, scoring)  # an unknown scoring fails even if nothing is found
     best: Optional[tuple[int, int, str]] = None
     best_payload = None
 
@@ -332,7 +329,7 @@ def stochasticity(
         try:
             d = deficiency(a, w, pair_aux(rec.program, y), cfg)
         except UnreachableSupport:
-            return bounds.max_v_len
+            return search.max_program_len
         value = len(rec.program) + _int_log_score(d.value, scoring)
         key = (value, len(rec.program), rec.program)
         if best is None or key < best:
@@ -340,18 +337,13 @@ def stochasticity(
             best_payload = (rec, w, d)
         return best[0]
 
-    search_programs(
-        search_cfg, y,
-        viable=lambda out: _measure_prefix_state(out, a) != "dead",
-        accept=lambda out: _measure_prefix_state(out, a) == "complete",
-        cutoff=score,
-    )
+    search_programs(search, y, lambda out: _measure_prefix_state(out, a), cutoff=score)
     if best_payload is None:
         raise StochasticityNotFound(
-            f"no measure covering {a!r} is reachable within {bounds}"
+            f"no measure covering {a!r} is reachable within {search}"
         )
     rec, w, d = best_payload
-    return StochasticityResult(best[0], rec.program, w, d, bounds)
+    return StochasticityResult(best[0], rec.program, w, d)
 
 
 # ---------------------------------------------------------------------------

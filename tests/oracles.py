@@ -1,13 +1,14 @@
 """Independent test oracles: a bit-at-a-time interpreter and its brute-force
 enumeration for the machine, and a prefix scan for its halting-sequence
-proxy; a tree walk, the pieces of the interval table and the base
-machine's totality for the left-total transform; and a per-input preimage
-count for the compiled transducer."""
+proxy; a tree walk, the pieces of the interval table, the base machine's
+totality and a child-by-child descent to the border prefix for the
+left-total transform; and a per-input preimage count for the compiled
+transducer."""
 
 from typing import NamedTuple
 
 from ait.codec import all_strings_upto
-from ait.leftward import IntervalTable, run_left_total
+from ait.leftward import IntervalTable, _grid_interval, run_left_total
 from ait.machine import (
     ExecOutcome,
     MachineConfig,
@@ -107,7 +108,7 @@ def halting_by_bits(max_len: int, fuel: int, aux: str = "") -> list[ProgramRecor
             p = format(v, f"0{n}b")
             out = run_by_bits(p, aux, fuel)
             if out.halted and out.bits_read == n:
-                records.append(ProgramRecord(p, out.output, out.steps, aux))
+                records.append(ProgramRecord(p, out.output, out.steps))
     records.sort(key=lambda r: (r.steps, r.program))
     return records
 
@@ -127,6 +128,24 @@ def is_total_uprime_by_walk(x: str, table: IntervalTable) -> bool:
         return down(y + "0") and down(y + "1")
 
     return down(x)
+
+
+def border_by_descent(omega: int, L: int) -> str:
+    """The border prefix for a halting mass of ``omega`` units of 2^-L: from
+    the root, descend right while the right child's interval holds omega
+    strictly inside, else left while the left child's does."""
+    x = ""
+    while len(x) < L:
+        lo1, hi1 = _grid_interval(x + "1", L)
+        if lo1 < omega < hi1:
+            x += "1"
+            continue
+        lo0, hi0 = _grid_interval(x + "0", L)
+        if lo0 < omega < hi0:
+            x += "0"
+            continue
+        break
+    return x
 
 
 def preimage_count_by_apply(nu, members, n: int) -> int:

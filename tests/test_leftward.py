@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,8 @@ from ait.leftward import (
     shortest_total_satisfying,
     total_strings_of_length,
 )
-from ait.machine import Status, kraft_sum
-from oracles import UTotality, is_total_uprime_by_walk, table_pieces
+from ait.machine import MachineConfig, Status, kraft_sum
+from oracles import UTotality, border_by_descent, is_total_uprime_by_walk, table_pieces
 
 
 def all_strings_of(n):
@@ -206,6 +207,24 @@ def test_border_against_brute_force(fixture_cfg, interval_table):
 
     assert b.bits == walk()
     assert b.bits == "1110001111100"  # frozen from the first build
+
+
+def test_border_closed_form_matches_descent(monkeypatch):
+    # every grid halting mass from 0 to 1 inclusive, at every L up to 12,
+    # in place of the table's (border_prefix reads only its omega_grid)
+    for L in range(1, 13):
+        cfg = MachineConfig(L, 64)
+        for omega in range((1 << L) + 1):
+            table = SimpleNamespace(omega_grid=omega)
+            monkeypatch.setattr(leftward, "get_interval_table", lambda cfg, aux: table)
+            assert border_prefix(cfg).bits == border_by_descent(omega, L), (L, omega)
+
+
+@pytest.mark.parametrize("aux", ["", "0", "0110"])
+def test_border_matches_descent_on_fixture_tables(fixture_cfg, double_fuel_cfg, small_cfg, aux):
+    for cfg in (fixture_cfg, double_fuel_cfg, small_cfg):
+        omega = get_interval_table(cfg, aux).omega_grid
+        assert border_prefix(cfg, aux).bits == border_by_descent(omega, cfg.max_program_len)
 
 
 def _lo(x, cfg):

@@ -138,6 +138,16 @@ def test_run_matches_bit_level_oracle(program, aux, fuel):
     assert _outcome(run(program, aux, fuel)) == _outcome(run_by_bits(program, aux, fuel))
 
 
+def _state(viable, accept):
+    """The walk's state callback from a monotone viability test and a
+    classifier of halting outputs."""
+    def state(out):
+        if not viable(out):
+            return "dead"
+        return "complete" if accept(out) else "viable"
+    return state
+
+
 def _search_by_filter(records, max_len, viable, accept, cutoff):
     """search_programs read off a full record list: the records with a viable
     accepted output, handed to ``cutoff`` level by level, lexicographically
@@ -185,10 +195,10 @@ def test_walks_match_bit_level_enumeration(aux, max_len, fuel, banned, cap, modu
     for f in sorted(sweep):
         cfg = MachineConfig(max_len, f)
         within = [r for r in everything if r.steps <= f]
-        assert search_programs(cfg, aux, viable, accept) == \
+        assert search_programs(cfg, aux, _state(viable, accept)) == \
             _search_by_filter(within, max_len, viable, accept, lambda rec: max_len)
         seen, expected_seen = [], []
-        got = search_programs(cfg, aux, viable, accept, cutoff=recorder(seen))
+        got = search_programs(cfg, aux, _state(viable, accept), cutoff=recorder(seen))
         assert got == _search_by_filter(within, max_len, viable, accept, recorder(expected_seen))
         assert seen == expected_seen
 
@@ -209,10 +219,33 @@ def test_level_order_walk_matches_enumeration(aux, max_len, fuel, slack):
         seen.append(rec)
         return len(seen[0].program) + slack
 
-    cut = search_programs(cfg, aux, lambda out: True, lambda out: True, cutoff=cutoff)
+    cut = search_programs(cfg, aux, lambda out: "complete", cutoff=cutoff)
     limit = min((len(r.program) for r in everything), default=0) + slack
     assert cut == [r for r in everything if len(r.program) <= limit]
     assert seen == sorted(cut, key=lambda r: (len(r.program), r.program))
+
+
+def test_walk_classifies_each_output_once(monkeypatch):
+    # one state call on the empty output, then one per instruction that
+    # expand yields, whatever the answer: a halting output is not asked twice
+    import ait.machine as machine
+
+    yielded, asked = [], []
+    expand = machine.expand
+
+    def counting_expand(*args):
+        for item in expand(*args):
+            yielded.append(item)
+            yield item
+
+    def state(out):
+        asked.append(out)
+        return "dead" if "11" in out else "complete" if len(out) % 2 else "viable"
+
+    monkeypatch.setattr(machine, "expand", counting_expand)
+    records = search_programs(MachineConfig(12, 256), "0110", state)
+    assert records and any("11" in out for out in asked)  # some outputs complete, some dead
+    assert asked[0] == "" and len(asked) == 1 + len(yielded)
 
 
 def _least(records):
@@ -273,8 +306,8 @@ def test_dominance_prune_keeps_the_steps_coordinate():
     assert (best.program, best.steps) == ("100111111000000010101010101", 43)
     replay = run(best.program, "", cfg.fuel)
     assert replay.halted and replay.output == x and replay.steps == 43
-    assert best == _least(search_programs(cfg, "", viable=lambda out: x.startswith(out),
-                                          accept=lambda out: out == x))
+    assert best == _least(search_programs(cfg, "", _state(lambda out: x.startswith(out),
+                                                          lambda out: out == x)))
     roomy = min_program_for_output(x, MachineConfig(27, 44))
     assert (roomy.program, roomy.steps) == ("1110111011010101010101", 44)
     # the prefix-set search runs the same least-path DP over more edges

@@ -21,7 +21,6 @@ from ait.measures import (
     ElementaryMeasure,
     PROBABILITY,
     SEMIMEASURE,
-    StochBounds,
     StochasticityNotFound,
     UnreachableSupport,
     condition_measure,
@@ -40,6 +39,7 @@ from ait.measures import (
     stochasticity,
     uniform_measure,
     validate_measure,
+    _int_log_score,
     _measure_prefix_state,
 )
 
@@ -235,7 +235,7 @@ def test_every_proper_prefix_of_a_covering_measure_is_viable(case):
 def test_stochasticity_point_mass(fixture_cfg):
     # the point mass on the empty string is reachable by an 11-bit program
     cfg = MachineConfig(24, 2048)
-    res = stochasticity("", "", StochBounds(20, 256), cfg)
+    res = stochasticity("", "", MachineConfig(20, 256), cfg)
     assert res.witness_measure.weights == {"": Fraction(1)}
     assert res.value == len(res.witness_program)  # deficiency clamps to log 1 = 0
     out = run(res.witness_program, "", 256)
@@ -245,14 +245,14 @@ def test_stochasticity_point_mass(fixture_cfg):
 def test_stochasticity_matches_naive_scan():
     # independent oracle: run every program up to the length bound directly
     cfg = MachineConfig(24, 2048)
-    bounds = StochBounds(19, 128)
+    bounds = MachineConfig(19, 128)
     res = stochasticity("", "", bounds, cfg)
 
     from ait.complexity import pair_aux
     from ait.measures import UnreachableSupport
 
     best = None
-    for n in range(1, bounds.max_v_len + 1):
+    for n in range(1, bounds.max_program_len + 1):
         for v in range(1 << n):
             program = format(v, f"0{n}b")
             out = run(program, "", bounds.fuel)
@@ -302,12 +302,8 @@ def test_stochasticity_cut_matches_uncut_walk(monkeypatch, y):
     import ait.measures as measures
 
     cfg = MachineConfig(24, 2048)
-    bounds = StochBounds(20, 256)
-    records = search_programs(
-        MachineConfig(bounds.max_v_len, bounds.fuel), y,
-        viable=lambda out: _measure_prefix_state(out, "") != "dead",
-        accept=lambda out: _measure_prefix_state(out, "") == "complete",
-    )
+    bounds = MachineConfig(20, 256)
+    records = search_programs(bounds, y, lambda out: _measure_prefix_state(out, ""))
     for unreachable_below in (0, 14):
         fake = _fake_deficiency(unreachable_below)
         monkeypatch.setattr(measures, "deficiency", fake)
@@ -323,28 +319,38 @@ def test_stochasticity_cut_matches_uncut_walk(monkeypatch, y):
                 best = key if best is None or key < best else best
             res = stochasticity("", y, bounds, cfg, scoring=scoring)
             assert (res.value, res.witness_program) == (best[0], best[2])
-    monkeypatch.setattr(measures, "deficiency", _fake_deficiency(bounds.max_v_len + 1))
+    monkeypatch.setattr(measures, "deficiency", _fake_deficiency(bounds.max_program_len + 1))
     with pytest.raises(StochasticityNotFound):
         stochasticity("", y, bounds, cfg)
 
 
 def test_stochasticity_antitone_in_bounds():
     cfg = MachineConfig(26, 2048)
-    small = stochasticity("", "", StochBounds(20, 256), cfg)
-    large = stochasticity("", "", StochBounds(26, 256), cfg)
+    small = stochasticity("", "", MachineConfig(20, 256), cfg)
+    large = stochasticity("", "", MachineConfig(26, 256), cfg)
     assert large.value <= small.value
 
 
 def test_stochasticity_not_found():
     cfg = MachineConfig(10, 128)
     with pytest.raises(StochasticityNotFound):
-        stochasticity("0", "", StochBounds(10, 128), cfg)
+        stochasticity("0", "", MachineConfig(10, 128), cfg)
 
 
 def test_stochasticity_flat_scoring():
     cfg = MachineConfig(24, 2048)
-    res = stochasticity("", "", StochBounds(20, 256), cfg, scoring="k")
+    res = stochasticity("", "", MachineConfig(20, 256), cfg, scoring="k")
     assert res.value == len(res.witness_program) + max(res.deficiency.value, 0)
+
+
+def test_unknown_scoring_raises():
+    with pytest.raises(ValueError, match="unknown scoring 'bogus'"):
+        _int_log_score(4, "bogus")
+    # with a witness to score, and with none within the bounds
+    for a, search, cfg in (("", MachineConfig(20, 256), MachineConfig(24, 2048)),
+                           ("0", MachineConfig(10, 128), MachineConfig(10, 128))):
+        with pytest.raises(ValueError, match="unknown scoring"):
+            stochasticity(a, "", search, cfg, scoring="bogus")
 
 
 def test_hitting_vector_point_mass():
