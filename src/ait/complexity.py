@@ -14,18 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .codec import (
-    canonical_sorted,
-    encode_self_delim,
-    encode_string_set,
-    nat_to_bits,
-)
+from . import machine
+from .codec import encode_self_delim, encode_string_set, nat_to_bits
 from .dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from .machine import (
     MachineConfig,
     ProgramRecord,
     get_enumeration,
-    get_output_index,
     mass_for_output,
     min_program_for_output,
     min_program_with_prefix_in,
@@ -58,18 +53,34 @@ def pair_aux_nat(x: str, n: int) -> str:
     return encode_self_delim(x) + encode_self_delim(nat_to_bits(n))
 
 
-# Unconditional queries at or below this length bound are answered from the
-# cached enumeration's output index: one enumeration costs 35-40 ms at L=16
-# and grows by about x1.65 per bit.  Above it, and on every conditional query
-# (each aux string needs its own enumeration), the machine's dynamic programs
-# over instruction boundaries answer.
-_INDEX_MAX_LEN = 16
+_INDEX_CACHE: dict[tuple[MachineConfig, str], dict[str, tuple[ProgramRecord, Dyadic]]] = {}
+
+
+def get_output_index(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[ProgramRecord, Dyadic]]:
+    """Per reachable output of the cached enumeration: its (length, lex)-least
+    program and the exact total mass sum 2^-len of all its programs.  Outputs
+    appear in strictly increasing (len(program), program) order of their least
+    programs, so the first entry a query accepts holds its least program."""
+    index = _INDEX_CACHE.get((cfg, aux))
+    if index is None:
+        L = cfg.max_program_len
+        least: dict[str, ProgramRecord] = {}
+        weight: dict[str, int] = {}  # mass in units of 2^-L
+        for rec in get_enumeration(cfg, aux):
+            x, n = rec.output, len(rec.program)
+            best = least.get(x)
+            if best is None or (n, rec.program) < (len(best.program), best.program):
+                least[x] = rec
+            weight[x] = weight.get(x, 0) + (1 << (L - n))
+        ranked = sorted(least.values(), key=lambda r: (len(r.program), r.program))
+        index = _INDEX_CACHE[cfg, aux] = {r.output: (r, Dyadic(weight[r.output], L)) for r in ranked}
+    return index
 
 
 def _output_index(y: str, cfg: MachineConfig):
-    if y == "" and cfg.max_program_len <= _INDEX_MAX_LEN:
-        return get_output_index(cfg)
-    return None
+    """The output index once the enumeration for (cfg, y) is built, else None:
+    then the boundary-graph DPs answer, and no query builds an enumeration."""
+    return get_output_index(cfg, y) if (cfg, y) in machine._ENUM_CACHE else None
 
 
 def _complexity(rec: Optional[ProgramRecord], cfg: MachineConfig) -> ComplexityValue:
@@ -109,12 +120,11 @@ def km_t(members, cfg: MachineConfig) -> ComplexityValue:
         return _complexity(min_program_with_prefix_in(targets, cfg), cfg)
     # an output qualifies when its first n bits are a member for some member
     # length n; a slice past its end is the output itself, which then is a
-    # member, so the test lets in no output that extends no member
+    # member, so the test lets in no output that extends no member.  The
+    # index is ranked by least program, so the first that qualifies is least.
     lengths = {len(x) for x in targets}
-    qualifying = (rec for out, (rec, _mass) in index.items()
-                  if any(out[:n] in targets for n in lengths))
-    return _complexity(min(qualifying, key=lambda r: (len(r.program), r.program),
-                           default=None), cfg)
+    return _complexity(next((rec for out, (rec, _mass) in index.items()
+                             if any(out[:n] in targets for n in lengths)), None), cfg)
 
 
 def mutual_info_t(x: str, y: str, cfg: MachineConfig) -> int:
@@ -137,13 +147,13 @@ class HaltingProxy:
     config: MachineConfig
 
 
-_PROXY_CACHE: dict[tuple[int, int, str], HaltingProxy] = {}
+_PROXY_CACHE: dict[tuple[MachineConfig, str], HaltingProxy] = {}
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
-    key = (cfg.max_program_len, cfg.fuel, aux)
-    if key not in _PROXY_CACHE:
+    proxy = _PROXY_CACHE.get((cfg, aux))
+    if proxy is None:
         by_length: dict[int, list[int]] = {}
         for r in get_enumeration(cfg, aux):
             by_length.setdefault(len(r.program), []).append(int(r.program, 2))
@@ -156,8 +166,9 @@ def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
             for v in by_length.get(n, ()):
                 lvl[v] = 1
             levels.append(lvl)
-        _PROXY_CACHE[key] = HaltingProxy(b"".join(levels).translate(_BIT_CHARS).decode(), cfg)
-    return _PROXY_CACHE[key]
+        bits = b"".join(levels).translate(_BIT_CHARS).decode()
+        proxy = _PROXY_CACHE[cfg, aux] = HaltingProxy(bits, cfg)
+    return proxy
 
 
 def _info(x: str, aux: str, cfg: MachineConfig) -> Optional[int]:
@@ -201,11 +212,6 @@ def chain_rule_report(x: str, y: str, cfg: MachineConfig) -> ChainRuleReport:
     if k_pair.is_finite and k_x.is_finite and k_y_given.is_finite:
         gap = k_pair.value - (k_x.value + k_y_given.value)
     return ChainRuleReport(x, y, k_pair, k_x, k_y_given, gap)
-
-
-def reachable_outputs(cfg: MachineConfig, aux: str = "") -> list[str]:
-    """Every distinct output of the fuel-bounded enumeration, canonical order."""
-    return canonical_sorted(get_output_index(cfg, aux))
 
 
 def output_stats(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[int, Dyadic]]:

@@ -100,10 +100,16 @@ def _fmt_inf(v: Optional[int]):
     return "inf" if v is None else v
 
 
+_DIGESTS: dict[MachineConfig, str] = {}  # the enumeration's, hashed once per bounds
+
+
 def _report(name: str, cfg: MachineConfig, **params) -> ExperimentReport:
-    digest = cache_digest(get_enumeration(cfg, ""))
+    # built before any query, so the report's unconditional queries read the index
+    records = get_enumeration(cfg, "")
+    if cfg not in _DIGESTS:
+        _DIGESTS[cfg] = cache_digest(records)
     config = {"max_len": cfg.max_program_len, "fuel": cfg.fuel, **params}
-    return ExperimentReport(name, config, digest)
+    return ExperimentReport(name, config, _DIGESTS[cfg])
 
 
 def _min_k(members, cfg) -> Optional[int]:

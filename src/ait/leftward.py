@@ -117,14 +117,14 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
                          prefix_maxlen, by_output)
 
 
-_TABLE_CACHE: dict[tuple[int, int, str], IntervalTable] = {}
+_TABLE_CACHE: dict[tuple[MachineConfig, str], IntervalTable] = {}
 
 
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
-    key = (cfg.max_program_len, cfg.fuel, aux)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = build_interval_table(cfg, aux)
-    return _TABLE_CACHE[key]
+    table = _TABLE_CACHE.get((cfg, aux))
+    if table is None:
+        table = _TABLE_CACHE[cfg, aux] = build_interval_table(cfg, aux)
+    return table
 
 
 def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:

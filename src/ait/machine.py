@@ -268,36 +268,14 @@ def enumerate_halting(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
     return search_programs(cfg, aux)
 
 
-_ENUM_CACHE: dict[tuple[int, int, str], list[ProgramRecord]] = {}
+_ENUM_CACHE: dict[tuple[MachineConfig, str], list[ProgramRecord]] = {}
 
 
 def get_enumeration(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
-    key = (cfg.max_program_len, cfg.fuel, aux)
-    if key not in _ENUM_CACHE:
-        _ENUM_CACHE[key] = enumerate_halting(cfg, aux)
-    return _ENUM_CACHE[key]
-
-
-_INDEX_CACHE: dict[tuple[int, int, str], dict[str, tuple[ProgramRecord, Dyadic]]] = {}
-
-
-def get_output_index(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[ProgramRecord, Dyadic]]:
-    """Per reachable output of the cached enumeration: its (length, lex)-least
-    program and the exact total mass sum 2^-len of all its programs.  Outputs
-    appear in the order of their first record in the enumeration."""
-    key = (cfg.max_program_len, cfg.fuel, aux)
-    if key not in _INDEX_CACHE:
-        L = cfg.max_program_len
-        least: dict[str, ProgramRecord] = {}
-        weight: dict[str, int] = {}  # mass in units of 2^-L
-        for rec in get_enumeration(cfg, aux):
-            x, n = rec.output, len(rec.program)
-            best = least.get(x)
-            if best is None or (n, rec.program) < (len(best.program), best.program):
-                least[x] = rec
-            weight[x] = weight.get(x, 0) + (1 << (L - n))
-        _INDEX_CACHE[key] = {x: (rec, Dyadic(weight[x], L)) for x, rec in least.items()}
-    return _INDEX_CACHE[key]
+    records = _ENUM_CACHE.get((cfg, aux))
+    if records is None:
+        records = _ENUM_CACHE[cfg, aux] = enumerate_halting(cfg, aux)
+    return records
 
 
 def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:

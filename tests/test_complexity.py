@@ -1,12 +1,16 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ait import complexity, machine
 from ait.codec import PrefixFreeSet, all_strings_upto, encode_self_delim
 from ait.complexity import (
     ComplexityValue,
     InformationUndefined,
     chain_rule_report,
     coding_direction_holds,
+    get_output_index,
     halting_proxy,
     info_with_halting,
     k_t,
@@ -16,13 +20,13 @@ from ait.complexity import (
     mutual_info_t,
     output_stats,
     pair_aux,
-    reachable_outputs,
 )
 from ait.dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from ait.frozen import CHAIN, FROZEN, calibrate
 from ait.harness import default_predicate_family, default_prefix_free_family
 from ait.machine import (
     MachineConfig,
+    get_enumeration,
     mass_for_output,
     min_program_for_output,
     min_program_with_prefix_in,
@@ -76,7 +80,7 @@ def test_m_lower_bounded_by_shortest_witness(fixture_cfg):
 
 
 def test_m_partition(fixture_cfg, enumeration):
-    total = dyadic_sum(m_t(x, "", fixture_cfg) for x in reachable_outputs(fixture_cfg))
+    total = dyadic_sum(m_t(x, "", fixture_cfg) for x in get_output_index(fixture_cfg))
     from ait.machine import kraft_sum
 
     assert total == kraft_sum(enumeration)
@@ -257,13 +261,15 @@ def _as_value(rec, cfg):
     return ComplexityValue(len(rec.program), rec.program, cfg)
 
 
-def _assert_index_matches_targeted(cfg, families):
-    # the unconditional queries read the output index at these bounds; the
+def _assert_index_matches_targeted(cfg, families, aux=""):
+    # with the enumerations built, the queries read the output index; the
     # boundary-graph searches are their oracle, on every reachable output and
     # on every string of at most 6 bits, reachable or not
-    for x in reachable_outputs(cfg) + list(all_strings_upto(6)):
-        assert k_t(x, "", cfg) == _as_value(min_program_for_output(x, cfg), cfg)
-        assert m_t(x, "", cfg) == mass_for_output(x, cfg)
+    get_enumeration(cfg, aux)
+    get_enumeration(cfg, "")  # km_t is unconditional
+    for x in list(get_output_index(cfg, aux)) + list(all_strings_upto(6)):
+        assert k_t(x, aux, cfg) == _as_value(min_program_for_output(x, cfg, aux), cfg)
+        assert m_t(x, aux, cfg) == mass_for_output(x, cfg, aux)
     for members in families:
         assert km_t(members, cfg) == _as_value(min_program_with_prefix_in(members, cfg), cfg)
 
@@ -275,18 +281,19 @@ def _prefix_free(strings):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(max_len=st.integers(1, 12), fuel=st.integers(16, 2048),
+       aux=st.text(alphabet="01", max_size=6),
        sets=st.lists(st.lists(st.text(alphabet="01", max_size=5), min_size=1, max_size=4),
                      max_size=3),
        predicates=st.lists(st.dictionaries(st.integers(1, 6), st.integers(0, 1),
                                            min_size=1, max_size=4), max_size=2))
-def test_output_index_matches_targeted_searches(max_len, fuel, sets, predicates):
+def test_output_index_matches_targeted_searches(max_len, fuel, aux, sets, predicates):
     families = [_prefix_free(s) for s in sets]
     families += [cylinder(BinaryPredicate(p.items())) for p in predicates]
-    _assert_index_matches_targeted(MachineConfig(max_len, fuel), families)
+    _assert_index_matches_targeted(MachineConfig(max_len, fuel), families, aux)
 
 
 def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
-    assert len(reachable_outputs(fixture_cfg)) == 392
+    assert len(get_output_index(fixture_cfg)) == 392
     families = [members for _name, members in default_prefix_free_family(50)]
     families += [cylinder(g) for _name, g in default_predicate_family(60)]
     # mixed lengths: the least witness, 0^27, extends only the 9-bit member
@@ -294,13 +301,61 @@ def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
     _assert_index_matches_targeted(fixture_cfg, families)
 
 
-def test_output_index_matches_targeted_searches_at_l16():
-    # the largest bound the index serves; 15-bit programs first reach it with
-    # POW_HALT codes whose count exceeds 15 and whose literal is empty
-    cfg = MachineConfig(16, 4096)
+def _assert_index_matches_targeted_at(cfg):
     families = [members for _name, members in default_prefix_free_family(20)]
     families += [cylinder(g) for _name, g in default_predicate_family(20)]
     _assert_index_matches_targeted(cfg, families)
+
+
+def test_output_index_matches_targeted_searches_at_l16():
+    # 15-bit programs first reach L=16 with POW_HALT codes whose count
+    # exceeds 15 and whose literal is empty
+    _assert_index_matches_targeted_at(MachineConfig(16, 4096))
+
+
+def test_output_index_matches_targeted_searches_at_l20():
+    # CI's L=20 report bounds; at L=22 only the report hash checks the index
+    _assert_index_matches_targeted_at(MachineConfig(20, 4096))
+
+
+_DPS = ("min_program_for_output", "mass_for_output", "min_program_with_prefix_in")
+
+
+def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatch):
+    monkeypatch.setattr(machine, "_ENUM_CACHE", {})
+    monkeypatch.setattr(complexity, "_INDEX_CACHE", {})
+    calls = Counter()
+    for name in _DPS:
+        def counted(*args, _dp=getattr(complexity, name), _name=name):
+            calls[_name] += 1
+            return _dp(*args)
+        monkeypatch.setattr(complexity, name, counted)
+    cfg, aux = MachineConfig(12, 512), "0110"
+    members = PrefixFreeSet(["0" * 7, "1" * 40])  # witness 10100000000 prints 0^8
+
+    def ask():
+        return (k_t("0110", "", cfg), m_t("0110", "", cfg), km_t(members, cfg),
+                k_t("0110", aux, cfg), m_t("0110", aux, cfg))
+
+    cold = ask()
+    assert not machine._ENUM_CACHE  # no query builds an enumeration
+    assert calls == Counter({"min_program_for_output": 2, "mass_for_output": 2,
+                             "min_program_with_prefix_in": 1})
+    get_enumeration(cfg, "")
+    unconditional = ask()  # only the conditional queries take the DPs
+    assert calls == Counter({"min_program_for_output": 3, "mass_for_output": 3,
+                             "min_program_with_prefix_in": 1})
+    get_enumeration(cfg, aux)
+    assert ask() == unconditional == cold
+    assert sum(calls.values()) == 7
+
+
+@pytest.mark.parametrize("aux", ["", "0110"])
+def test_output_index_is_ranked_by_least_program(fixture_cfg, aux):
+    ranks = [(len(rec.program), rec.program)
+             for rec, _mass in get_output_index(fixture_cfg, aux).values()]
+    assert len(ranks) > 100
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
 
 def test_coding_direction_at_chain():

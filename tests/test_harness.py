@@ -8,6 +8,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ait import harness
 from ait.cli import main
 from ait.codec import PrefixFreeSet, encode_string_set
 from ait.dyadic import Dyadic
@@ -24,6 +25,7 @@ from ait.harness import (
     exp_set_probability,
     s_n_set,
 )
+from ait.machine import cache_digest, get_enumeration
 from ait.measures import HittingInfeasible
 from ait.monotone import (
     ThresholdNotFound,
@@ -152,6 +154,20 @@ def test_report_determinism(fixture_cfg, small_families):
     a = exp_set_probability(small_families["sets"], fixture_cfg).to_jsonl()
     b = exp_set_probability(small_families["sets"], fixture_cfg).to_jsonl()
     assert a == b
+
+
+def test_reports_hash_the_enumeration_once_per_bounds(monkeypatch, small_cfg):
+    monkeypatch.setattr(harness, "_DIGESTS", {})
+    digests = []
+
+    def counted(records):
+        digests.append(cache_digest(records))
+        return digests[-1]
+
+    monkeypatch.setattr(harness, "cache_digest", counted)
+    reports = harness.run_experiment("distortion", small_cfg)
+    assert len(reports) == 3 and digests == [cache_digest(get_enumeration(small_cfg, ""))]
+    assert {rep.fixture_hash for rep in reports} == set(digests)
 
 
 def test_s_n_fixture(fixture_cfg):
