@@ -62,6 +62,10 @@ _DOMAIN_ERRORS = (
     UnreachableSupport,
 )
 
+# hitvec makes c*d*2^(i+1) greedy draws, each a pass over the measure's
+# support; more than this many is a usage error (2^16 draws take about 0.5 s)
+HITVEC_MAX_DRAWS = 1 << 16
+
 
 class _UsageError(ValueError):
     """Malformed command-line or file input: exit 2."""
@@ -365,6 +369,11 @@ def _dispatch(args, cfg: MachineConfig) -> int:
                       "measure_support": list(res.witness_measure.support)})
 
     if args.command == "hitvec":
+        # the shift stops growing once it alone passes the cap
+        draws = args.c * args.d << min(args.i, HITVEC_MAX_DRAWS.bit_length()) + 1
+        if draws > HITVEC_MAX_DRAWS:
+            raise _UsageError(f"-i {args.i} -c {args.c} -d {args.d} asks for more than "
+                              f"{HITVEC_MAX_DRAWS} draws (c*d*2^(i+1))")
         q = _read_measure_file(args.sets, _set_measure_entry)
         m = _read_measure_file(args.measure, _measure_entry)
         z = hitting_vector(q, m, args.i, args.c, args.d)

@@ -61,6 +61,7 @@ def get_output_index(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[Progr
     program and the exact total mass sum 2^-len of all its programs.  Outputs
     appear in strictly increasing (len(program), program) order of their least
     programs, so the first entry a query accepts holds its least program."""
+    aux = aux[:cfg.readable_aux_len]
     index = _INDEX_CACHE.get((cfg, aux))
     if index is None:
         L = cfg.max_program_len
@@ -80,7 +81,8 @@ def get_output_index(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[Progr
 def _output_index(y: str, cfg: MachineConfig):
     """The output index once the enumeration for (cfg, y) is built, else None:
     then the boundary-graph DPs answer, and no query builds an enumeration."""
-    return get_output_index(cfg, y) if (cfg, y) in machine._ENUM_CACHE else None
+    built = (cfg, y[:cfg.readable_aux_len]) in machine._ENUM_CACHE
+    return get_output_index(cfg, y) if built else None
 
 
 def _complexity(rec: Optional[ProgramRecord], cfg: MachineConfig) -> ComplexityValue:
@@ -152,6 +154,7 @@ _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
+    aux = aux[:cfg.readable_aux_len]
     proxy = _PROXY_CACHE.get((cfg, aux))
     if proxy is None:
         by_length: dict[int, list[int]] = {}
@@ -181,8 +184,17 @@ def _info(x: str, aux: str, cfg: MachineConfig) -> Optional[int]:
 
 def info_with_halting(x: str, cfg: MachineConfig) -> Optional[int]:
     """I(x : H_t) proxy: k_t(x) - k_t(x | proxy bits); None when either side
-    is infinite at these bounds."""
-    return _info(x, halting_proxy(cfg).bits, cfg)
+    is infinite at these bounds.
+
+    A run reads only the proxy's first ``cfg.readable_aux_len`` bits: the
+    halting of every string of at most n bits, and of a few of n + 1 bits,
+    with n = 9 at fuel 2048 and 10 at fuel 4096.  Those levels come from the
+    proxy at the smallest length bound that reaches the cut, whose leading
+    bits are the same as the whole proxy's."""
+    cut = cfg.readable_aux_len
+    n = max(cut.bit_length() - 1, 1)  # the proxy up to n bits has 2^(n+1) - 1 >= cut bits
+    levels = MachineConfig(min(cfg.max_program_len, n), cfg.fuel)
+    return _info(x, halting_proxy(levels).bits[:cut], cfg)
 
 
 def info_with_set(x: str, members, cfg: MachineConfig) -> Optional[int]:

@@ -8,31 +8,30 @@ width 2^-len(p) starting at 0.  The transformed machine outputs U(p) on the
 shortest input whose interval sits inside p's interval.  Interval endpoints
 are multiples of 2^-L (every program is at most L bits), so each tile splits
 exactly into maximal dyadic pieces — the minimal transformed programs — and
-all mass bookkeeping below happens in integer grid units of 2^-L.
+all mass bookkeeping below happens in integer grid units of 2^-L.  The table
+keeps the tiles, never the pieces: a query about a string b needs at most one
+piece, the one that properly contains b's interval, and the tile endpoints
+give it.
 
 Desk-scale totality is relative to the bounds: a string is total when every
 leaf of the depth-L tree under it has a prefix on which the machine halts
 within fuel.  For the transformed machine the tiles cover [0, omega)
 contiguously on the 2^-L grid, so a nonempty string is total exactly when
-its interval's right endpoint is at most omega.  The tests keep a
-brute-force tree walk, and the base machine's totality from its
-enumeration, as independent oracles.
+its interval's right endpoint is at most omega.  The tests keep the
+transformed machine itself, its pieces, a brute-force tree walk, and the
+base machine's totality from its enumeration, as independent oracles.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from .dyadic import Dyadic
-from .machine import (
-    ExecOutcome,
-    MachineConfig,
-    ProgramRecord,
-    Status,
-    get_enumeration,
-)
+from .machine import MachineConfig, ProgramRecord, get_enumeration
 
 
 class TotalSearchNotFound(RuntimeError):
@@ -51,76 +50,51 @@ class BorderPrefix:
 
 @dataclass
 class IntervalTable:
-    """Consecutive open intervals over the enumeration order.  Every endpoint
-    is an integer count of 2^-L grid units."""
+    """Consecutive open intervals, the tiles, over the enumeration order.
+    Tile k belongs to ``records[k]``, the cached enumeration itself, and
+    spans [_bounds[k], _bounds[k + 1]) in integer grid units of 2^-L."""
 
     config: MachineConfig
     aux: str
-    entries: list[tuple[ProgramRecord, int, int]]   # (record, lo, hi) on the grid
+    records: list[ProgramRecord]
     omega: Dyadic                      # total assigned width = the final grid position
-    # the pieces, the maximal dyadic blocks of the tiles (the minimal
-    # transformed programs), in position order: their grid endpoints, the
-    # longest output among the first i pieces, and per output the endpoints
-    # of its pieces with their running mass
-    _tile_lo: list[int] = field(repr=False)
-    _piece_lo: list[int] = field(repr=False)
-    _piece_hi: list[int] = field(repr=False)
-    _prefix_maxlen: list[int] = field(repr=False)
-    _by_output: dict = field(repr=False)
+    # n + 1 tile endpoints from 0 to omega; the longest output among the
+    # first k tiles; per output, its tile indices and their running mass
+    _bounds: array = field(repr=False)
+    _prefix_maxlen: array = field(repr=False)
+    _by_output: dict[str, tuple[array, array]] = field(repr=False)
 
     @property
     def omega_grid(self) -> int:
-        return self.omega.num << (self.config.max_program_len - self.omega.exp)
-
-    def serialize(self) -> str:
-        L = self.config.max_program_len
-        lines = [f"{rec.program}\t{Dyadic(lo, L)}\t{Dyadic(hi, L)}"
-                 for rec, lo, hi in self.entries]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _decompose(lo: int, hi: int, grid_bits: int) -> list[tuple[int, int]]:
-    """Maximal dyadic blocks tiling [lo, hi) in 2^-grid_bits units."""
-    blocks = []
-    a = lo
-    while a < hi:
-        size = a & -a if a else 1 << grid_bits
-        while size > hi - a:
-            size >>= 1
-        blocks.append((a, a + size))
-        a += size
-    return blocks
+        return self._bounds[-1]
 
 
 def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     L = cfg.max_program_len
-    entries, tile_lo, piece_lo, piece_hi, prefix_maxlen = [], [], [], [], [0]
-    by_output: dict[str, tuple[list[int], list[int], list[int]]] = {}
-    pos = 0  # grid units
-    for rec in get_enumeration(cfg, aux):
-        hi = pos + (1 << (L - len(rec.program)))
-        entries.append((rec, pos, hi))
-        tile_lo.append(pos)
-        los, his, mass = by_output.setdefault(rec.output, ([], [], [0]))
-        longest = max(prefix_maxlen[-1], len(rec.output))
-        for blo, bhi in _decompose(pos, hi, L):
-            piece_lo.append(blo)
-            piece_hi.append(bhi)
-            prefix_maxlen.append(longest)
-            los.append(blo)
-            his.append(bhi)
-            mass.append(mass[-1] + bhi - blo)
-        pos = hi
-    if pos > 1 << L:
+    records = get_enumeration(cfg, aux)
+    widths = [1 << (L - len(rec.program)) for rec in records]
+    bounds = array("q", accumulate(widths, initial=0))
+    if bounds[-1] > 1 << L:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
-    return IntervalTable(cfg, aux, entries, Dyadic(pos, L), tile_lo, piece_lo, piece_hi,
-                         prefix_maxlen, by_output)
+    prefix_maxlen = array("q", accumulate((len(rec.output) for rec in records), max, initial=0))
+    by_output: dict[str, tuple[array, array]] = {}
+    for k, (rec, width) in enumerate(zip(records, widths)):
+        slot = by_output.get(rec.output)
+        if slot is None:
+            slot = by_output[rec.output] = (array("q"), array("q", [0]))
+        tiles, mass = slot
+        tiles.append(k)
+        mass.append(mass[-1] + width)
+    return IntervalTable(cfg, aux[:cfg.readable_aux_len], records, Dyadic(bounds[-1], L),
+                         bounds, prefix_maxlen, by_output)
 
 
 _TABLE_CACHE: dict[tuple[MachineConfig, str], IntervalTable] = {}
 
 
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
+    """The cached table, keyed on the bounds and the readable aux prefix."""
+    aux = aux[:cfg.readable_aux_len]
     table = _TABLE_CACHE.get((cfg, aux))
     if table is None:
         table = _TABLE_CACHE[cfg, aux] = build_interval_table(cfg, aux)
@@ -136,27 +110,40 @@ def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:
     raise ValueError(f"string longer than the grid: {x!r}")
 
 
-# ---------------------------------------------------------------------------
-# the transformed machine
-# ---------------------------------------------------------------------------
+def _cuts(b: str, table: IntervalTable) -> tuple[int, int]:
+    """Grid points (left, upto): the pieces strictly left of b are the
+    pieces below ``left``, and those left of b or extending it the pieces
+    below ``upto``; no piece straddles either point.
 
-def run_left_total(p_prime: str, table: IntervalTable) -> ExecOutcome:
-    """Transformed execution: halt once the consumed prefix's interval sits
-    inside a tile (the parent prefix's interval does not, so the consumed
-    prefixes form a prefix-free domain); reading past every tile diverges.
+    Pieces and b's interval I_b are dyadic, so each piece lies left of I_b,
+    inside it, right of it, or properly contains it.  A piece properly
+    contains I_b exactly when b's parent interval lies inside one tile, and
+    then it is the largest dyadic ancestor of that parent inside the tile;
+    both points are its left end.  Otherwise they are I_b's ends.  A b
+    longer than L lies inside one grid cell, which takes the parent's part.
     """
     L = table.config.max_program_len
-    los = table._tile_lo
-    for k in range(1, min(len(p_prime), L) + 1):
-        r = p_prime[:k]
-        lo, hi = _grid_interval(r, L)
-        idx = bisect_right(los, lo) - 1
-        if idx < 0:
-            continue
-        rec, t_lo, t_hi = table.entries[idx]
-        if t_lo <= lo and hi <= t_hi:
-            return ExecOutcome(Status.HALTED, rec.output, bits_read=k, steps=rec.steps)
-    return ExecOutcome(Status.NEEDS_MORE_INPUT)
+    if not b:
+        return 0, 1 << L
+    if len(b) > L:  # the grid cell holding b takes the parent's part
+        lo = lo_b = int(b[:L], 2)
+        hi_b, size = lo + 1, 1
+    else:
+        size = 1 << (L - len(b))
+        lo_b = int(b, 2) * size
+        hi_b = lo_b + size
+        size <<= 1
+        lo = lo_b & -size  # the parent
+    bounds = table._bounds
+    k = bisect_right(bounds, lo) - 1
+    if k < len(table.records) and lo + size <= bounds[k + 1]:
+        t_lo, t_hi = bounds[k], bounds[k + 1]
+        while True:  # climb while the doubled block stays inside the tile
+            up = lo & -(size << 1)
+            if up < t_lo or up + (size << 1) > t_hi:
+                return lo, lo
+            lo, size = up, size << 1
+    return lo_b, hi_b
 
 
 # ---------------------------------------------------------------------------
@@ -195,49 +182,28 @@ def omega_pair(b: BorderPrefix | str, cfg: MachineConfig, aux: str = "") -> tupl
     at most 2^-len(b), exactly."""
     bits = b.bits if isinstance(b, BorderPrefix) else b
     table = get_interval_table(cfg, aux)
-    his = table._piece_hi
-    count, _i, _j = _split_ranges(table._piece_lo, his, bits, cfg.max_program_len)
-    # the pieces tile [0, omega) from 0, so the count pieces left of b fill
-    # [0, his[count - 1])
-    return table.omega, Dyadic(his[count - 1] if count else 0, cfg.max_program_len)
+    # the pieces tile [0, omega) from 0, so those left of b fill [0, left)
+    left, _upto = _cuts(bits, table)
+    return table.omega, Dyadic(min(left, table.omega_grid), cfg.max_program_len)
 
 
 # ---------------------------------------------------------------------------
 # bb and m_b (programs left of b, or extending b)
 # ---------------------------------------------------------------------------
 
-def _split_ranges(los: list[int], his: list[int], b: str, L: int) -> tuple[int, int, int]:
-    """For pieces in position order with grid endpoints ``los``/``his``: the
-    count strictly left of b, then the index range [i, j) of those extending b.
-
-    A b longer than L lies strictly inside one grid cell: no piece extends
-    it, and the pieces left of it are the pieces left of that cell.
-    """
-    if len(b) > L:
-        return bisect_right(his, int(b[:L], 2)), 0, 0
-    lo_b, hi_b = _grid_interval(b, L)
-    left_count = bisect_right(his, lo_b)
-    i = bisect_left(los, lo_b)
-    j = bisect_left(los, hi_b)
-    if i < j and his[i] > hi_b:
-        i += 1  # that piece is a proper prefix of b: neither left-of nor extending
-    return left_count, i, j
-
-
 def bb(b: str, cfg: MachineConfig, aux: str = "") -> int:
     """Length of the longest output among transformed programs left of b or
     extending b; 0 when b is not total.
 
-    The pieces tile [0, omega) from 0 with no gaps, so a nonempty extending
-    range [i, j) starts right after the pieces left of b (i == left_count),
-    and the answer is the prefix maximum up to j.
+    Those programs are the pieces below ``_cuts``' upto point, so their
+    outputs are those of the tiles that start below it.
     """
     table = get_interval_table(cfg, aux)
     if not is_total_uprime(b, table):
         return 0
-    left_count, i, j = _split_ranges(table._piece_lo, table._piece_hi, b,
-                                     cfg.max_program_len)
-    return table._prefix_maxlen[j if i < j else left_count]
+    _left, upto = _cuts(b, table)
+    tiles = bisect_left(table._bounds, upto, 0, len(table.records))
+    return table._prefix_maxlen[tiles]
 
 
 def m_b(b: str, x: str, y: str, cfg: MachineConfig) -> Dyadic:
@@ -256,10 +222,16 @@ def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:
     slot = table._by_output.get(x)
     if slot is None:
         return Dyadic.zero()
-    los, his, mass = slot
-    L = table.config.max_program_len
-    left_count, i, j = _split_ranges(los, his, b, L)
-    return Dyadic(mass[left_count] + mass[j] - mass[i], L)
+    tiles, mass = slot
+    _left, upto = _cuts(b, table)
+    # x's tile mass clipped to [0, upto): the tiles that start below upto,
+    # less the part of the last one past it
+    bounds = table._bounds
+    count = bisect_left(tiles, bisect_left(bounds, upto, 0, len(table.records)))
+    total = mass[count]
+    if count:
+        total -= max(bounds[tiles[count - 1] + 1] - upto, 0)
+    return Dyadic(total, table.config.max_program_len)
 
 
 def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:

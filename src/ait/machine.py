@@ -33,7 +33,11 @@ COPY_N appends the data bit of each cell read (so cells past the end yield
 Step accounting ("fuel"): one step per input bit consumed, per aux cell
 read, per output bit appended, and per completed opcode dispatch.  The fuel
 check precedes every step, so the outcome is a pure function of the program
-prefix actually read, the aux string, and the fuel.
+prefix actually read, the aux string, and the fuel.  Each data cell read is
+also an output bit appended, so a run within fuel F reads fewer than F/2 data
+cells, and only the first F//2 + 1 aux bits are readable
+(``MachineConfig.readable_aux_len``): the per-(bounds, aux) caches and the
+boundary-graph searches work on that prefix.
 
 One decoder, ``_effect``, states what each instruction does.  ``run`` and
 the level-order walk ``search_programs`` both go through it one whole
@@ -69,6 +73,16 @@ class MachineConfig:
         if self.max_program_len < 1 or self.fuel < 1:
             raise ValueError("bounds must be at least 1")
 
+    @property
+    def readable_aux_len(self) -> int:
+        """Every run within these bounds has the same outcome on an aux string
+        and on its first ``fuel // 2 + 1`` bits.  A run reads fewer than
+        fuel / 2 data cells, two steps apiece.  A COPY_N that reads past the
+        cut, or a COPY_ALL that reaches the cut tape's sentinel, reads at least
+        fuel // 2 + 1 data cells, and so needs more than ``fuel`` steps on
+        either tape."""
+        return self.fuel // 2 + 1
+
 
 class Status(Enum):
     HALTED = "halted"
@@ -88,9 +102,10 @@ class ExecOutcome:
         return self.status is Status.HALTED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgramRecord:
-    """A minimal halting program with its output and convergence time."""
+    """A minimal halting program with its output and convergence time.  The
+    records of one walk share a single string object per distinct output."""
 
     program: str
     output: str
@@ -272,6 +287,8 @@ _ENUM_CACHE: dict[tuple[MachineConfig, str], list[ProgramRecord]] = {}
 
 
 def get_enumeration(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
+    """The cached enumeration, keyed on the bounds and the readable aux prefix."""
+    aux = aux[:cfg.readable_aux_len]
     records = _ENUM_CACHE.get((cfg, aux))
     if records is None:
         records = _ENUM_CACHE[cfg, aux] = enumerate_halting(cfg, aux)
@@ -312,6 +329,7 @@ def search_programs(
     are returned.
     """
     results: list[ProgramRecord] = []
+    shared: dict[str, str] = {}  # one string object per distinct output
     if state is not None and state("") == "dead":
         return results
     fuel, limit = cfg.fuel, cfg.max_program_len
@@ -329,7 +347,8 @@ def search_programs(
                 if after is not None:
                     reached.append((prefix + code, output, after, spent))
                 elif kind == "complete":
-                    level.append(ProgramRecord(prefix + code, output, spent))
+                    level.append(ProgramRecord(prefix + code, shared.setdefault(output, output),
+                                               spent))
         # a boundary stays open while a code one bit longer still fits
         boundaries = [(prefix, out, a, steps) for prefix, out, a, steps in boundaries + reached
                       if steps + (n + 1 - len(prefix)) + 1 <= fuel]
@@ -496,7 +515,7 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     forward walk takes at each boundary the lex-least first code that can
     still finish within both the bits and the budget left.
     """
-    return _least_path(x, cfg, aux, _target_edges)
+    return _least_path(x, cfg, aux[:cfg.readable_aux_len], _target_edges)
 
 
 def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[ProgramRecord]:
@@ -551,6 +570,7 @@ def mass_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Dyadic:
     bits long, so they close in increasing length.
     """
     L, budget = cfg.max_program_len, cfg.fuel - len(x)
+    aux = aux[:cfg.readable_aux_len]
     prefix, out = _boundaries(x, aux, L, _target_edges)
     counts: dict = {}  # boundary -> per suffix length, {path weight: suffixes}
     for s in reversed(out):
@@ -586,6 +606,7 @@ def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
                                aux: str = "") -> Optional[ProgramRecord]:
     """The (length, lex)-least program whose output extends a member: the
     least over members of the least path of ``_extending_edges``."""
+    aux = aux[:cfg.readable_aux_len]
     paths = (_least_path(x, cfg, aux, _extending_edges) for x in members)
     best = min((r for r in paths if r is not None),
                key=lambda r: (len(r.program), r.program), default=None)

@@ -1,14 +1,16 @@
 """Independent test oracles: a bit-at-a-time interpreter and its brute-force
 enumeration for the machine, and a prefix scan for its halting-sequence
-proxy; a tree walk, the pieces of the interval table, the base machine's
-totality and a child-by-child descent to the border prefix for the
-left-total transform; and a per-input preimage count for the compiled
-transducer."""
+proxy; the transformed machine, a tree walk, the pieces of the interval
+table, the table's text form, the base machine's totality and a
+child-by-child descent to the border prefix for the left-total transform;
+and a per-input preimage count for the compiled transducer."""
 
+from bisect import bisect_right
 from typing import NamedTuple
 
-from ait.codec import all_strings_upto
-from ait.leftward import IntervalTable, _grid_interval, run_left_total
+from ait.codec import all_strings_upto, left_of
+from ait.dyadic import Dyadic
+from ait.leftward import IntervalTable, _grid_interval
 from ait.machine import (
     ExecOutcome,
     MachineConfig,
@@ -113,6 +115,32 @@ def halting_by_bits(max_len: int, fuel: int, aux: str = "") -> list[ProgramRecor
     return records
 
 
+def tiles(table: IntervalTable):
+    """(record, lo, hi) per tile in position order, in grid units of 2^-L."""
+    return zip(table.records, table._bounds, table._bounds[1:])
+
+
+def run_left_total(p_prime: str, table: IntervalTable) -> ExecOutcome:
+    """The transformed machine: halt once the consumed prefix's interval sits
+    inside a tile (the parent prefix's interval does not, so the consumed
+    prefixes form a prefix-free domain); reading past every tile diverges."""
+    L = table.config.max_program_len
+    for k in range(1, min(len(p_prime), L) + 1):
+        lo, hi = _grid_interval(p_prime[:k], L)
+        idx = bisect_right(table._bounds, lo) - 1
+        if idx < len(table.records) and hi <= table._bounds[idx + 1]:
+            rec = table.records[idx]
+            return ExecOutcome(Status.HALTED, rec.output, bits_read=k, steps=rec.steps)
+    return ExecOutcome(Status.NEEDS_MORE_INPUT)
+
+
+def serialize_table(table: IntervalTable) -> str:
+    """One line per tile: its program and its interval's dyadic endpoints."""
+    L = table.config.max_program_len
+    lines = [f"{rec.program}\t{Dyadic(lo, L)}\t{Dyadic(hi, L)}" for rec, lo, hi in tiles(table)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def is_total_uprime_by_walk(x: str, table: IntervalTable) -> bool:
     """Walk the depth-(L+1) tree under x checking that every leaf path hits
     a transformed halting prefix."""
@@ -187,9 +215,31 @@ def table_pieces(table: IntervalTable) -> list[Piece]:
             down(p + "0", lo, mid, rec, t_lo, t_hi)
             down(p + "1", mid, hi, rec, t_lo, t_hi)
 
-    for rec, t_lo, t_hi in table.entries:
+    for rec, t_lo, t_hi in tiles(table):
         down("", 0, 1 << L, rec, t_lo, t_hi)
     return pieces
+
+
+def _reach(b: str, pieces: list[Piece]) -> list[Piece]:
+    return [p for p in pieces if left_of(p.program, b) or p.program.startswith(b)]
+
+
+def bb_by_pieces(b: str, pieces: list[Piece]) -> int:
+    """The longest output of the pieces left of b or extending b, with no
+    totality gate."""
+    return max((len(p.output) for p in _reach(b, pieces)), default=0)
+
+
+def mass_by_pieces(b: str, x: str, pieces: list[Piece]) -> Dyadic:
+    """The mass of the pieces left of b or extending b whose output is x."""
+    return sum((Dyadic(1, len(p.program)) for p in _reach(b, pieces) if p.output == x),
+               Dyadic.zero())
+
+
+def omega_hat_by_pieces(b: str, pieces: list[Piece]) -> Dyadic:
+    """The mass of the pieces strictly left of b."""
+    return sum((Dyadic(1, len(p.program)) for p in pieces if left_of(p.program, b)),
+               Dyadic.zero())
 
 
 class UTotality:

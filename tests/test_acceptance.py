@@ -59,7 +59,7 @@ def test_criterion_01_machine_soundness(enumeration):
 
 def test_criterion_02_left_total_transform(interval_table):
     from ait.leftward import is_total_uprime
-    from oracles import is_total_uprime_by_walk, table_pieces
+    from oracles import is_total_uprime_by_walk, table_pieces, tiles
 
     started = time.time()
     L = FIXTURE.max_program_len
@@ -87,7 +87,7 @@ def test_criterion_02_left_total_transform(interval_table):
 
     # every base program has a transformed program at most one bit longer
     one_bit = True
-    for rec, lo, hi in interval_table.entries:
+    for rec, lo, hi in tiles(interval_table):
         best = min(len(p.program) for p in pieces if p.lo >= lo and p.hi <= hi)
         same_out = all(p.output == rec.output
                        for p in pieces if p.lo >= lo and p.hi <= hi)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ait import complexity, machine
-from ait.codec import PrefixFreeSet, all_strings_upto, encode_self_delim
+from ait.codec import PrefixFreeSet, all_strings_upto, encode_self_delim, encode_string_set
 from ait.complexity import (
     ComplexityValue,
     InformationUndefined,
@@ -31,6 +31,7 @@ from ait.machine import (
     min_program_for_output,
     min_program_with_prefix_in,
     run,
+    search_programs,
 )
 from ait.predicates import BinaryPredicate, cylinder
 
@@ -224,6 +225,27 @@ def test_info_with_halting_nonnegative_for_proxy_prefix(fixture_cfg):
     x = proxy.bits[:7]
     gain = info_with_halting(x, fixture_cfg)
     assert gain is None or gain >= 0
+
+
+@pytest.mark.parametrize("cfg", [MachineConfig(10, 512), MachineConfig(14, 2048)])
+def test_info_with_halting_matches_the_whole_proxy(cfg, monkeypatch):
+    # the level-order walk takes the whole proxy, 2^(L+1) - 1 bits, as its
+    # aux string and never cuts it
+    whole = halting_proxy(cfg).bits
+    assert len(whole) > cfg.readable_aux_len
+    for x in ("", "0", "1", "0110", "1111111", whole[:4], whole[:6], whole[:9],
+              encode_string_set(["0", "11"])):
+        state = lambda out: "complete" if out == x else "viable" if x.startswith(out) else "dead"
+        least = min((len(r.program) for r in search_programs(cfg, whole, state)), default=None)
+        assert k_t(x, whole, cfg).value == least, x
+        base = k_t(x, "", cfg)
+        want = base.value - least if base.is_finite and least is not None else None
+        assert info_with_halting(x, cfg) == want, x
+    # the condition is the whole proxy's readable prefix, bit for bit
+    seen = []
+    monkeypatch.setattr(complexity, "_info", lambda x, aux, cfg: seen.append(aux))
+    info_with_halting("0", cfg)
+    assert seen == [whole[:cfg.readable_aux_len]]
 
 
 def test_chain_rule_degenerate_pairs():

@@ -414,6 +414,11 @@ def _with_files(argv, tmp_path):
     (["predicate", "complete", "@pred_bad_bit"], "pred_bad_bit:1: bad predicate entry (2, 2)"),
     (["predicate", "complete", "@pred_bad_index"],
      "pred_bad_index:1: bad predicate entry (0, 1)"),
+    # c*d*2^(i+1) draws: 2^100, and 2^17, one power past the cap
+    (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "99", "-c", "1", "-d", "1"],
+     "-i 99 -c 1 -d 1 asks for more than 65536 draws"),
+    (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "15", "-c", "2", "-d", "1"],
+     "asks for more than 65536 draws"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -509,6 +514,9 @@ def _mostly(good, bad):
 _BITS = st.text(alphabet="01", max_size=3)  # short, so elements meet supports
 _TOKEN = _mostly(_BITS | st.just("-"), st.sampled_from(["x", "012", "-1", " 0", "0" * 30]))
 _SMALL = _mostly(st.integers(0, 3).map(str), st.sampled_from(["-1", "x", ""]))
+# hitvec's exponent: past 15 every draw count is over the cap, and rejected
+_EXPONENT = _mostly(st.integers(0, 3).map(str) | st.integers(4, 10 ** 6).map(str),
+                    st.sampled_from(["-1", "x", ""]))
 _DYADIC = _mostly(st.builds("1/2^{}".format, st.integers(0, 4)),
                   st.builds("{}/2^{}".format, st.integers(-1, 9), st.integers(0, 6))
                   | st.sampled_from(["1/3", "x", "", "0"]))
@@ -562,7 +570,7 @@ _COMMANDS = st.one_of(
         | st.sampled_from([["--scoring", "k"], ["--scoring", "3logk"], ["--scoring", "x"]]),
         max_size=2).map(lambda pairs: sum(pairs, []))),
     st.builds(lambda i, c, d: ["hitvec", "--sets", "@sets", "--measure", "@measure",
-                               "-i", i, "-c", c, "-d", d], _SMALL, _SMALL, _SMALL),
+                               "-i", i, "-c", c, "-d", d], _EXPONENT, _SMALL, _SMALL),
     st.builds(lambda k: ["nu", "build", "@table"] + k,
               st.lists(_SMALL, max_size=1).map(lambda k: ["--stages"] + k if k else [])),
     st.builds(lambda y: ["nu", "apply", "@table", y], _mostly(st.text("01", max_size=12), _TOKEN)),

@@ -2,6 +2,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ait.codec import Lcg, interval_of, is_prefix_free, left_of
 from ait.dyadic import Dyadic
@@ -17,12 +18,22 @@ from ait.leftward import (
     m_b_set,
     mass_filtered,
     omega_pair,
-    run_left_total,
     shortest_total_satisfying,
     total_strings_of_length,
 )
 from ait.machine import MachineConfig, Status, kraft_sum
-from oracles import UTotality, border_by_descent, is_total_uprime_by_walk, table_pieces
+from oracles import (
+    UTotality,
+    bb_by_pieces,
+    border_by_descent,
+    is_total_uprime_by_walk,
+    mass_by_pieces,
+    omega_hat_by_pieces,
+    run_left_total,
+    serialize_table,
+    table_pieces,
+    tiles,
+)
 
 
 def all_strings_of(n):
@@ -49,11 +60,11 @@ def _probes(table):
 
 def test_table_structure(fixture_cfg, interval_table, enumeration):
     L = fixture_cfg.max_program_len
-    entries = interval_table.entries
-    assert len(entries) == len(enumeration)
+    assert interval_table.records is enumeration  # the cached list, not a copy
+    assert len(interval_table._bounds) == len(enumeration) + 1
     # first interval starts at 0; widths are 2^-len; consecutive (grid units)
     pos = 0
-    for rec, lo, hi in entries:
+    for rec, lo, hi in tiles(interval_table):
         assert lo == pos
         assert Dyadic(hi - lo, L) == Dyadic(1, len(rec.program))
         pos = hi
@@ -73,10 +84,10 @@ def test_table_rejects_kraft_sum_above_one(fixture_cfg, enumeration, monkeypatch
 def test_table_serialization_golden(fixture_cfg, interval_table):
     import hashlib
 
-    text = interval_table.serialize()
+    text = serialize_table(interval_table)
     digest = hashlib.sha256(text.encode()).hexdigest()
     rebuilt = build_interval_table(fixture_cfg, "")
-    assert rebuilt.serialize() == text  # byte-stable across builds
+    assert serialize_table(rebuilt) == text  # byte-stable across builds
     assert digest == "09841a77d631b0d95f1da3f165071fa48c52c64e1a61492c39904d0e25701eac"
 
 
@@ -90,24 +101,47 @@ def test_pieces_partition_and_length_bound(fixture_cfg, interval_table):
         pos = piece.hi
     assert pos == interval_table.omega_grid
     assert is_prefix_free([p.program for p in pieces])
-    # the table's piece lists, against the pieces found by descent
-    assert interval_table._piece_lo == [p.lo for p in pieces]
-    assert interval_table._piece_hi == [p.hi for p in pieces]
-    assert interval_table._prefix_maxlen == \
-        list(itertools.accumulate((len(p.output) for p in pieces), max, initial=0))
-    by_output = {}
-    for p in pieces:
-        los, his, mass = by_output.setdefault(p.output, ([], [], [0]))
-        los.append(p.lo)
-        his.append(p.hi)
-        mass.append(mass[-1] + p.hi - p.lo)
-    assert interval_table._by_output == by_output
+    # the tile queries, against the same queries read off the pieces found by
+    # descent: the prefix maximum, the per-output mass and omega_hat
+    _assert_queries_match_pieces(interval_table, pieces, _probes(interval_table),
+                                 ["", "0", "1", "00", "0000", "0110"])
+
+
+def _assert_queries_match_pieces(table, pieces, probes, outputs):
+    cfg, aux = table.config, table.aux
+    for b in probes:
+        total = is_total_uprime(b, table)
+        assert bb(b, cfg, aux) == (bb_by_pieces(b, pieces) if total else 0), b
+        assert omega_pair(b, cfg, aux) == (table.omega, omega_hat_by_pieces(b, pieces)), b
+        for x in outputs:
+            want = mass_by_pieces(b, x, pieces)
+            assert mass_filtered(b, x, table) == want, (b, x)
+            assert m_b(b, x, aux, cfg) == (want if total else Dyadic.zero()), (b, x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(aux=st.text("01", max_size=6), L=st.integers(8, 16),
+       fuel=st.sampled_from([64, 256, 2048]), data=st.data())
+def test_tile_queries_match_pieces_on_random_tables(aux, L, fuel, data):
+    cfg = MachineConfig(L, fuel)
+    table = get_interval_table(cfg, aux)
+    pieces = table_pieces(table)
+    bits = lambda lo, hi: st.text("01", min_size=lo, max_size=hi)
+    # b longer than L; b inside a piece, so its parent lies inside one tile;
+    # a piece itself; and any b of at most L bits
+    kinds = [bits(L + 1, L + 4), bits(0, L)]
+    if pieces:
+        piece = st.sampled_from(pieces).map(lambda p: p.program)
+        kinds += [st.tuples(piece, bits(1, 3)).map("".join), piece]
+    probes = [""] + data.draw(st.lists(st.one_of(kinds), min_size=1, max_size=12))
+    outputs = sorted({p.output for p in pieces})[:4] + ["", "1"]
+    _assert_queries_match_pieces(table, pieces, probes, outputs)
 
 
 def test_transform_preserves_output_within_one_bit(interval_table):
     # for every base program there is a transformed program at most one bit longer
     pieces = table_pieces(interval_table)
-    for rec, lo, hi in interval_table.entries:
+    for rec, lo, hi in tiles(interval_table):
         inside = [p for p in pieces if p.lo >= lo and p.hi <= hi]
         assert min(len(p.program) for p in inside) <= len(rec.program) + 1
         assert all(p.output == rec.output for p in inside)
@@ -265,8 +299,7 @@ def test_omega_hat_oracle(fixture_cfg, aux):
     table = get_interval_table(fixture_cfg, aux)
     pieces = table_pieces(table)
     for b in _probes(table):
-        left = [Dyadic(1, len(p.program)) for p in pieces if left_of(p.program, b)]
-        assert omega_pair(b, fixture_cfg, aux)[1] == sum(left, Dyadic.zero())
+        assert omega_pair(b, fixture_cfg, aux)[1] == omega_hat_by_pieces(b, pieces)
 
 
 def test_omega_matches_kraft(fixture_cfg, enumeration):
@@ -279,18 +312,9 @@ def test_bb_definition_oracle(fixture_cfg, aux):
     # brute force over pieces using the left-of / extends filter on strings
     table = get_interval_table(fixture_cfg, aux)
     pieces = table_pieces(table)
-
-    def oracle(b):
-        if not is_total_uprime(b, table):
-            return 0
-        best = 0
-        for p in pieces:
-            if left_of(p.program, b) or p.program.startswith(b):
-                best = max(best, len(p.output))
-        return best
-
     for b in _probes(table):
-        assert bb(b, fixture_cfg, aux) == oracle(b)
+        want = bb_by_pieces(b, pieces) if is_total_uprime(b, table) else 0
+        assert bb(b, fixture_cfg, aux) == want
 
 
 def test_bb_monotone_on_parent(fixture_cfg, interval_table):
@@ -310,18 +334,10 @@ def test_m_b_oracle_and_monotonicity(fixture_cfg, aux):
     table = get_interval_table(fixture_cfg, aux)
     outputs = ["", "0", "1", "00", "0000", "0110"]
     pieces = table_pieces(table)
-
-    def oracle(b, x):
-        total = Dyadic.zero()
-        for p in pieces:
-            if p.output == x and (left_of(p.program, b) or p.program.startswith(b)):
-                total = total + Dyadic(1, len(p.program))
-        return total
-
     for b in _probes(table):
         total = is_total_uprime(b, table)
         for x in outputs:
-            want = oracle(b, x)
+            want = mass_by_pieces(b, x, pieces)
             assert mass_filtered(b, x, table) == want
             assert m_b(b, x, aux, fixture_cfg) == (want if total else Dyadic.zero())
 
@@ -386,12 +402,7 @@ def test_m_b_with_conditioning(fixture_cfg):
     aux = "0110"
     table = get_interval_table(fixture_cfg, aux)
     assert aux in table._by_output
-    value = m_b("0", aux, aux, fixture_cfg)
-    oracle = Dyadic.zero()
-    for p in table_pieces(table):
-        if p.output == aux and (left_of(p.program, "0") or p.program.startswith("0")):
-            oracle = oracle + Dyadic(1, len(p.program))
-    assert value == oracle
+    assert m_b("0", aux, aux, fixture_cfg) == mass_by_pieces("0", aux, table_pieces(table))
 
 
 def test_shortest_total_parent_never_total(fixture_cfg, interval_table):

@@ -8,8 +8,11 @@ from ait.codec import Lcg, all_strings_upto, is_prefix_free
 from ait.dyadic import Dyadic, dyadic_sum
 from ait.frozen import CHAIN
 from ait.machine import (
+    _CODE,
     _OPCODES,
     MachineConfig,
+    _literal,
+    get_enumeration,
     P_EPSILON,
     Status,
     enumerate_halting,
@@ -136,6 +139,41 @@ def _outcome(out):
 def test_run_matches_bit_level_oracle(program, aux, fuel):
     # truncated programs, out-of-fuel runs and halts with unread bits alike
     assert _outcome(run(program, aux, fuel)) == _outcome(run_by_bits(program, aux, fuel))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(program=st.text(alphabet="01", max_size=48), aux=st.text(alphabet="01", max_size=96),
+       fuel=st.integers(1, 128))
+def test_runs_read_only_the_readable_aux_prefix(program, aux, fuel):
+    cut = aux[:fuel // 2 + 1]
+    assert cut == aux[:MachineConfig(1, fuel).readable_aux_len]
+    assert run(program, aux, fuel) == run(program, cut, fuel)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuel=st.integers(1, 160), skip=st.integers(0, 4), end=st.integers(-8, 2),
+       copy_all=st.booleans(), data=st.data())
+def test_copies_that_end_at_the_cut_run_alike_on_the_cut_tape(fuel, skip, end, copy_all, data):
+    # COPY_N skip cells, then a copy that ends ``end`` cells past the cut: a
+    # COPY_N of the cells up to there, or a COPY_ALL over an aux string that
+    # ends there, whose cut tape puts the sentinel at the cut
+    stop = fuel // 2 + 1 + end
+    number = lambda k: _literal(format(k, "b"))
+    program = (_CODE["COPY_N"] + number(skip) if skip else "") + (
+        _CODE["COPY_ALL"] if copy_all else _CODE["COPY_N"] + number(max(stop - skip, 0)))
+    program += _CODE["HALT"]
+    size = max(stop, 0) if copy_all else fuel // 2 + 3
+    aux = data.draw(st.text(alphabet="01", min_size=size, max_size=size))
+    assert run(program, aux, fuel) == run(program, aux[:fuel // 2 + 1], fuel)
+
+
+def test_caches_and_searches_key_on_the_readable_aux_prefix():
+    cfg = MachineConfig(8, 16)  # the readable prefix is 9 bits
+    aux, cut = "0110" * 8, "011001100"
+    assert get_enumeration(cfg, aux) is get_enumeration(cfg, cut)
+    for x in ("0110", "01100110", "0110011001"):
+        assert min_program_for_output(x, cfg, aux) == min_program_for_output(x, cfg, cut)
+        assert mass_for_output(x, cfg, aux) == mass_for_output(x, cfg, cut)
 
 
 def _state(viable, accept):
