@@ -63,7 +63,8 @@ _DOMAIN_ERRORS = (
 )
 
 # hitvec makes c*d*2^(i+1) greedy draws, each a pass over the measure's
-# support; more than this many is a usage error (2^16 draws take about 0.5 s)
+# support while some set is unhit; more than this many is a usage error
+# (2^16 such draws take about 0.5 s)
 HITVEC_MAX_DRAWS = 1 << 16
 
 

@@ -1,5 +1,5 @@
 """Bit-level primitives: bit strings, self-delimiting codes, prefix-free
-sets, intervals, and the canonical encodings shared by every module.
+sets, and the canonical encodings shared by every module.
 
 Bit strings are plain Python ``str`` over the alphabet ``{'0', '1'}``; the
 empty string is a first-class value.  Fixed conventions, documented once and
@@ -19,9 +19,9 @@ used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-from .dyadic import Dyadic, ceil_neg_log2, dyadic_sum  # noqa: F401  (re-exported)
+from .dyadic import Dyadic, dyadic_sum
 
 
 class DecodeError(ValueError):
@@ -53,20 +53,6 @@ def all_strings_upto(n: int) -> Iterator[str]:
     for length in range(1, n + 1):
         for v in range(1 << length):
             yield format(v, f"0{length}b")
-
-
-def left_of(x: str, y: str) -> bool:
-    """The left-of relation: some z with z0 a prefix of x and z1 a prefix of y.
-
-    Prefix-comparable strings are never left-of each other; for
-    prefix-incomparable strings exactly one of left_of(x, y), left_of(y, x)
-    holds.
-    """
-    m = min(len(x), len(y))
-    for i in range(m):
-        if x[i] != y[i]:
-            return x[i] == "0"
-    return False
 
 
 def nat_to_bits(n: int) -> str:
@@ -130,13 +116,6 @@ def decode_self_delim_from(s: str, pos: int = 0) -> tuple[str, int]:
     return x, end
 
 
-def decode_self_delim(s: str) -> str:
-    x, end = decode_self_delim_from(s, 0)
-    if end != len(s):
-        raise DecodeError("trailing bits after self-delimiting code")
-    return x
-
-
 def encode_nat(n: int) -> str:
     return encode_self_delim(nat_to_bits(n))
 
@@ -170,7 +149,7 @@ def decode_string_set(s: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# prefix-free sets and intervals
+# prefix-free sets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -207,66 +186,9 @@ def prefix_pair(strings: Iterable[str]) -> Optional[tuple[str, str]]:
     return next(((a, b) for a, b in zip(ordered, ordered[1:]) if b.startswith(a)), None)
 
 
-def is_prefix_free(strings: Sequence[str]) -> bool:
-    return prefix_pair(strings) is None
-
-
-@dataclass(frozen=True)
-class OpenInterval:
-    """Open dyadic subinterval of [0, 1]."""
-
-    lo: Dyadic
-    hi: Dyadic
-
-    def __post_init__(self):
-        if not (self.lo < self.hi and self.hi <= Dyadic.one()):
-            raise ValueError(f"bad interval ({self.lo}, {self.hi})")
-
-    def contains(self, other: "OpenInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def disjoint(self, other: "OpenInterval") -> bool:
-        return self.hi <= other.lo or other.hi <= self.lo
-
-    def entirely_left_of(self, other: "OpenInterval") -> bool:
-        return self.hi <= other.lo
-
-    @property
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
-
-
-def interval_of(p: str) -> OpenInterval:
-    """The open interval ([p] 2^-len(p), ([p]+1) 2^-len(p)); [p] is p's binary value."""
-    assert_bits(p)
-    if not p:
-        raise ValueError("the empty string has no associated interval")
-    v = int(p, 2)
-    n = len(p)
-    return OpenInterval(Dyadic(v, n), Dyadic(v + 1, n))
-
-
 # ---------------------------------------------------------------------------
 # dyadic-weight measures as bit strings
 # ---------------------------------------------------------------------------
-
-def encode_measure_entries(entries: Sequence[tuple[str, int, int]]) -> str:
-    """Encode (element, numerator, exponent) triples, canonical element order.
-
-    Weights must be positive dyadics in canonical form (numerator odd).
-    """
-    ordered = sorted(entries, key=lambda e: canon_key(e[0]))
-    if len({e[0] for e in ordered}) != len(ordered):
-        raise ValueError("duplicate support element")
-    out = [encode_nat(len(ordered))]
-    for x, num, exp in ordered:
-        if num <= 0 or exp < 0 or (num % 2 == 0 and exp > 0):
-            raise ValueError(f"non-canonical weight {num}/2^{exp}")
-        out.append(encode_self_delim(assert_bits(x)))
-        out.append(encode_nat(num))
-        out.append(encode_nat(exp))
-    return "".join(out)
-
 
 def decode_measure_prefix(s: str) -> tuple[Optional[int], list[tuple[str, int, int]], bool]:
     """Read the measure encoding at the start of s as far as s goes: (the

@@ -14,16 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import machine
 from .codec import encode_self_delim, encode_string_set, nat_to_bits
 from .dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from .machine import (
     MachineConfig,
     ProgramRecord,
     get_enumeration,
+    is_built,
     mass_for_output,
     min_program_for_output,
     min_program_with_prefix_in,
+    per_bounds,
 )
 
 
@@ -53,36 +54,32 @@ def pair_aux_nat(x: str, n: int) -> str:
     return encode_self_delim(x) + encode_self_delim(nat_to_bits(n))
 
 
-_INDEX_CACHE: dict[tuple[MachineConfig, str], dict[str, tuple[ProgramRecord, Dyadic]]] = {}
-
-
 def get_output_index(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[ProgramRecord, Dyadic]]:
-    """Per reachable output of the cached enumeration: its (length, lex)-least
+    """Per reachable output of the enumeration: its (length, lex)-least
     program and the exact total mass sum 2^-len of all its programs.  Outputs
     appear in strictly increasing (len(program), program) order of their least
     programs, so the first entry a query accepts holds its least program."""
-    aux = aux[:cfg.readable_aux_len]
-    index = _INDEX_CACHE.get((cfg, aux))
-    if index is None:
-        L = cfg.max_program_len
-        least: dict[str, ProgramRecord] = {}
-        weight: dict[str, int] = {}  # mass in units of 2^-L
-        for rec in get_enumeration(cfg, aux):
-            x, n = rec.output, len(rec.program)
-            best = least.get(x)
-            if best is None or (n, rec.program) < (len(best.program), best.program):
-                least[x] = rec
-            weight[x] = weight.get(x, 0) + (1 << (L - n))
-        ranked = sorted(least.values(), key=lambda r: (len(r.program), r.program))
-        index = _INDEX_CACHE[cfg, aux] = {r.output: (r, Dyadic(weight[r.output], L)) for r in ranked}
-    return index
+    return per_bounds("output index", _build_output_index, cfg, aux)
+
+
+def _build_output_index(cfg: MachineConfig, aux: str) -> dict[str, tuple[ProgramRecord, Dyadic]]:
+    L = cfg.max_program_len
+    least: dict[str, ProgramRecord] = {}
+    weight: dict[str, int] = {}  # mass in units of 2^-L
+    for rec in get_enumeration(cfg, aux):
+        x, n = rec.output, len(rec.program)
+        best = least.get(x)
+        if best is None or (n, rec.program) < (len(best.program), best.program):
+            least[x] = rec
+        weight[x] = weight.get(x, 0) + (1 << (L - n))
+    ranked = sorted(least.values(), key=lambda r: (len(r.program), r.program))
+    return {r.output: (r, Dyadic(weight[r.output], L)) for r in ranked}
 
 
 def _output_index(y: str, cfg: MachineConfig):
     """The output index once the enumeration for (cfg, y) is built, else None:
     then the boundary-graph DPs answer, and no query builds an enumeration."""
-    built = (cfg, y[:cfg.readable_aux_len]) in machine._ENUM_CACHE
-    return get_output_index(cfg, y) if built else None
+    return get_output_index(cfg, y) if is_built("enumeration", cfg, y) else None
 
 
 def _complexity(rec: Optional[ProgramRecord], cfg: MachineConfig) -> ComplexityValue:
@@ -149,29 +146,27 @@ class HaltingProxy:
     config: MachineConfig
 
 
-_PROXY_CACHE: dict[tuple[MachineConfig, str], HaltingProxy] = {}
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
-    aux = aux[:cfg.readable_aux_len]
-    proxy = _PROXY_CACHE.get((cfg, aux))
-    if proxy is None:
-        by_length: dict[int, list[int]] = {}
-        for r in get_enumeration(cfg, aux):
-            by_length.setdefault(len(r.program), []).append(int(r.program, 2))
-        # level n holds one byte per string of length n, lexicographically; a
-        # string halts when it is a program or its one-bit-shorter prefix halts
-        levels = [bytearray(1)]  # the empty string never halts
-        for n in range(1, cfg.max_program_len + 1):
-            lvl = bytearray(1 << n)
-            lvl[0::2] = lvl[1::2] = levels[-1]
-            for v in by_length.get(n, ()):
-                lvl[v] = 1
-            levels.append(lvl)
-        bits = b"".join(levels).translate(_BIT_CHARS).decode()
-        proxy = _PROXY_CACHE[cfg, aux] = HaltingProxy(bits, cfg)
-    return proxy
+    return per_bounds("halting proxy", _build_halting_proxy, cfg, aux)
+
+
+def _build_halting_proxy(cfg: MachineConfig, aux: str) -> HaltingProxy:
+    by_length: dict[int, list[int]] = {}
+    for r in get_enumeration(cfg, aux):
+        by_length.setdefault(len(r.program), []).append(int(r.program, 2))
+    # level n holds one byte per string of length n, lexicographically; a
+    # string halts when it is a program or its one-bit-shorter prefix halts
+    levels = [bytearray(1)]  # the empty string never halts
+    for n in range(1, cfg.max_program_len + 1):
+        lvl = bytearray(1 << n)
+        lvl[0::2] = lvl[1::2] = levels[-1]
+        for v in by_length.get(n, ()):
+            lvl[v] = 1
+        levels.append(lvl)
+    return HaltingProxy(b"".join(levels).translate(_BIT_CHARS).decode(), cfg)
 
 
 def _info(x: str, aux: str, cfg: MachineConfig) -> Optional[int]:

@@ -30,7 +30,7 @@ from .leftward import (
     shortest_total_satisfying,
     total_strings_of_length,
 )
-from .machine import MachineConfig, cache_digest, get_enumeration
+from .machine import MachineConfig, cache_digest, get_enumeration, per_bounds
 from .monotone import (
     NuFunction,
     ThetaTable,
@@ -100,16 +100,16 @@ def _fmt_inf(v: Optional[int]):
     return "inf" if v is None else v
 
 
-_DIGESTS: dict[MachineConfig, str] = {}  # the enumeration's, hashed once per bounds
+def _enumeration_digest(cfg: MachineConfig, aux: str) -> str:
+    return cache_digest(get_enumeration(cfg, aux))
 
 
 def _report(name: str, cfg: MachineConfig, **params) -> ExperimentReport:
-    # built before any query, so the report's unconditional queries read the index
-    records = get_enumeration(cfg, "")
-    if cfg not in _DIGESTS:
-        _DIGESTS[cfg] = cache_digest(records)
+    # the digest builds the enumeration before any query, so the report's
+    # unconditional queries read the index
+    digest = per_bounds("enumeration digest", _enumeration_digest, cfg, "")
     config = {"max_len": cfg.max_program_len, "fuel": cfg.fuel, **params}
-    return ExperimentReport(name, config, _DIGESTS[cfg])
+    return ExperimentReport(name, config, digest)
 
 
 def _min_k(members, cfg) -> Optional[int]:
@@ -131,18 +131,6 @@ def default_set_family(count: int = 100) -> list[tuple[str, frozenset]]:
         size = 1 + rng.next(4)
         members = frozenset(pool[rng.next(len(pool))] for _ in range(size))
         family.append((f"set{j:03d}", members))
-    return family
-
-
-def default_prefix_free_family(count: int = 50) -> list[tuple[str, PrefixFreeSet]]:
-    """Deterministic prefix-free sets with members the machine can reach."""
-    rng = Lcg(23)
-    family = []
-    for j in range(count):
-        length = 2 + rng.next(3)
-        size = 1 + rng.next(min(3, 1 << length))
-        members = {format(rng.next(1 << length), f"0{length}b") for _ in range(size)}
-        family.append((f"pfs{j:03d}", PrefixFreeSet(members)))
     return family
 
 

@@ -31,7 +31,7 @@ from itertools import accumulate
 from typing import Callable
 
 from .dyadic import Dyadic
-from .machine import MachineConfig, ProgramRecord, get_enumeration
+from .machine import MachineConfig, ProgramRecord, get_enumeration, per_bounds
 
 
 class TotalSearchNotFound(RuntimeError):
@@ -89,16 +89,9 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
                          bounds, prefix_maxlen, by_output)
 
 
-_TABLE_CACHE: dict[tuple[MachineConfig, str], IntervalTable] = {}
-
-
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
-    """The cached table, keyed on the bounds and the readable aux prefix."""
-    aux = aux[:cfg.readable_aux_len]
-    table = _TABLE_CACHE.get((cfg, aux))
-    if table is None:
-        table = _TABLE_CACHE[cfg, aux] = build_interval_table(cfg, aux)
-    return table
+    """The table, built once per bounds and readable aux prefix."""
+    return per_bounds("interval table", build_interval_table, cfg, aux)
 
 
 def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:

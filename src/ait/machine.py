@@ -36,7 +36,7 @@ check precedes every step, so the outcome is a pure function of the program
 prefix actually read, the aux string, and the fuel.  Each data cell read is
 also an output bit appended, so a run within fuel F reads fewer than F/2 data
 cells, and only the first F//2 + 1 aux bits are readable
-(``MachineConfig.readable_aux_len``): the per-(bounds, aux) caches and the
+(``MachineConfig.readable_aux_len``): the per-bounds store and the
 boundary-graph searches work on that prefix.
 
 One decoder, ``_effect``, states what each instruction does.  ``run`` and
@@ -283,16 +283,35 @@ def enumerate_halting(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
     return search_programs(cfg, aux)
 
 
-_ENUM_CACHE: dict[tuple[MachineConfig, str], list[ProgramRecord]] = {}
+# ---------------------------------------------------------------------------
+# the per-bounds store
+# ---------------------------------------------------------------------------
+
+_BUILT: dict[tuple[str, int, int, str], object] = {}
+
+
+def per_bounds(kind: str, build: Callable[[MachineConfig, str], object],
+               cfg: MachineConfig, aux: str = ""):
+    """The ``kind`` of object built once per bounds and readable aux prefix:
+    ``build(cfg, aux[:cfg.readable_aux_len])`` on the first call, the same
+    object after.  Callers pass ``build`` by its module attribute at call
+    time, so a wrapper rebound there sees each build."""
+    aux = aux[:cfg.readable_aux_len]
+    key = (kind, cfg.max_program_len, cfg.fuel, aux)
+    built = _BUILT.get(key)
+    if built is None:
+        built = _BUILT[key] = build(cfg, aux)
+    return built
+
+
+def is_built(kind: str, cfg: MachineConfig, aux: str = "") -> bool:
+    """Whether ``per_bounds`` holds the ``kind`` for these bounds and aux."""
+    return (kind, cfg.max_program_len, cfg.fuel, aux[:cfg.readable_aux_len]) in _BUILT
 
 
 def get_enumeration(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
-    """The cached enumeration, keyed on the bounds and the readable aux prefix."""
-    aux = aux[:cfg.readable_aux_len]
-    records = _ENUM_CACHE.get((cfg, aux))
-    if records is None:
-        records = _ENUM_CACHE[cfg, aux] = enumerate_halting(cfg, aux)
-    return records
+    """The enumeration, built once per bounds and readable aux prefix."""
+    return per_bounds("enumeration", enumerate_halting, cfg, aux)
 
 
 def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:

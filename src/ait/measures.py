@@ -1,11 +1,9 @@
-"""Elementary measures and the machinery built on them: tests, deficiency
-of randomness, Shannon-Fano codes, image and conditioned measures, the
-bounded stochasticity search, and the derandomized hitting vector.
+"""Elementary measures and the machinery built on them: deficiency of
+randomness, Shannon-Fano codes, the bounded stochasticity search, and the
+derandomized hitting vector.
 
-Weights are exact rationals.  Machine-facing encodings require dyadic
-weights (the only kind the codec serializes); conditioning a measure may
-leave the dyadic ring, which is why the weight type widens to ``Fraction``
-internally while every machine-side object stays dyadic.
+Weights are exact rationals (``Fraction``).  A measure a program outputs
+has dyadic weights, the only kind the codec's measure encoding carries.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .codec import (
     decode_measure_entries,
     decode_measure_prefix,
     decode_string_set,
-    encode_measure_entries,
 )
 from .complexity import k_t, pair_aux
 from .machine import MachineConfig, search_programs
@@ -60,9 +57,6 @@ class ElementaryMeasure:
     def mass_of(self, members: Iterable[str]) -> Fraction:
         return sum((self(x) for x in set(members)), Fraction(0))
 
-    def is_dyadic(self) -> bool:
-        return all(w.denominator & (w.denominator - 1) == 0 for w in self.weights.values())
-
 
 def measure_violations(w: ElementaryMeasure) -> list[str]:
     """Which constraints fail: support positivity, then the kind's sum rule."""
@@ -78,31 +72,11 @@ def measure_violations(w: ElementaryMeasure) -> list[str]:
     return problems
 
 
-def validate_measure(w: ElementaryMeasure) -> bool:
-    return not measure_violations(w)
-
-
 def uniform_measure(n: int) -> ElementaryMeasure:
     """The uniform probability measure on all strings of length n."""
     return ElementaryMeasure(
         {format(v, f"0{n}b") if n else "": Fraction(1, 1 << n) for v in range(1 << n)}
     )
-
-
-def point_mass(x: str) -> ElementaryMeasure:
-    return ElementaryMeasure({x: Fraction(1)})
-
-
-def encode_measure(w: ElementaryMeasure) -> str:
-    """Canonical bit-string encoding; weights must be dyadic."""
-    entries = []
-    for x in w.support:
-        weight = w(x)
-        den = weight.denominator
-        if den & (den - 1):
-            raise ValueError(f"weight {weight} of {x!r} is not dyadic")
-        entries.append((x, weight.numerator, den.bit_length() - 1))
-    return encode_measure_entries(entries)
 
 
 def decode_measure(bits: str, kind: str = PROBABILITY) -> ElementaryMeasure:
@@ -113,17 +87,8 @@ def decode_measure(bits: str, kind: str = PROBABILITY) -> ElementaryMeasure:
 
 
 # ---------------------------------------------------------------------------
-# tests and deficiency
+# deficiency
 # ---------------------------------------------------------------------------
-
-def is_w_test(s: Mapping[str, int], w: ElementaryMeasure) -> bool:
-    """Exact check of sum 2^s(x) W(x) <= 1 over the support."""
-    total = Fraction(0)
-    for x in w.support:
-        e = s[x]
-        total += w(x) * (Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e))
-    return total <= 1
-
 
 @dataclass(frozen=True)
 class DeficiencyValue:
@@ -217,32 +182,6 @@ def shannon_fano_decode(code: Mapping[str, str], bits: str) -> str:
         if bits[:i] in inverse:
             raise ValueError("trailing bits after a complete codeword")
     raise ValueError("not a codeword")
-
-
-# ---------------------------------------------------------------------------
-# image and conditioned measures
-# ---------------------------------------------------------------------------
-
-def image_measure(w: ElementaryMeasure, g) -> ElementaryMeasure:
-    """Exact pushforward along a total map (callable or mapping)."""
-    apply = g.__getitem__ if isinstance(g, Mapping) else g
-    out: dict[str, Fraction] = {}
-    for x in w.support:
-        target = assert_bits(apply(x))
-        out[target] = out.get(target, Fraction(0)) + w(x)
-    return ElementaryMeasure(out, w.kind)
-
-
-def condition_measure(q: ElementaryMeasure, members: Iterable[str]) -> ElementaryMeasure:
-    """Restrict to the set and renormalize exactly; the division may leave
-    the dyadic ring, which the Fraction weights absorb."""
-    keep = set(members)
-    mass = q.mass_of(keep)
-    if mass == 0:
-        raise ValueError("conditioning on a set of measure zero")
-    return ElementaryMeasure(
-        {x: q(x) / mass for x in q.support if x in keep}, PROBABILITY
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +339,9 @@ def hitting_vector(
     chosen: list[str] = []
     alive = [(qw, members, 1 - m.mass_of(members)) for qw, members in sets]
     for r in range(size, 0, -1):
+        if not alive:  # every potential is 0, so each draw left takes the first element
+            chosen += [next(iter(m.support), None)] * r
+            break
         contrib = [qw * miss ** (r - 1) for qw, _members, miss in alive]
         total = sum(contrib, Fraction(0))
         best_elem, best_pot = None, None

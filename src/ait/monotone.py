@@ -92,10 +92,6 @@ def theta_violations(t: ThetaTable) -> list[str]:
     return problems
 
 
-def validate_theta(t: ThetaTable) -> bool:
-    return not theta_violations(t)
-
-
 @dataclass(frozen=True)
 class Stage:
     k: int
@@ -131,14 +127,6 @@ class MonotoneTransducer:
 
 def mass_of(strings: Iterable[str]) -> Dyadic:
     return dyadic_sum(Dyadic(1, len(y)) for y in strings)
-
-
-def xi(stage: Stage, x: str) -> Optional[int]:
-    """ceil(-log mass(S[x] union T[x])) at a completed stage; None on empty."""
-    members = set(stage.s_sets.get(x, ())) | set(stage.t_sets.get(x, ()))
-    if not members:
-        return None
-    return ceil_neg_log2(mass_of(members))
 
 
 def _expand(strings: Iterable[str], n: int) -> list[str]:
@@ -382,10 +370,11 @@ def point_mass_table(stages: int) -> ThetaTable:
     return ThetaTable(entries, stages)
 
 
-def random_pow2_table(seed: int, stages: int, max_exp: int = 6) -> ThetaTable:
+def random_pow2_table(seed: int, stages: int) -> ThetaTable:
     """A deterministic pseudo-random power-of-two table: the final tree is
     drawn once from a fixed linear-congruential stream, then revealed one
-    level per stage (which keeps stage monotonicity trivially exact)."""
+    level per stage (which keeps stage monotonicity trivially exact).  No
+    value below 2^-6 subdivides."""
     rng = Lcg(seed)
     tree: dict[str, Dyadic] = {"": Dyadic.one()}
     frontier = [""]
@@ -393,7 +382,7 @@ def random_pow2_table(seed: int, stages: int, max_exp: int = 6) -> ThetaTable:
         nxt = []
         for x in frontier:
             v = tree[x]
-            if v.exp >= max_exp:
+            if v.exp >= 6:
                 continue
             style = rng.next(4)
             if style == 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .codec import PrefixFreeSet, encode_nat, decode_nat_from, DecodeError
+from .codec import PrefixFreeSet, encode_nat
 from .complexity import km_t
 from .machine import MachineConfig, run
 
@@ -65,22 +65,6 @@ def encode_predicate(g: BinaryPredicate) -> str:
     return "".join(out)
 
 
-def decode_predicate(bits: str) -> BinaryPredicate:
-    n2, pos = decode_nat_from(bits, 0)
-    if n2 % 2:
-        raise DecodeError("odd interleaved count")
-    pairs = []
-    for _ in range(n2 // 2):
-        idx, pos = decode_nat_from(bits, pos)
-        bit, pos = decode_nat_from(bits, pos)
-        pairs.append((idx, bit))
-    if pos != len(bits):
-        raise DecodeError("trailing bits after predicate encoding")
-    if pairs != sorted(pairs) or len({i for i, _ in pairs}) != len(pairs):
-        raise DecodeError("predicate entries not in canonical index order")
-    return BinaryPredicate(pairs)
-
-
 def cylinder(g: BinaryPredicate) -> PrefixFreeSet:
     """All strings of length max-index agreeing with g at every defined
     index; the empty domain leaves the length undefined and is rejected."""
@@ -100,25 +84,11 @@ def cylinder(g: BinaryPredicate) -> PrefixFreeSet:
     return PrefixFreeSet(members)
 
 
-def predicate_of_cylinder(members: PrefixFreeSet) -> BinaryPredicate:
-    """Inverse construction: the positions where every member agrees...
-    valid when the set is a full cylinder, which round-trip tests assert."""
-    strings = list(members)
-    n = len(strings[0])
-    pairs = []
-    for i in range(1, n + 1):
-        bits = {s[i - 1] for s in strings}
-        if len(bits) == 1:
-            pairs.append((i, int(bits.pop())))
-    return BinaryPredicate(pairs)
-
-
 @dataclass(frozen=True)
 class ExtensionResult:
     program: str
-    raw_output: str
-    extension_rule: str  # always "output bits then zeros"
-    bound_slack: int     # len(program) - |domain|
+    raw_output: str    # the extension is these bits, then zeros
+    bound_slack: int   # len(program) - |domain|
 
     def extension_bit(self, i: int) -> int:
         if i < 1:
@@ -143,9 +113,7 @@ def complete_extension_search(g: BinaryPredicate, cfg: MachineConfig) -> Extensi
             f"no program within {cfg} outputs a string extending the cylinder"
         )
     output = run(witness.witness, "", cfg.fuel).output
-    result = ExtensionResult(
-        witness.witness, output, "output bits then zeros", witness.value - len(g)
-    )
+    result = ExtensionResult(witness.witness, output, witness.value - len(g))
     if not g.agrees_with(result.raw_output):
         raise AssertionError("witness output disagrees with the predicate")
     return result

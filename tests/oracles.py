@@ -1,24 +1,51 @@
-"""Independent test oracles: a bit-at-a-time interpreter and its brute-force
-enumeration for the machine, and a prefix scan for its halting-sequence
-proxy; the transformed machine, a tree walk, the pieces of the interval
-table, the table's text form, the base machine's totality and a
-child-by-child descent to the border prefix for the left-total transform;
-and a per-input preimage count for the compiled transducer."""
+"""Independent test oracles and reference definitions that the lab itself
+never runs.
+
+- The machine: a bit-at-a-time interpreter and its brute-force enumeration,
+  a prefix scan for the halting-sequence proxy, and the edges of the
+  boundary graph read off the instruction decoder ``expand``.
+- The left-total transform: the transformed machine, a tree walk, the
+  pieces of the interval table, the table's text form, the base machine's
+  totality and a child-by-child descent to the border prefix; the left-of
+  relation and the open dyadic intervals it orders.
+- Encodings: the measure encoder, the predicate decoder and the predicate
+  of a cylinder, each the inverse of what ``ait`` reads or writes.
+- Measures and transducers: the W-test, every greedy draw of the hitting
+  vector, the stage function xi, and a per-input preimage count.
+- Fixtures: a family of prefix-free sets the machine can reach.
+"""
 
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping, NamedTuple, Optional
 
-from ait.codec import all_strings_upto, left_of
-from ait.dyadic import Dyadic
+from ait.codec import (
+    DecodeError,
+    Lcg,
+    PrefixFreeSet,
+    all_strings_upto,
+    assert_bits,
+    canon_key,
+    decode_nat_from,
+    decode_string_set,
+    encode_nat,
+    encode_self_delim,
+)
+from ait.dyadic import Dyadic, ceil_neg_log2
 from ait.leftward import IntervalTable, _grid_interval
 from ait.machine import (
     ExecOutcome,
     MachineConfig,
     ProgramRecord,
     Status,
+    expand,
     get_enumeration,
 )
-from ait.monotone import DepthExceeded
+from ait.measures import ElementaryMeasure
+from ait.monotone import DepthExceeded, Stage, mass_of
+from ait.predicates import BinaryPredicate
 
 
 class _Stop(Exception):
@@ -281,3 +308,201 @@ def halting_proxy_by_scan(cfg: MachineConfig, aux: str = "") -> str:
     programs = {r.program for r in get_enumeration(cfg, aux)}
     return "".join("1" if any(s[:i] in programs for i in range(len(s) + 1)) else "0"
                    for s in all_strings_upto(cfg.max_program_len))
+
+
+# ---------------------------------------------------------------------------
+# the boundary graph, read off the instruction decoder
+# ---------------------------------------------------------------------------
+
+def edges_by_expand(x: str, aux: str, o: int, a: int, room: int) -> Counter:
+    """Every instruction with a code of at most ``room`` bits that may follow
+    the boundary (o, a) of a program for exactly x, counted as (code, next
+    boundary or None after a halt, weight): its emitted bits match x[o:],
+    and a halt ends at len(x).  The next boundary is (o + emitted, min(aux
+    position, len(aux))), and the weight is the steps spent less the bits
+    emitted.  The fuel lets every instruction that can match x run."""
+    fuel = 4 * (room + len(x) + len(aux)) + 16
+    edges = Counter()
+    for c in range(1, room + 1):
+        for code, emitted, after, spent in expand(aux, fuel, a, 0, c):
+            end = o + len(emitted)
+            if not x.startswith(emitted, o) or (after is None and end != len(x)):
+                continue
+            t = None if after is None else (end, min(after, len(aux)))
+            edges[code, t, spent - len(emitted)] += 1
+    return edges
+
+
+# ---------------------------------------------------------------------------
+# intervals and the left-of relation
+# ---------------------------------------------------------------------------
+
+def left_of(x: str, y: str) -> bool:
+    """The left-of relation: some z with z0 a prefix of x and z1 a prefix of y.
+
+    Prefix-comparable strings are never left-of each other; for
+    prefix-incomparable strings exactly one of left_of(x, y), left_of(y, x)
+    holds.
+    """
+    m = min(len(x), len(y))
+    for i in range(m):
+        if x[i] != y[i]:
+            return x[i] == "0"
+    return False
+
+
+@dataclass(frozen=True)
+class OpenInterval:
+    """Open dyadic subinterval of [0, 1]."""
+
+    lo: Dyadic
+    hi: Dyadic
+
+    def __post_init__(self):
+        if not (self.lo < self.hi and self.hi <= Dyadic.one()):
+            raise ValueError(f"bad interval ({self.lo}, {self.hi})")
+
+    def contains(self, other: "OpenInterval") -> bool:
+        return self.lo <= other.lo and other.hi <= self.hi
+
+    def disjoint(self, other: "OpenInterval") -> bool:
+        return self.hi <= other.lo or other.hi <= self.lo
+
+    def entirely_left_of(self, other: "OpenInterval") -> bool:
+        return self.hi <= other.lo
+
+
+def interval_of(p: str) -> OpenInterval:
+    """The open interval ([p] 2^-len(p), ([p]+1) 2^-len(p)); [p] is p's binary value."""
+    assert_bits(p)
+    if not p:
+        raise ValueError("the empty string has no associated interval")
+    v = int(p, 2)
+    n = len(p)
+    return OpenInterval(Dyadic(v, n), Dyadic(v + 1, n))
+
+
+# ---------------------------------------------------------------------------
+# encodings
+# ---------------------------------------------------------------------------
+
+def encode_measure_entries(entries) -> str:
+    """Encode (element, numerator, exponent) triples, canonical element order.
+
+    Weights must be positive dyadics in canonical form (numerator odd).
+    """
+    ordered = sorted(entries, key=lambda e: canon_key(e[0]))
+    if len({e[0] for e in ordered}) != len(ordered):
+        raise ValueError("duplicate support element")
+    out = [encode_nat(len(ordered))]
+    for x, num, exp in ordered:
+        if num <= 0 or exp < 0 or (num % 2 == 0 and exp > 0):
+            raise ValueError(f"non-canonical weight {num}/2^{exp}")
+        out.append(encode_self_delim(assert_bits(x)))
+        out.append(encode_nat(num))
+        out.append(encode_nat(exp))
+    return "".join(out)
+
+
+def encode_measure(w: ElementaryMeasure) -> str:
+    """Canonical bit-string encoding; weights must be dyadic."""
+    entries = []
+    for x in w.support:
+        weight = w(x)
+        den = weight.denominator
+        if den & (den - 1):
+            raise ValueError(f"weight {weight} of {x!r} is not dyadic")
+        entries.append((x, weight.numerator, den.bit_length() - 1))
+    return encode_measure_entries(entries)
+
+
+def decode_predicate(bits: str) -> BinaryPredicate:
+    n2, pos = decode_nat_from(bits, 0)
+    if n2 % 2:
+        raise DecodeError("odd interleaved count")
+    pairs = []
+    for _ in range(n2 // 2):
+        idx, pos = decode_nat_from(bits, pos)
+        bit, pos = decode_nat_from(bits, pos)
+        pairs.append((idx, bit))
+    if pos != len(bits):
+        raise DecodeError("trailing bits after predicate encoding")
+    if pairs != sorted(pairs) or len({i for i, _ in pairs}) != len(pairs):
+        raise DecodeError("predicate entries not in canonical index order")
+    return BinaryPredicate(pairs)
+
+
+def predicate_of_cylinder(members: PrefixFreeSet) -> BinaryPredicate:
+    """Inverse construction: the positions where every member agrees...
+    valid when the set is a full cylinder, which round-trip tests assert."""
+    strings = list(members)
+    n = len(strings[0])
+    pairs = []
+    for i in range(1, n + 1):
+        bits = {s[i - 1] for s in strings}
+        if len(bits) == 1:
+            pairs.append((i, int(bits.pop())))
+    return BinaryPredicate(pairs)
+
+
+# ---------------------------------------------------------------------------
+# measures and transducers
+# ---------------------------------------------------------------------------
+
+def is_w_test(s: Mapping[str, int], w: ElementaryMeasure) -> bool:
+    """Exact check of sum 2^s(x) W(x) <= 1 over the support."""
+    total = Fraction(0)
+    for x in w.support:
+        e = s[x]
+        total += w(x) * (Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e))
+    return total <= 1
+
+
+def hitting_draws(q: ElementaryMeasure, m: ElementaryMeasure, i: int, c: int,
+                  d: int) -> tuple:
+    """Every one of the c*d*2^(i+1) greedy draws of ``hitting_vector``, each
+    a full pass over the support of m, also after every set is hit."""
+    chosen = []
+    alive = []
+    for enc in q.support:
+        members = frozenset(decode_string_set(enc))
+        alive.append((q(enc), members, 1 - m.mass_of(members)))
+    for r in range(c * d * (1 << (i + 1)), 0, -1):
+        contrib = [qw * miss ** (r - 1) for qw, _members, miss in alive]
+        total = sum(contrib, Fraction(0))
+        best_elem, best_pot = None, None
+        for w in m.support:
+            pot = total
+            for idx, (_qw, members, _miss) in enumerate(alive):
+                if w in members:
+                    pot -= contrib[idx]
+            if best_pot is None or pot < best_pot:
+                best_pot = pot
+                best_elem = w
+        chosen.append(best_elem)
+        alive = [entry for entry in alive if best_elem not in entry[1]]
+    return tuple(chosen)
+
+
+def xi(stage: Stage, x: str) -> Optional[int]:
+    """ceil(-log mass(S[x] union T[x])) at a completed stage; None on empty."""
+    members = set(stage.s_sets.get(x, ())) | set(stage.t_sets.get(x, ()))
+    if not members:
+        return None
+    return ceil_neg_log2(mass_of(members))
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+def default_prefix_free_family(count: int = 50) -> list[tuple[str, PrefixFreeSet]]:
+    """Deterministic prefix-free sets with members the machine can reach."""
+    rng = Lcg(23)
+    family = []
+    for j in range(count):
+        length = 2 + rng.next(3)
+        size = 1 + rng.next(min(3, 1 << length))
+        members = {format(rng.next(1 << length), f"0{length}b") for _ in range(size)}
+        family.append((f"pfs{j:03d}", PrefixFreeSet(members)))
+    return family

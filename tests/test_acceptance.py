@@ -9,7 +9,7 @@ import io
 import time
 from contextlib import redirect_stdout
 
-from ait.codec import is_prefix_free
+from ait.codec import prefix_pair
 from ait.dyadic import Dyadic, ceil_neg_log2
 from ait.frozen import FROZEN
 from ait.machine import MachineConfig, enumerate_halting, kraft_sum, run
@@ -26,7 +26,7 @@ def _announce(number: int, ok: bool, label: str):
 def test_criterion_01_machine_soundness(enumeration):
     started = time.time()
     programs = [r.program for r in enumeration]
-    prefix_free = is_prefix_free(programs)
+    prefix_free = prefix_pair(programs) is None
 
     kraft_ok = kraft_sum(enumeration) <= Dyadic.one()
 
@@ -64,7 +64,7 @@ def test_criterion_02_left_total_transform(interval_table):
     started = time.time()
     L = FIXTURE.max_program_len
     pieces = table_pieces(interval_table)
-    uprime_prefix_free = is_prefix_free([p.program for p in pieces])
+    uprime_prefix_free = prefix_pair([p.program for p in pieces]) is None
 
     # every q left of a transformed halting program is total, all lengths <= L
     omega = interval_table.omega_grid
@@ -132,7 +132,8 @@ def test_criterion_03_border_and_omega(interval_table):
 
 def test_criterion_04_coding_direction(enumeration):
     from ait.complexity import coding_direction_holds, k_t, km_t, m_set
-    from ait.harness import default_prefix_free_family, default_set_family
+    from ait.harness import default_set_family
+    from oracles import default_prefix_free_family
 
     exhaustive = coding_direction_holds(FIXTURE)
 
@@ -157,8 +158,9 @@ def test_criterion_05_transducer_compiler():
     from ait.dyadic import ceil_neg_log2 as cnl
     from ait.monotone import (
         NuFunction, build_nu, measure_matching_gap, point_mass_table,
-        random_pow2_table, uniform_table, xi,
+        random_pow2_table, uniform_table,
     )
+    from oracles import xi
 
     started = time.time()
     tables = [uniform_table(6), point_mass_table(6)] + [

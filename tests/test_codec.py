@@ -5,28 +5,24 @@ from hypothesis import given, settings, strategies as st
 
 from ait.codec import (
     DecodeError,
-    OpenInterval,
     PrefixFreeSet,
     all_strings_upto,
     bits_to_nat,
     canonical_sorted,
-    decode_self_delim,
     decode_measure_entries,
     decode_measure_prefix,
     decode_self_delim_from,
     decode_string_set,
-    encode_measure_entries,
     encode_nat,
     encode_self_delim,
     encode_string_set,
-    interval_of,
-    is_prefix_free,
-    left_of,
     nat_to_bits,
     prefix_pair,
     self_delim_at,
 )
 from ait.dyadic import Dyadic
+
+from oracles import OpenInterval, encode_measure_entries, interval_of, left_of
 
 bitstrings = st.text(alphabet="01", max_size=16)
 
@@ -43,12 +39,13 @@ def test_self_delim_paper_examples():
 def test_self_delim_roundtrip_exhaustive():
     # round-trips for every string up to length 12
     for x in all_strings_upto(12):
-        assert decode_self_delim(encode_self_delim(x)) == x
+        code = encode_self_delim(x)
+        assert decode_self_delim_from(code) == (x, len(code))
 
 
 def test_self_delim_image_prefix_free_exhaustive():
     codes = sorted(encode_self_delim(x) for x in all_strings_upto(10))
-    assert is_prefix_free(codes)
+    assert prefix_pair(codes) is None
 
 
 def test_self_delim_at_passes_the_end_exactly_when_decoding_raises():
@@ -161,7 +158,7 @@ def test_prefix_pair_matches_all_pairs(strings):
     offending = {(a, b) for a in strings for b in strings
                  if len(a) < len(b) and b.startswith(a)}
     pair = prefix_pair(strings)
-    assert (pair is None) == (not offending) == is_prefix_free(strings)
+    assert (pair is None) == (not offending)
     assert pair is None or pair in offending
 
 

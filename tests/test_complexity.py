@@ -23,7 +23,7 @@ from ait.complexity import (
 )
 from ait.dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from ait.frozen import CHAIN, FROZEN, calibrate
-from ait.harness import default_predicate_family, default_prefix_free_family
+from ait.harness import default_predicate_family
 from ait.machine import (
     MachineConfig,
     get_enumeration,
@@ -35,7 +35,7 @@ from ait.machine import (
 )
 from ait.predicates import BinaryPredicate, cylinder
 
-from oracles import halting_proxy_by_scan
+from oracles import default_prefix_free_family, halting_proxy_by_scan
 
 
 def test_witness_reproduces_target(fixture_cfg):
@@ -344,8 +344,7 @@ _DPS = ("min_program_for_output", "mass_for_output", "min_program_with_prefix_in
 
 
 def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatch):
-    monkeypatch.setattr(machine, "_ENUM_CACHE", {})
-    monkeypatch.setattr(complexity, "_INDEX_CACHE", {})
+    monkeypatch.setattr(machine, "_BUILT", {})
     calls = Counter()
     for name in _DPS:
         def counted(*args, _dp=getattr(complexity, name), _name=name):
@@ -360,7 +359,7 @@ def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatc
                 k_t("0110", aux, cfg), m_t("0110", aux, cfg))
 
     cold = ask()
-    assert not machine._ENUM_CACHE  # no query builds an enumeration
+    assert not machine._BUILT  # no query builds an enumeration or an index
     assert calls == Counter({"min_program_for_output": 2, "mass_for_output": 2,
                              "min_program_with_prefix_in": 1})
     get_enumeration(cfg, "")

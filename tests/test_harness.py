@@ -8,14 +8,13 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ait import harness
+from ait import harness, machine
 from ait.cli import main
 from ait.codec import PrefixFreeSet, encode_string_set
 from ait.dyadic import Dyadic
 from ait.harness import (
     DistortionSpec,
     default_predicate_family,
-    default_prefix_free_family,
     default_set_family,
     distortion_ball,
     exp_clopen,
@@ -34,6 +33,7 @@ from ait.monotone import (
     random_pow2_table,
     uniform_table,
 )
+from oracles import default_prefix_free_family
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ def test_report_determinism(fixture_cfg, small_families):
 
 
 def test_reports_hash_the_enumeration_once_per_bounds(monkeypatch, small_cfg):
-    monkeypatch.setattr(harness, "_DIGESTS", {})
+    monkeypatch.setattr(machine, "_BUILT", {})
     digests = []
 
     def counted(records):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ait.codec import Lcg, interval_of, is_prefix_free, left_of
+from ait.codec import Lcg, prefix_pair
 from ait.dyadic import Dyadic
 import ait.leftward as leftward
 from ait.leftward import (
@@ -26,7 +26,9 @@ from oracles import (
     UTotality,
     bb_by_pieces,
     border_by_descent,
+    interval_of,
     is_total_uprime_by_walk,
+    left_of,
     mass_by_pieces,
     omega_hat_by_pieces,
     run_left_total,
@@ -100,7 +102,7 @@ def test_pieces_partition_and_length_bound(fixture_cfg, interval_table):
         assert len(piece.program) <= L
         pos = piece.hi
     assert pos == interval_table.omega_grid
-    assert is_prefix_free([p.program for p in pieces])
+    assert prefix_pair([p.program for p in pieces]) is None
     # the tile queries, against the same queries read off the pieces found by
     # descent: the prefix maximum, the per-output mass and omega_hat
     _assert_queries_match_pieces(interval_table, pieces, _probes(interval_table),

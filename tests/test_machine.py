@@ -1,16 +1,20 @@
 from bisect import bisect_left
+from collections import Counter
 from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ait.codec import Lcg, all_strings_upto, is_prefix_free
+from ait.codec import Lcg, all_strings_upto, prefix_pair
 from ait.dyadic import Dyadic, dyadic_sum
 from ait.frozen import CHAIN
 from ait.machine import (
     _CODE,
     _OPCODES,
     MachineConfig,
+    _boundaries,
+    _count_edges,
+    _target_edges,
     _literal,
     get_enumeration,
     P_EPSILON,
@@ -23,7 +27,7 @@ from ait.machine import (
     run,
     search_programs,
 )
-from oracles import halting_by_bits, run_by_bits
+from oracles import edges_by_expand, halting_by_bits, run_by_bits
 
 # the designated empty-output program, located by exhaustive enumeration at L=16, t=4096
 def test_p_epsilon_is_the_designated_fixture():
@@ -67,7 +71,7 @@ def test_out_of_fuel_then_halts():
 
 
 def test_domain_prefix_free_exhaustive(enumeration):
-    assert is_prefix_free([r.program for r in enumeration])
+    assert prefix_pair([r.program for r in enumeration]) is None
 
 
 def test_enumeration_sorted_and_deterministic(fixture_cfg, enumeration):
@@ -387,6 +391,33 @@ def test_least_program_matches_enumeration_at_tight_fuel(aux, max_len):
                 _least([r for r in records if r.steps <= cfg.fuel])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.text(alphabet="01", max_size=8), aux=st.text(alphabet="01", max_size=6),
+       max_len=st.integers(1, 16))
+def test_boundary_edges_match_the_decoder(x, aux, max_len):
+    # oracle: every instruction that ``expand`` decodes at each boundary of the
+    # graph and that matches x.  A continuing code longer than room - 2 leaves
+    # no room for a halt, whose shortest code has 2 bits, so it adds no mass;
+    # of those, _count_edges yields only its 4- and 5-bit self-loops
+    prefix, out = _boundaries(x, aux, max_len, _target_edges)
+    for s, target in out.items():
+        room = max_len - prefix[s]
+        oracle = edges_by_expand(x, aux, *s, room)
+        assert set(target) <= set(oracle)
+        expected = Counter()
+        for (code, t, w), k in oracle.items():
+            if t is None or len(code) <= room - 2:
+                expected[len(code), t, w] += k
+        counted, massless = Counter(), set()
+        for c, t, w, k in _count_edges(x, aux, *s, room, target):
+            if t is None or c <= room - 2:
+                counted[c, t, w] += k
+            else:
+                massless.add((c, t, w))
+        assert counted == expected
+        assert massless <= {(4, s, 5), (5, s, 7)}
+
+
 def _random_bits(seed, n):
     rng = Lcg(seed)
     return "".join(str(rng.next(2)) for _ in range(n))
@@ -459,6 +490,6 @@ def test_aux_zero_fill(fixture_cfg):
 
 def test_opcode_table_is_a_complete_prefix_code():
     # the decoder relies on this: every bit stream starts with exactly one opcode
-    assert is_prefix_free(list(_OPCODES))
+    assert prefix_pair(_OPCODES) is None
     assert dyadic_sum(Dyadic(1, len(code)) for code in _OPCODES) == Dyadic.one()
 

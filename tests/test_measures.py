@@ -12,7 +12,7 @@ from ait.codec import (
     encode_nat,
     encode_self_delim,
     encode_string_set,
-    is_prefix_free,
+    prefix_pair,
 )
 from ait.complexity import pair_aux
 from ait.machine import MachineConfig, run, search_programs
@@ -23,33 +23,29 @@ from ait.measures import (
     SEMIMEASURE,
     StochasticityNotFound,
     UnreachableSupport,
-    condition_measure,
     decode_measure,
     deficiency,
     deficiency_test_sum,
-    encode_measure,
     hitting_score,
     hitting_vector,
-    image_measure,
-    is_w_test,
     measure_violations,
-    point_mass,
     shannon_fano,
     shannon_fano_decode,
     stochasticity,
     uniform_measure,
-    validate_measure,
     _int_log_score,
     _measure_prefix_state,
 )
 
+from oracles import encode_measure, hitting_draws, is_w_test
+
 
 def test_validate_examples():
-    assert validate_measure(uniform_measure(3))
+    assert not measure_violations(uniform_measure(3))
     semi = ElementaryMeasure({"0": Fraction(3, 4)}, SEMIMEASURE)
-    assert validate_measure(semi)
+    assert not measure_violations(semi)
     not_prob = ElementaryMeasure({"0": Fraction(3, 4)}, PROBABILITY)
-    assert not validate_measure(not_prob)
+    assert measure_violations(not_prob)
     zero_weight = ElementaryMeasure({"0": Fraction(0)}, SEMIMEASURE)
     assert any("positive" in p for p in measure_violations(zero_weight))
 
@@ -69,7 +65,7 @@ def test_deficiency_examples(fixture_cfg):
     assert d.floor_neg_log_weight == 3
     assert d.value == 3 - d.conditional_k
 
-    pm = point_mass("0")
+    pm = ElementaryMeasure({"0": 1})
     d0 = deficiency("0", pm, "", fixture_cfg)
     assert d0.floor_neg_log_weight == 0
     assert d0.value <= 0
@@ -91,10 +87,22 @@ def test_deficiency_is_test_up_to_frozen_constant(fixture_cfg):
 
     bound = Fraction(1 << FROZEN["c_test"])
     families = [uniform_measure(1), uniform_measure(2), uniform_measure(3),
-                point_mass("0"), point_mass(""),
+                ElementaryMeasure({"0": 1}), ElementaryMeasure({"": 1}),
                 ElementaryMeasure({"0": Fraction(1, 4), "11": Fraction(3, 4)})]
     for w in families:
         assert deficiency_test_sum(w, "", fixture_cfg) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deficiency_sum_bound_is_the_w_test(fixture_cfg, n):
+    # oracle: the W-test read off its definition, on the deficiencies and on
+    # the deficiencies raised by t, past the t where both answers flip
+    w = uniform_measure(n)
+    d = {a: deficiency(a, w, "", fixture_cfg).value for a in w.support}
+    total = deficiency_test_sum(w, "", fixture_cfg)
+    flips = [total * (1 << t) <= 1 for t in range(12)]
+    assert flips[0] and not flips[-1]
+    assert flips == [is_w_test({a: v + t for a, v in d.items()}, w) for t in range(12)]
 
 
 weights = st.lists(
@@ -110,7 +118,7 @@ weights = st.lists(
 def test_shannon_fano_properties(p):
     code = shannon_fano(p)
     lengths = {x: len(c) for x, c in code.items()}
-    assert is_prefix_free(list(code.values()))
+    assert prefix_pair(code.values()) is None
     for x in p.support:
         # length <= ceil(-log P(x)) + 1
         bound = 0
@@ -125,47 +133,21 @@ def test_shannon_fano_examples():
     p = ElementaryMeasure({"0": Fraction(1, 2), "1": Fraction(1, 4)}, SEMIMEASURE)
     code = shannon_fano(p)
     assert len(code["0"]) <= 2 and len(code["1"]) <= 3
-    single = shannon_fano(point_mass("0"))
+    single = shannon_fano(ElementaryMeasure({"0": 1}))
     assert len(single["0"]) <= 1
 
 
-def test_image_measure():
-    u1 = uniform_measure(1)
-    assert image_measure(u1, lambda x: x).weights == u1.weights
-    collapsed = image_measure(u1, lambda x: "")
-    assert collapsed.weights == {"": Fraction(1)}
-    dropped = image_measure(u1, lambda x: x[:-1])
-    assert dropped.weights == {"": Fraction(1)}
-    assert image_measure(u1, lambda x: x).total() == u1.total()
-
-
-def test_condition_measure():
-    u2 = uniform_measure(2)
-    assert condition_measure(u2, u2.support).weights == u2.weights
-    single = condition_measure(u2, ["01"])
-    assert single.weights == {"01": Fraction(1)}
-    half = condition_measure(u2, ["00", "11"])
-    assert half.weights == {"00": Fraction(1, 2), "11": Fraction(1, 2)}
-    assert half.total() == 1  # exact renormalization
-    with pytest.raises(ValueError):
-        condition_measure(u2, [])
-    # conditioning can leave the dyadic ring
-    thirds = condition_measure(uniform_measure(2), ["00", "01", "10"])
-    assert thirds("00") == Fraction(1, 3)
-    assert not thirds.is_dyadic()
-
-
 def test_measure_encoding_roundtrip():
-    for w in (point_mass(""), point_mass("01"), uniform_measure(2)):
+    for w in (ElementaryMeasure({"": 1}), ElementaryMeasure({"01": 1}), uniform_measure(2)):
         enc = encode_measure(w)
         back = decode_measure(enc)
         assert back.weights == w.weights
     with pytest.raises(ValueError):
-        encode_measure(condition_measure(uniform_measure(2), ["00", "01", "10"]))
+        encode_measure(ElementaryMeasure({"00": Fraction(1, 3), "01": Fraction(2, 3)}))
 
 
 def test_measure_prefix_state_grammar():
-    enc = encode_measure(point_mass(""))
+    enc = encode_measure(ElementaryMeasure({"": 1}))
     assert _measure_prefix_state(enc, "") == "complete"
     assert _measure_prefix_state(enc, "0") == "dead"  # support misses "0"
     for cut in range(len(enc)):
@@ -412,3 +394,26 @@ def test_hitting_vector_random_instances():
         for enc in q.support:
             if q(enc) > Fraction(1, 1 << (c * d)):
                 assert set(decode_string_set(enc)) & set(z.elements)
+
+
+@st.composite
+def _hitting_instances(draw):
+    """A measure m on up to four 2-bit strings, 1 to 3 sets heavy under it,
+    and the parameters (i, c, d)."""
+    elems = ["00", "01", "10", "11"][:draw(st.integers(1, 4))]
+    nums = draw(st.lists(st.integers(1, 4), min_size=len(elems), max_size=len(elems)))
+    m = ElementaryMeasure({e: Fraction(n, sum(nums)) for e, n in zip(elems, nums)})
+    i = draw(st.integers(1, 3))
+    subsets = st.sets(st.sampled_from(elems), min_size=1).filter(
+        lambda s: m.mass_of(s) >= Fraction(1, 1 << i))
+    sets = draw(st.lists(subsets, min_size=1, max_size=3, unique_by=frozenset))
+    q = ElementaryMeasure({encode_string_set(s): Fraction(1, len(sets)) for s in sets})
+    return q, m, i, draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_hitting_instances())
+def test_hitting_vector_matches_every_draw(case):
+    # oracle: the greedy loop that keeps drawing after every set is hit
+    q, m, i, c, d = case
+    assert hitting_vector(q, m, i, c, d).elements == hitting_draws(q, m, i, c, d)

@@ -25,10 +25,8 @@ from ait.monotone import (
     theta_violations,
     threshold_N,
     uniform_table,
-    validate_theta,
-    xi,
 )
-from oracles import preimage_count_by_apply
+from oracles import preimage_count_by_apply, xi
 
 RANDOM_SEEDS = range(10)
 
@@ -38,7 +36,7 @@ def all_strings_of(n):
 
 
 def test_validate_theta_examples():
-    assert validate_theta(uniform_table(3))
+    assert not theta_violations(uniform_table(3))
     bad = ThetaTable({("", 0): Dyadic.one(),
                       ("0", 0): Dyadic(3, 2),
                       ("1", 0): Dyadic(3, 3)}, 0)
@@ -46,7 +44,7 @@ def test_validate_theta_examples():
     decreasing = ThetaTable({("", 0): Dyadic.one(), ("", 1): Dyadic(1, 1)}, 1)
     assert any("decreased" in p for p in theta_violations(decreasing))
     orphan = ThetaTable({("", 0): Dyadic.one(), ("00", 0): Dyadic(1, 2)}, 0)
-    assert not validate_theta(orphan)
+    assert theta_violations(orphan)
     # a later stage that drops a string decreases it to 0
     dropping = ThetaTable({**uniform_table(3).entries, ("", 4): Dyadic.one()}, 4)
     assert "theta('0',4) decreased across stages" in theta_violations(dropping)
@@ -89,7 +87,7 @@ def test_xi_equality_point_mass():
 def test_xi_equality_random_tables():
     for seed in RANDOM_SEEDS:
         t = random_pow2_table(seed, 5)
-        assert validate_theta(t)
+        assert not theta_violations(t)
         tr = build_nu(t)
         for st in tr.stages[1:]:
             for x in t.support(st.k):
@@ -136,7 +134,7 @@ def test_insufficient_mass_raises():
         ("00", 2): Dyadic(1, 1), ("01", 2): Dyadic(1, 4),
     }
     t = ThetaTable(entries, 2)
-    assert validate_theta(t)
+    assert not theta_violations(t)
     with pytest.raises(InsufficientMass):
         build_nu(t)
 

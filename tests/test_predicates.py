@@ -9,10 +9,10 @@ from ait.predicates import (
     ExtensionNotFound,
     complete_extension_search,
     cylinder,
-    decode_predicate,
     encode_predicate,
-    predicate_of_cylinder,
 )
+
+from oracles import decode_predicate, predicate_of_cylinder
 
 
 def test_two_constraint_worked_example():
