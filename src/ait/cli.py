@@ -64,7 +64,8 @@ _DOMAIN_ERRORS = (
 
 # hitvec makes c*d*2^(i+1) greedy draws, each a pass over the measure's
 # support while some set is unhit; more than this many is a usage error
-# (2^16 such draws take about 0.5 s)
+# (2^16 such draws over four elements and five sets take about 0.06 s with
+# their JSON output, in process on a 2-vCPU VM)
 HITVEC_MAX_DRAWS = 1 << 16
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .codec import encode_self_delim, encode_string_set, nat_to_bits
-from .dyadic import Dyadic, ceil_neg_log2, dyadic_sum
+from .dyadic import Dyadic, dyadic_sum
+from .leftward import get_interval_table
 from .machine import (
     MachineConfig,
     ProgramRecord,
@@ -54,32 +55,11 @@ def pair_aux_nat(x: str, n: int) -> str:
     return encode_self_delim(x) + encode_self_delim(nat_to_bits(n))
 
 
-def get_output_index(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[ProgramRecord, Dyadic]]:
-    """Per reachable output of the enumeration: its (length, lex)-least
-    program and the exact total mass sum 2^-len of all its programs.  Outputs
-    appear in strictly increasing (len(program), program) order of their least
-    programs, so the first entry a query accepts holds its least program."""
-    return per_bounds("output index", _build_output_index, cfg, aux)
-
-
-def _build_output_index(cfg: MachineConfig, aux: str) -> dict[str, tuple[ProgramRecord, Dyadic]]:
-    L = cfg.max_program_len
-    least: dict[str, ProgramRecord] = {}
-    weight: dict[str, int] = {}  # mass in units of 2^-L
-    for rec in get_enumeration(cfg, aux):
-        x, n = rec.output, len(rec.program)
-        best = least.get(x)
-        if best is None or (n, rec.program) < (len(best.program), best.program):
-            least[x] = rec
-        weight[x] = weight.get(x, 0) + (1 << (L - n))
-    ranked = sorted(least.values(), key=lambda r: (len(r.program), r.program))
-    return {r.output: (r, Dyadic(weight[r.output], L)) for r in ranked}
-
-
-def _output_index(y: str, cfg: MachineConfig):
-    """The output index once the enumeration for (cfg, y) is built, else None:
-    then the boundary-graph DPs answer, and no query builds an enumeration."""
-    return get_output_index(cfg, y) if is_built("enumeration", cfg, y) else None
+def _outputs(y: str, cfg: MachineConfig):
+    """The interval table's per-output view once the enumeration for (cfg, y)
+    is built, else None: then the boundary-graph DPs answer, and no query
+    builds an enumeration."""
+    return get_interval_table(cfg, y).outputs if is_built("enumeration", cfg, y) else None
 
 
 def _complexity(rec: Optional[ProgramRecord], cfg: MachineConfig) -> ComplexityValue:
@@ -90,18 +70,18 @@ def _complexity(rec: Optional[ProgramRecord], cfg: MachineConfig) -> ComplexityV
 
 def k_t(x: str, y: str = "", cfg: MachineConfig = None) -> ComplexityValue:
     """Length of the shortest fuel-bounded program computing x from aux y."""
-    index = _output_index(y, cfg)
-    if index is None:
+    outputs = _outputs(y, cfg)
+    if outputs is None:
         return _complexity(min_program_for_output(x, cfg, y), cfg)
-    return _complexity(index[x][0] if x in index else None, cfg)
+    return _complexity(outputs[x][0] if x in outputs else None, cfg)
 
 
 def m_t(x: str, y: str = "", cfg: MachineConfig = None) -> Dyadic:
     """Total 2^-len mass of fuel-bounded programs computing x from aux y."""
-    index = _output_index(y, cfg)
-    if index is None:
+    outputs = _outputs(y, cfg)
+    if outputs is None:
         return mass_for_output(x, cfg, y)
-    return index[x][1] if x in index else Dyadic.zero()
+    return Dyadic(outputs[x][2][-1], cfg.max_program_len) if x in outputs else Dyadic.zero()
 
 
 def m_set(members: Iterable[str], y: str = "", cfg: MachineConfig = None) -> Dyadic:
@@ -114,15 +94,15 @@ def km_t(members, cfg: MachineConfig) -> ComplexityValue:
     targets = set(members)
     if not targets:
         raise ValueError("prefix set must be nonempty")
-    index = _output_index("", cfg)
-    if index is None:
+    outputs = _outputs("", cfg)
+    if outputs is None:
         return _complexity(min_program_with_prefix_in(targets, cfg), cfg)
     # an output qualifies when its first n bits are a member for some member
     # length n; a slice past its end is the output itself, which then is a
     # member, so the test lets in no output that extends no member.  The
-    # index is ranked by least program, so the first that qualifies is least.
+    # view is ranked by least program, so the first that qualifies is least.
     lengths = {len(x) for x in targets}
-    return _complexity(next((rec for out, (rec, _mass) in index.items()
+    return _complexity(next((rec for out, (rec, _tiles, _mass) in outputs.items()
                              if any(out[:n] in targets for n in lengths)), None), cfg)
 
 
@@ -143,7 +123,6 @@ class HaltingProxy:
     per string of length <= L in canonical order."""
 
     bits: str
-    config: MachineConfig
 
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -166,7 +145,7 @@ def _build_halting_proxy(cfg: MachineConfig, aux: str) -> HaltingProxy:
         for v in by_length.get(n, ()):
             lvl[v] = 1
         levels.append(lvl)
-    return HaltingProxy(b"".join(levels).translate(_BIT_CHARS).decode(), cfg)
+    return HaltingProxy(b"".join(levels).translate(_BIT_CHARS).decode())
 
 
 def _info(x: str, aux: str, cfg: MachineConfig) -> Optional[int]:
@@ -223,14 +202,15 @@ def chain_rule_report(x: str, y: str, cfg: MachineConfig) -> ChainRuleReport:
 
 def output_stats(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[int, Dyadic]]:
     """Per reachable output: (shortest program length, total program mass),
-    a view of the output index."""
-    return {x: (len(rec.program), mass)
-            for x, (rec, mass) in get_output_index(cfg, aux).items()}
+    read off the interval table's per-output view."""
+    L = cfg.max_program_len
+    return {x: (len(rec.program), Dyadic(mass[-1], L))
+            for x, (rec, _tiles, mass) in get_interval_table(cfg, aux).outputs.items()}
 
 
 def coding_direction_holds(cfg: MachineConfig, aux: str = "") -> bool:
-    """ceil(-log m_t(x)) <= k_t(x) over every reachable output, exactly."""
-    for _x, (best, mass) in output_stats(cfg, aux).items():
-        if ceil_neg_log2(mass) > best:
-            return False
-    return True
+    """ceil(-log m_t(x)) <= k_t(x) over every reachable output, exactly: k_t
+    is an integer, so that is m_t(x) >= 2^-k_t(x), compared on the 2^-L grid."""
+    L = cfg.max_program_len
+    return all(mass[-1] >= 1 << (L - len(rec.program))
+               for rec, _tiles, mass in get_interval_table(cfg, aux).outputs.values())

@@ -45,24 +45,28 @@ class UniquenessViolation(AssertionError):
 @dataclass(frozen=True)
 class BorderPrefix:
     bits: str
-    config: MachineConfig
 
 
 @dataclass
 class IntervalTable:
     """Consecutive open intervals, the tiles, over the enumeration order.
     Tile k belongs to ``records[k]``, the cached enumeration itself, and
-    spans [_bounds[k], _bounds[k + 1]) in integer grid units of 2^-L."""
+    spans [_bounds[k], _bounds[k + 1]) in integer grid units of 2^-L.
+
+    ``outputs`` is the one per-output view of the enumeration: for each
+    output, its (length, lex)-least program, its tile indices and their
+    running mass, in strictly increasing (len(program), program) order of
+    the least programs, so the first output a query accepts holds its least
+    program."""
 
     config: MachineConfig
-    aux: str
     records: list[ProgramRecord]
     omega: Dyadic                      # total assigned width = the final grid position
+    outputs: dict[str, tuple[ProgramRecord, array, array]]
     # n + 1 tile endpoints from 0 to omega; the longest output among the
-    # first k tiles; per output, its tile indices and their running mass
+    # first k tiles
     _bounds: array = field(repr=False)
     _prefix_maxlen: array = field(repr=False)
-    _by_output: dict[str, tuple[array, array]] = field(repr=False)
 
     @property
     def omega_grid(self) -> int:
@@ -77,30 +81,25 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     if bounds[-1] > 1 << L:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
     prefix_maxlen = array("q", accumulate((len(rec.output) for rec in records), max, initial=0))
-    by_output: dict[str, tuple[array, array]] = {}
+    groups: dict[str, list] = {}  # output -> [least program, tiles, running mass]
     for k, (rec, width) in enumerate(zip(records, widths)):
-        slot = by_output.get(rec.output)
-        if slot is None:
-            slot = by_output[rec.output] = (array("q"), array("q", [0]))
-        tiles, mass = slot
+        group = groups.get(rec.output)
+        if group is None:
+            groups[rec.output] = [rec, array("q", [k]), array("q", [0, width])]
+            continue
+        least, tiles, mass = group
+        if (len(rec.program), rec.program) < (len(least.program), least.program):
+            group[0] = rec
         tiles.append(k)
         mass.append(mass[-1] + width)
-    return IntervalTable(cfg, aux[:cfg.readable_aux_len], records, Dyadic(bounds[-1], L),
-                         bounds, prefix_maxlen, by_output)
+    ranked = sorted(groups.values(), key=lambda g: (len(g[0].program), g[0].program))
+    return IntervalTable(cfg, records, Dyadic(bounds[-1], L),
+                         {g[0].output: tuple(g) for g in ranked}, bounds, prefix_maxlen)
 
 
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     """The table, built once per bounds and readable aux prefix."""
     return per_bounds("interval table", build_interval_table, cfg, aux)
-
-
-def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:
-    """x's open interval in 2^-grid_bits units; len(x) must not exceed grid_bits."""
-    if len(x) <= grid_bits:
-        width = 1 << (grid_bits - len(x))
-        lo = int(x, 2) * width if x else 0
-        return lo, lo + (width if x else 1 << grid_bits)
-    raise ValueError(f"string longer than the grid: {x!r}")
 
 
 def _cuts(b: str, table: IntervalTable) -> tuple[int, int]:
@@ -144,15 +143,12 @@ def _cuts(b: str, table: IntervalTable) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def is_total_uprime(x: str, table: IntervalTable) -> bool:
-    """Tile coverage is contiguous from 0, so totality is one comparison."""
-    if x == "":
-        return table.omega == Dyadic.one()
-    if len(x) > table.config.max_program_len:
-        # finer than the grid: the interval sits inside one grid cell
-        head = x[: table.config.max_program_len]
-        return is_total_uprime(head, table)
-    lo, hi = _grid_interval(x, table.config.max_program_len)
-    return hi <= table.omega_grid
+    """Tile coverage is contiguous from 0 up to omega, so x is total exactly
+    when its interval ends at or below omega; a string longer than L lies
+    inside the grid cell of its first L bits."""
+    L = table.config.max_program_len
+    x = x[:L]
+    return (int(x or "0", 2) + 1) << (L - len(x)) <= table.omega_grid
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +162,7 @@ def border_prefix(cfg: MachineConfig, aux: str = "") -> BorderPrefix:
     inside its interval: the L-bit expansion of omega cut before its last
     1 bit (empty when omega is 0 or 1)."""
     s = format(get_interval_table(cfg, aux).omega_grid, f"0{cfg.max_program_len}b")
-    return BorderPrefix(s[:max(s.rfind("1"), 0)], cfg)
+    return BorderPrefix(s[:max(s.rfind("1"), 0)])
 
 
 def omega_pair(b: BorderPrefix | str, cfg: MachineConfig, aux: str = "") -> tuple[Dyadic, Dyadic]:
@@ -202,35 +198,40 @@ def bb(b: str, cfg: MachineConfig, aux: str = "") -> int:
 def m_b(b: str, x: str, y: str, cfg: MachineConfig) -> Dyadic:
     """Algorithmic weight of x from transformed programs left of b or
     extending b, conditional to aux y; 0 for non-total b."""
+    return m_b_set(b, [x], y, cfg)
+
+
+def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
+    """``m_b`` summed over the distinct members, with one totality gate and
+    one cut for b."""
     table = get_interval_table(cfg, y)
     if not is_total_uprime(b, table):
         return Dyadic.zero()
-    return mass_filtered(b, x, table)
+    _left, upto = _cuts(b, table)
+    return Dyadic(sum(_mass_below(upto, x, table) for x in set(members)),
+                  cfg.max_program_len)
 
 
 def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:
     """The left-of-or-extending program mass for output x, without the
     totality gate (the gate belongs to m_b; the raw filter is exercised
     separately, e.g. with b = "" it excludes nothing and equals m_t)."""
-    slot = table._by_output.get(x)
-    if slot is None:
-        return Dyadic.zero()
-    tiles, mass = slot
     _left, upto = _cuts(b, table)
-    # x's tile mass clipped to [0, upto): the tiles that start below upto,
-    # less the part of the last one past it
+    return Dyadic(_mass_below(upto, x, table), table.config.max_program_len)
+
+
+def _mass_below(upto: int, x: str, table: IntervalTable) -> int:
+    """x's tile mass clipped to [0, upto), in grid units: the tiles that
+    start below upto, less the part of the last one past it."""
+    group = table.outputs.get(x)
+    if group is None:
+        return 0
+    _least, tiles, mass = group
     bounds = table._bounds
     count = bisect_left(tiles, bisect_left(bounds, upto, 0, len(table.records)))
     total = mass[count]
     if count:
         total -= max(bounds[tiles[count - 1] + 1] - upto, 0)
-    return Dyadic(total, table.config.max_program_len)
-
-
-def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
-    total = Dyadic.zero()
-    for x in set(members):
-        total = total + m_b(b, x, y, cfg)
     return total
 
 

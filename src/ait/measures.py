@@ -342,17 +342,12 @@ def hitting_vector(
         if not alive:  # every potential is 0, so each draw left takes the first element
             chosen += [next(iter(m.support), None)] * r
             break
-        contrib = [qw * miss ** (r - 1) for qw, _members, miss in alive]
-        total = sum(contrib, Fraction(0))
-        best_elem, best_pot = None, None
-        for w in m.support:
-            pot = total
-            for idx, (_qw, members, _miss) in enumerate(alive):
-                if w in members:
-                    pot -= contrib[idx]
-            if best_pot is None or pot < best_pot:
-                best_pot = pot
-                best_elem = w
+        # the potential after drawing w is the live total less the live weight
+        # that w hits, so the least potential is the most weight hit; max
+        # keeps the first such w, as the least potential would
+        live = [(qw * miss ** (r - 1), members) for qw, members, miss in alive]
+        best_elem = max(m.support, key=lambda w: sum(weight for weight, members in live
+                                                     if w in members))
         chosen.append(best_elem)
         alive = [entry for entry in alive if best_elem not in entry[1]]
     score = sum((qw for qw, _m, _f in alive), Fraction(0)) * scale

@@ -90,11 +90,6 @@ class ExtensionResult:
     raw_output: str    # the extension is these bits, then zeros
     bound_slack: int   # len(program) - |domain|
 
-    def extension_bit(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("positions are 1-based")
-        return int(self.raw_output[i - 1]) if i <= len(self.raw_output) else 0
-
 
 class ExtensionNotFound(RuntimeError):
     """No fuel-bounded program reaches the cylinder; enlarge the bounds."""

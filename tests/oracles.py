@@ -34,7 +34,7 @@ from ait.codec import (
     encode_self_delim,
 )
 from ait.dyadic import Dyadic, ceil_neg_log2
-from ait.leftward import IntervalTable, _grid_interval
+from ait.leftward import IntervalTable
 from ait.machine import (
     ExecOutcome,
     MachineConfig,
@@ -140,6 +140,15 @@ def halting_by_bits(max_len: int, fuel: int, aux: str = "") -> list[ProgramRecor
                 records.append(ProgramRecord(p, out.output, out.steps))
     records.sort(key=lambda r: (r.steps, r.program))
     return records
+
+
+def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:
+    """x's open interval in 2^-grid_bits units; len(x) must not exceed grid_bits."""
+    if len(x) <= grid_bits:
+        width = 1 << (grid_bits - len(x))
+        lo = int(x, 2) * width if x else 0
+        return lo, lo + (width if x else 1 << grid_bits)
+    raise ValueError(f"string longer than the grid: {x!r}")
 
 
 def tiles(table: IntervalTable):
@@ -314,22 +323,32 @@ def halting_proxy_by_scan(cfg: MachineConfig, aux: str = "") -> str:
 # the boundary graph, read off the instruction decoder
 # ---------------------------------------------------------------------------
 
-def edges_by_expand(x: str, aux: str, o: int, a: int, room: int) -> Counter:
+def edges_by_expand(x: str, aux: str, o: int, a: int, room: int, *,
+                    extending: bool = False, fuel: Optional[int] = None) -> Counter:
     """Every instruction with a code of at most ``room`` bits that may follow
     the boundary (o, a) of a program for exactly x, counted as (code, next
     boundary or None after a halt, weight): its emitted bits match x[o:],
     and a halt ends at len(x).  The next boundary is (o + emitted, min(aux
     position, len(aux))), and the weight is the steps spent less the bits
-    emitted.  The fuel lets every instruction that can match x run."""
-    fuel = 4 * (room + len(x) + len(aux)) + 16
+    emitted.  The default fuel lets every instruction that can match x run.
+
+    With ``extending``, for a program whose output extends x: the emitted
+    bits need only agree with x[o:] as far as both go, a halt may end past
+    len(x), the next boundary's output length stops at len(x), and the bits
+    emitted past len(x) add to the weight."""
+    if fuel is None:
+        fuel = 4 * (room + len(x) + len(aux)) + 16
     edges = Counter()
     for c in range(1, room + 1):
         for code, emitted, after, spent in expand(aux, fuel, a, 0, c):
             end = o + len(emitted)
-            if not x.startswith(emitted, o) or (after is None and end != len(x)):
+            agrees = x.startswith(emitted, o) or extending and emitted.startswith(x[o:])
+            if not agrees or (after is None and end < len(x)):
                 continue
+            over = max(end - len(x), 0)  # only when extending
+            end -= over
             t = None if after is None else (end, min(after, len(aux)))
-            edges[code, t, spent - len(emitted)] += 1
+            edges[code, t, spent - len(emitted) + over] += 1
     return edges
 
 

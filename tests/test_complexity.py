@@ -1,4 +1,7 @@
+from array import array
 from collections import Counter
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,6 @@ from ait.complexity import (
     InformationUndefined,
     chain_rule_report,
     coding_direction_holds,
-    get_output_index,
     halting_proxy,
     info_with_halting,
     k_t,
@@ -24,8 +26,10 @@ from ait.complexity import (
 from ait.dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from ait.frozen import CHAIN, FROZEN, calibrate
 from ait.harness import default_predicate_family
+from ait.leftward import get_interval_table
 from ait.machine import (
     MachineConfig,
+    ProgramRecord,
     get_enumeration,
     mass_for_output,
     min_program_for_output,
@@ -81,15 +85,25 @@ def test_m_lower_bounded_by_shortest_witness(fixture_cfg):
 
 
 def test_m_partition(fixture_cfg, enumeration):
-    total = dyadic_sum(m_t(x, "", fixture_cfg) for x in get_output_index(fixture_cfg))
+    outputs = get_interval_table(fixture_cfg).outputs
+    total = dyadic_sum(m_t(x, "", fixture_cfg) for x in outputs)
     from ait.machine import kraft_sum
 
     assert total == kraft_sum(enumeration)
     assert total <= Dyadic.one()
 
 
-def test_coding_direction_exhaustive(fixture_cfg):
+def test_coding_direction_exhaustive(fixture_cfg, monkeypatch):
     assert coding_direction_holds(fixture_cfg)
+    assert all(ceil_neg_log2(mass) <= k for k, mass in output_stats(fixture_cfg).values())
+    # the grid comparison at its edge: a least program of 3 bits with a mass
+    # of exactly 2^-3 passes, and one grid unit less fails
+    L = fixture_cfg.max_program_len
+    for mass, holds in ((1 << (L - 3), True), ((1 << (L - 3)) - 1, False)):
+        view = {"": (ProgramRecord("000", "", 5), array("q", [0]), array("q", [0, mass]))}
+        monkeypatch.setattr(complexity, "get_interval_table",
+                            lambda cfg, aux, _view=view: SimpleNamespace(outputs=_view))
+        assert coding_direction_holds(fixture_cfg) is holds
 
 
 def test_m_set_linearity(fixture_cfg):
@@ -144,8 +158,8 @@ def test_km_rejects_empty(fixture_cfg):
 
 
 def test_km_matches_enumeration_oracle(fixture_cfg, enumeration):
-    # the prefix-set witness, an output-index scan at these bounds, against
-    # a scan of the full enumeration
+    # the prefix-set witness, a scan of the per-output view at these bounds,
+    # against a scan of the full enumeration
     families = [["0000"], ["01", "10"], [""], ["111"], ["0", "10", "110"],
                 ["10110010"], ["0101010"]]
     for members in families:
@@ -284,12 +298,12 @@ def _as_value(rec, cfg):
 
 
 def _assert_index_matches_targeted(cfg, families, aux=""):
-    # with the enumerations built, the queries read the output index; the
-    # boundary-graph searches are their oracle, on every reachable output and
-    # on every string of at most 6 bits, reachable or not
+    # with the enumerations built, the queries read the interval table's
+    # per-output view; the boundary-graph searches are their oracle, on every
+    # reachable output and on every string of at most 6 bits, reachable or not
     get_enumeration(cfg, aux)
     get_enumeration(cfg, "")  # km_t is unconditional
-    for x in list(get_output_index(cfg, aux)) + list(all_strings_upto(6)):
+    for x in list(get_interval_table(cfg, aux).outputs) + list(all_strings_upto(6)):
         assert k_t(x, aux, cfg) == _as_value(min_program_for_output(x, cfg, aux), cfg)
         assert m_t(x, aux, cfg) == mass_for_output(x, cfg, aux)
     for members in families:
@@ -315,7 +329,7 @@ def test_output_index_matches_targeted_searches(max_len, fuel, aux, sets, predic
 
 
 def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
-    assert len(get_output_index(fixture_cfg)) == 392
+    assert len(get_interval_table(fixture_cfg).outputs) == 392
     families = [members for _name, members in default_prefix_free_family(50)]
     families += [cylinder(g) for _name, g in default_predicate_family(60)]
     # mixed lengths: the least witness, 0^27, extends only the 9-bit member
@@ -336,7 +350,7 @@ def test_output_index_matches_targeted_searches_at_l16():
 
 
 def test_output_index_matches_targeted_searches_at_l20():
-    # CI's L=20 report bounds; at L=22 only the report hash checks the index
+    # CI's L=20 report bounds; at L=22 only the report hash checks the view
     _assert_index_matches_targeted_at(MachineConfig(20, 4096))
 
 
@@ -359,7 +373,7 @@ def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatc
                 k_t("0110", aux, cfg), m_t("0110", aux, cfg))
 
     cold = ask()
-    assert not machine._BUILT  # no query builds an enumeration or an index
+    assert not machine._BUILT  # no query builds an enumeration or a table
     assert calls == Counter({"min_program_for_output": 2, "mass_for_output": 2,
                              "min_program_with_prefix_in": 1})
     get_enumeration(cfg, "")
@@ -373,8 +387,22 @@ def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatc
 
 @pytest.mark.parametrize("aux", ["", "0110"])
 def test_output_index_is_ranked_by_least_program(fixture_cfg, aux):
-    ranks = [(len(rec.program), rec.program)
-             for rec, _mass in get_output_index(fixture_cfg, aux).values()]
+    # the table's per-output view against a regrouping of the enumeration:
+    # each output's tiles, its least program and its running mass on the grid
+    L = fixture_cfg.max_program_len
+    records = get_enumeration(fixture_cfg, aux)
+    groups = {}
+    for k, rec in enumerate(records):
+        groups.setdefault(rec.output, []).append(k)
+    outputs = get_interval_table(fixture_cfg, aux).outputs
+    assert outputs.keys() == groups.keys()
+    for x, (least, tiles, mass) in outputs.items():
+        assert list(tiles) == groups[x]
+        assert least == min((records[k] for k in tiles),
+                            key=lambda r: (len(r.program), r.program))
+        assert list(mass) == list(accumulate((1 << (L - len(records[k].program))
+                                              for k in tiles), initial=0))
+    ranks = [(len(rec.program), rec.program) for rec, _tiles, _mass in outputs.values()]
     assert len(ranks) > 100
     assert all(a < b for a, b in zip(ranks, ranks[1:]))
 

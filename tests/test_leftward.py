@@ -21,7 +21,7 @@ from ait.leftward import (
     shortest_total_satisfying,
     total_strings_of_length,
 )
-from ait.machine import MachineConfig, Status, kraft_sum
+from ait.machine import MachineConfig, Status, kraft_sum, mass_for_output, run
 from oracles import (
     UTotality,
     bb_by_pieces,
@@ -105,12 +105,12 @@ def test_pieces_partition_and_length_bound(fixture_cfg, interval_table):
     assert prefix_pair([p.program for p in pieces]) is None
     # the tile queries, against the same queries read off the pieces found by
     # descent: the prefix maximum, the per-output mass and omega_hat
-    _assert_queries_match_pieces(interval_table, pieces, _probes(interval_table),
+    _assert_queries_match_pieces(interval_table, "", pieces, _probes(interval_table),
                                  ["", "0", "1", "00", "0000", "0110"])
 
 
-def _assert_queries_match_pieces(table, pieces, probes, outputs):
-    cfg, aux = table.config, table.aux
+def _assert_queries_match_pieces(table, aux, pieces, probes, outputs):
+    cfg = table.config
     for b in probes:
         total = is_total_uprime(b, table)
         assert bb(b, cfg, aux) == (bb_by_pieces(b, pieces) if total else 0), b
@@ -137,7 +137,7 @@ def test_tile_queries_match_pieces_on_random_tables(aux, L, fuel, data):
         kinds += [st.tuples(piece, bits(1, 3)).map("".join), piece]
     probes = [""] + data.draw(st.lists(st.one_of(kinds), min_size=1, max_size=12))
     outputs = sorted({p.output for p in pieces})[:4] + ["", "1"]
-    _assert_queries_match_pieces(table, pieces, probes, outputs)
+    _assert_queries_match_pieces(table, aux, pieces, probes, outputs)
 
 
 def test_transform_preserves_output_within_one_bit(interval_table):
@@ -355,13 +355,12 @@ def test_m_b_parent_dominates(fixture_cfg, interval_table):
 
 
 def test_empty_prefix_filter_excludes_nothing(fixture_cfg, interval_table):
-    # the raw left-of-or-extends filter with the empty prefix counts all mass;
-    # the totality-gated m_b is zero there because the empty string is never
-    # total at desk scale (the machine has nonhalting inputs)
-    from ait.complexity import m_t
-
-    for x in ("", "0", "0000"):
-        assert mass_filtered("", x, interval_table) == m_t(x, "", fixture_cfg)
+    # the raw left-of-or-extends filter with the empty prefix counts all mass,
+    # as the boundary-graph path count does; the totality-gated m_b is zero
+    # there because the empty string is never total at desk scale (the
+    # machine has nonhalting inputs)
+    for x in ("", "0", "0000", "0110"):
+        assert mass_filtered("", x, interval_table) == mass_for_output(x, fixture_cfg)
     assert m_b("", "0", "", fixture_cfg) == Dyadic.zero()
 
 
@@ -403,7 +402,9 @@ def test_m_b_with_conditioning(fixture_cfg):
 
     aux = "0110"
     table = get_interval_table(fixture_cfg, aux)
-    assert aux in table._by_output
+    least, _tiles, mass = table.outputs[aux]
+    assert run(least.program, aux, fixture_cfg.fuel).output == aux
+    assert Dyadic(mass[-1], fixture_cfg.max_program_len) == mass_for_output(aux, fixture_cfg, aux)
     assert m_b("0", aux, aux, fixture_cfg) == mass_by_pieces("0", aux, table_pieces(table))
 
 

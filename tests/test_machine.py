@@ -14,6 +14,7 @@ from ait.machine import (
     MachineConfig,
     _boundaries,
     _count_edges,
+    _extending_edges,
     _target_edges,
     _literal,
     get_enumeration,
@@ -416,6 +417,27 @@ def test_boundary_edges_match_the_decoder(x, aux, max_len):
                 massless.add((c, t, w))
         assert counted == expected
         assert massless <= {(4, s, 5), (5, s, 7)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.text(alphabet="01", max_size=8), aux=st.text(alphabet="01", max_size=6),
+       max_len=st.integers(1, 16))
+def test_extending_edges_match_the_decoder(x, aux, max_len):
+    # oracle: every instruction that ``expand`` decodes at each boundary of the
+    # graph and whose output agrees with x as far as both go, with the bits
+    # past x added to the weight.  A POW_HALT past x may repeat its literal up
+    # to 15^15 times, so the oracle runs at a fuel of 4096, and an edge that
+    # needs more steps than that must be such a halt
+    fuel = 4096
+    prefix, out = _boundaries(x, aux, max_len, _extending_edges)
+    for (o, a), edges in out.items():
+        oracle = edges_by_expand(x, aux, o, a, max_len - prefix[o, a],
+                                 extending=True, fuel=fuel)
+        for code, t, w in edges:
+            if w + (len(x) if t is None else t[0]) - o <= fuel:  # the steps it spends
+                assert (code, t, w) in oracle, (o, a, code)
+            else:
+                assert t is None and code.startswith(_CODE["POW_HALT"]), (o, a, code)
 
 
 def _random_bits(seed, n):

@@ -69,8 +69,9 @@ def test_extension_agreement_sweep(fixture_cfg):
         g = BinaryPredicate([(i, rng.next(2)) for i in dom])
         res = complete_extension_search(g, fixture_cfg)
         assert g.agrees_with(res.raw_output)
+        extension = res.raw_output.ljust(max(g.domain), "0")  # then zeros
         for i, bit in g.pairs:
-            assert res.extension_bit(i) == bit
+            assert extension[i - 1] == str(bit)
         assert res.bound_slack == len(res.program) - len(g)
         out = run(res.program, "", fixture_cfg.fuel)
         assert out.halted and out.output == res.raw_output
@@ -88,7 +89,7 @@ def test_empty_predicate(fixture_cfg):
     res = complete_extension_search(BinaryPredicate([]), fixture_cfg)
     assert res.program == "00"
     assert res.raw_output == ""
-    assert all(res.extension_bit(i) == 0 for i in range(1, 20))
+    assert BinaryPredicate([(i, 0) for i in range(1, 20)]).agrees_with(res.raw_output)
 
 
 def test_monotone_in_bounds(fixture_cfg, double_fuel_cfg):
