@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+
+from . import frozen
 from .codec import assert_bits, decode_string_set
 from .complexity import k_t, km_t, m_set, m_t
 from .dyadic import Dyadic
@@ -443,11 +446,7 @@ def _dispatch(args, cfg: MachineConfig) -> int:
 
 
 def _rewrite_frozen(measured: dict, path: str = None) -> None:
-    import re
-
     if path is None:
-        from . import frozen
-
         path = frozen.__file__
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

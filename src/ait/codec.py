@@ -1,5 +1,5 @@
-"""Bit-level primitives: bit strings, self-delimiting codes, prefix-free
-sets, and the canonical encodings shared by every module.
+"""Bit-level primitives: bit strings and their Kraft sums, self-delimiting
+codes, prefix-free sets, and the canonical encodings shared by every module.
 
 Bit strings are plain Python ``str`` over the alphabet ``{'0', '1'}``; the
 empty string is a first-class value.  Fixed conventions, documented once and
@@ -19,9 +19,10 @@ used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
-from .dyadic import Dyadic, dyadic_sum
+from .dyadic import Dyadic
 
 
 class DecodeError(ValueError):
@@ -47,12 +48,25 @@ def canonical_sorted(strings: Iterable[str]) -> list[str]:
     return sorted(set(strings), key=canon_key)
 
 
+def strings_of_length(n: int) -> Iterator[str]:
+    """Every bit string of length n in lexicographic order (2^n of them)."""
+    if not n:
+        return iter(("",))
+    return map(format, range(1 << n), repeat(f"0{n}b"))
+
+
 def all_strings_upto(n: int) -> Iterator[str]:
     """Every bit string of length <= n in canonical order (2^(n+1)-1 of them)."""
-    yield ""
-    for length in range(1, n + 1):
-        for v in range(1 << length):
-            yield format(v, f"0{length}b")
+    for length in range(n + 1):
+        yield from strings_of_length(length)
+
+
+def kraft_sum(strings: Iterable[str]) -> Dyadic:
+    """The Kraft sum of 2^-len(s) over the strings, repeats counted: integers
+    on the grid of the longest string, one Dyadic at the end."""
+    lengths = [len(s) for s in strings]
+    top = max(lengths, default=0)
+    return Dyadic(sum(1 << (top - n) for n in lengths), top)
 
 
 def nat_to_bits(n: int) -> str:
@@ -173,9 +187,6 @@ class PrefixFreeSet:
 
     def __contains__(self, x: str) -> bool:
         return x in self.members
-
-    def kraft_sum(self) -> Dyadic:
-        return dyadic_sum(Dyadic(1, len(m)) for m in self.members)
 
 
 def prefix_pair(strings: Iterable[str]) -> Optional[tuple[str, str]]:

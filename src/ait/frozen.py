@@ -9,8 +9,12 @@ Tests assert against these frozen values so they cannot silently re-baseline;
 
 from __future__ import annotations
 
+from . import complexity as cx
 from .codec import all_strings_upto
+from .dyadic import Dyadic
 from .machine import MachineConfig
+from .measures import deficiency_test_sum, uniform_measure
+from .monotone import measure_matching_gap, point_mass_table, random_pow2_table, uniform_table
 
 # Fixture bounds: CI scale (seconds per experiment).
 FIXTURE = MachineConfig(max_program_len=14, fuel=2048)
@@ -38,16 +42,6 @@ class CalibrationUndefined(RuntimeError):
 
 def calibrate(cfg: MachineConfig = FIXTURE) -> dict[str, int]:
     """Recompute every measured constant; compare with FROZEN for drift."""
-    from . import complexity as cx
-    from .dyadic import Dyadic
-    from .measures import deficiency_test_sum, uniform_measure
-    from .monotone import (
-        measure_matching_gap,
-        point_mass_table,
-        random_pow2_table,
-        uniform_table,
-    )
-
     def k(x: str, y: str) -> int:
         value = cx.k_t(x, y, cfg).value
         if value is None:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import complexity as cx
-from .codec import Lcg, encode_string_set, PrefixFreeSet
+from .codec import Lcg, encode_string_set, kraft_sum, PrefixFreeSet, strings_of_length
 from .dyadic import Dyadic, ceil_neg_log2
 from .frozen import FROZEN
 from .leftward import (
@@ -31,6 +30,7 @@ from .leftward import (
     total_strings_of_length,
 )
 from .machine import MachineConfig, cache_digest, get_enumeration, per_bounds
+from .measures import StochasticityNotFound, _int_log_score, stochasticity
 from .monotone import (
     NuFunction,
     ThetaTable,
@@ -89,10 +89,6 @@ class ExperimentReport:
 def _plain(v):
     if v is None or isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, Dyadic):
-        return str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     return str(v)
 
 
@@ -125,7 +121,7 @@ def _min_k(members, cfg) -> Optional[int]:
 def default_set_family(count: int = 100) -> list[tuple[str, frozenset]]:
     """Deterministic sets of short (hence reachable) strings."""
     rng = Lcg(11)
-    pool = [format(v, f"0{n}b") if n else "" for n in range(5) for v in range(1 << n)]
+    pool = [x for n in range(5) for x in strings_of_length(n)]
     family = []
     for j in range(count):
         size = 1 + rng.next(4)
@@ -152,8 +148,7 @@ def s_n_set(n: int, cfg: MachineConfig) -> frozenset:
     """The desk-scale analog of the random-strings set: length-n strings
     whose fuel-bounded complexity is at least n."""
     members = []
-    for v in range(1 << n):
-        x = format(v, f"0{n}b") if n else ""
+    for x in strings_of_length(n):
         k = cx.k_t(x, "", cfg)
         if not k.is_finite or k.value >= n:
             members.append(x)
@@ -253,8 +248,6 @@ def _conditional_removal_rows(rep: ExperimentReport, cfg: MachineConfig):
     """Conditional vs unconditional stochasticity, against the 3-log-k cost
     of the removed condition; search bounds are widened so that measure
     encodings stay reachable (the rows state their own bounds)."""
-    from .measures import StochasticityNotFound, _int_log_score, stochasticity
-
     stoch_cfg = MachineConfig(max(cfg.max_program_len, 24), cfg.fuel)
     search = MachineConfig(20, 256)
 
@@ -316,8 +309,7 @@ def distortion_ball(y: str, spec: DistortionSpec) -> list[str]:
         lengths = range(0, len(y) + reach + 1)
     ball = []
     for n in lengths:
-        for v in range(1 << n):
-            x = format(v, f"0{n}b") if n else ""
+        for x in strings_of_length(n):
             d = spec.distance(x, y)
             if d is not None and Dyadic(d) < spec.radius:
                 ball.append(x)
@@ -444,16 +436,16 @@ def exp_predicate(
     rep.check("worked.cylinder", sorted(cyl.members),
               ["0000", "0010", "1000", "1010"],
               sorted(cyl.members) == ["0000", "0010", "1000", "1010"])
-    rep.check("worked.measure", str(cyl.kraft_sum()), "1/2^2",
-              cyl.kraft_sum() == Dyadic(1, 2))
+    mass = kraft_sum(cyl)
+    rep.check("worked.measure", str(mass), "1/2^2", mass == Dyadic(1, 2))
 
     for name, g in family:
         cyl = cylinder(g)
         n = max(g.domain)
         rep.check(f"{name}.cardinality", len(cyl), 1 << (n - len(g)),
                   len(cyl) == 1 << (n - len(g)))
-        rep.check(f"{name}.measure", str(cyl.kraft_sum()), f"1/2^{len(g)}",
-                  cyl.kraft_sum() == Dyadic(1, len(g)))
+        mass = kraft_sum(cyl)
+        rep.check(f"{name}.measure", str(mass), f"1/2^{len(g)}", mass == Dyadic(1, len(g)))
         try:
             res = complete_extension_search(g, cfg)
         except ExtensionNotFound:
@@ -464,10 +456,8 @@ def exp_predicate(
         rep.measure(f"{name}.slack", res.bound_slack)
         rep.measure(f"{name}.info_with_halting",
                     _fmt_inf(cx.info_with_halting(encode_predicate(g), cfg)))
-        cheap = [x for x in cyl
-                 if (k := cx.k_t(x, "", cfg)).is_finite
-                 and k.value <= len(g) + FROZEN["c_machine"]]
-        if cheap:
+        if any((k := cx.k_t(x, "", cfg)).is_finite
+               and k.value <= len(g) + FROZEN["c_machine"] for x in cyl):
             rep.check(f"{name}.slack_bound", res.bound_slack, FROZEN["c_machine"],
                       res.bound_slack <= FROZEN["c_machine"])
     return rep

@@ -27,9 +27,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable
 
+from .codec import strings_of_length
 from .dyadic import Dyadic
 from .machine import MachineConfig, ProgramRecord, get_enumeration, per_bounds
 
@@ -212,14 +213,6 @@ def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
                   cfg.max_program_len)
 
 
-def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:
-    """The left-of-or-extending program mass for output x, without the
-    totality gate (the gate belongs to m_b; the raw filter is exercised
-    separately, e.g. with b = "" it excludes nothing and equals m_t)."""
-    _left, upto = _cuts(b, table)
-    return Dyadic(_mass_below(upto, x, table), table.config.max_program_len)
-
-
 def _mass_below(upto: int, x: str, table: IntervalTable) -> int:
     """x's tile mass clipped to [0, upto), in grid units: the tiles that
     start below upto, less the part of the last one past it."""
@@ -240,14 +233,12 @@ def _mass_below(upto: int, x: str, table: IntervalTable) -> int:
 # ---------------------------------------------------------------------------
 
 def total_strings_of_length(n: int, table: IntervalTable) -> list[str]:
-    """All transformed-total strings of length n, in left-to-right order."""
-    if n == 0:
-        return [""] if table.omega == Dyadic.one() else []
+    """All transformed-total strings of length n, in left-to-right order:
+    the first omega * 2^n of them (the empty string only when omega is 1)."""
     L = table.config.max_program_len
     if n > L:
         raise ValueError("length exceeds the bound")
-    count = table.omega_grid >> (L - n)
-    return [format(v, f"0{n}b") for v in range(count)]
+    return list(islice(strings_of_length(n), table.omega_grid >> (L - n)))
 
 
 def shortest_total_satisfying(

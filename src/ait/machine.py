@@ -54,8 +54,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .codec import self_delim_at
-from .dyadic import Dyadic, dyadic_sum
+from . import codec
+from .codec import self_delim_at, strings_of_length
+from .dyadic import Dyadic
 
 # ---------------------------------------------------------------------------
 # configuration and outcomes
@@ -215,12 +216,11 @@ def expand(aux: str, fuel: int, a: int, steps: int, c: int):
     if left < 0:
         return
     for op, u, j in _shapes(c):
-        for num in range(1 << u) if u is not None else (0,):
+        for num, bits in enumerate(strings_of_length(u) if u is not None else ("",)):
             head = _CODE[op]
             if u is not None:  # the number block, leading zeros and all
-                head += _literal(format(num, f"0{u}b") if u else "")
-            for v in range(1 << j):
-                y = format(v, f"0{j}b") if j else ""
+                head += _literal(bits)
+            for y in strings_of_length(j):
                 effect = _effect(op, num, y, aux, a, left)
                 if effect is None:
                     break  # the extra steps depend on len(y), not on its bits
@@ -315,7 +315,7 @@ def get_enumeration(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
 
 
 def kraft_sum(records: Iterable[ProgramRecord]) -> Dyadic:
-    return dyadic_sum(Dyadic(1, len(r.program)) for r in records)
+    return codec.kraft_sum(r.program for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +640,8 @@ def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
 # ---------------------------------------------------------------------------
 
 def cache_digest(records: Iterable[ProgramRecord]) -> str:
+    # imported here: loading hashlib's OpenSSL module takes about 4 ms on a
+    # 2-vCPU VM, which only the commands that hash should pay
     import hashlib
 
     body = "".join(f"{r.program}\t{r.output}\t{r.steps}\n" for r in records)

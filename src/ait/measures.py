@@ -20,6 +20,7 @@ from .codec import (
     decode_measure_entries,
     decode_measure_prefix,
     decode_string_set,
+    strings_of_length,
 )
 from .complexity import k_t, pair_aux
 from .machine import MachineConfig, search_programs
@@ -74,9 +75,7 @@ def measure_violations(w: ElementaryMeasure) -> list[str]:
 
 def uniform_measure(n: int) -> ElementaryMeasure:
     """The uniform probability measure on all strings of length n."""
-    return ElementaryMeasure(
-        {format(v, f"0{n}b") if n else "": Fraction(1, 1 << n) for v in range(1 << n)}
-    )
+    return ElementaryMeasure({x: Fraction(1, 1 << n) for x in strings_of_length(n)})
 
 
 def decode_measure(bits: str, kind: str = PROBABILITY) -> ElementaryMeasure:
@@ -125,11 +124,9 @@ def _floor_neg_log2_fraction(q: Fraction) -> int:
     if q <= 0 or q > 1:
         raise ValueError("argument must be in (0, 1]")
     num, den = q.numerator, q.denominator
-    k = den.bit_length() - num.bit_length()  # within 1 of the answer, k >= 0
+    k = den.bit_length() - num.bit_length()  # den < num << (k + 1) already
     if (num << k) > den:
         k -= 1
-    elif (num << (k + 1)) <= den:
-        k += 1
     return k
 
 

@@ -22,12 +22,13 @@ The fixture generators below only produce such tables.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
-from .codec import Lcg, assert_bits, canon_key, canonical_sorted
+from .codec import Lcg, assert_bits, canon_key, canonical_sorted, strings_of_length
 from .dyadic import Dyadic, ceil_log2, ceil_neg_log2, dyadic_sum
 
 
@@ -125,10 +126,6 @@ class MonotoneTransducer:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def mass_of(strings: Iterable[str]) -> Dyadic:
-    return dyadic_sum(Dyadic(1, len(y)) for y in strings)
-
-
 def _expand(strings: Iterable[str], n: int) -> list[str]:
     """All length-n extensions of each string (lengths must not exceed n)."""
     out = []
@@ -136,7 +133,7 @@ def _expand(strings: Iterable[str], n: int) -> list[str]:
         pad = n - len(s)
         if pad < 0:
             raise AssertionError("expansion below current length")
-        out.extend(s + format(v, f"0{pad}b") if pad else s for v in range(1 << pad))
+        out.extend(s + tail for tail in strings_of_length(pad))
     return out
 
 
@@ -177,14 +174,13 @@ def build_nu(t: ThetaTable) -> MonotoneTransducer:
                 value = t.theta(child, k)
                 if value.is_zero:
                     continue
-                target = ceil_neg_log2(value)
-                have = mass_of(s_now.get(child, ())) + mass_of(t_now.get(child, ())) \
-                    + mass_of(pending.get(child, ()))
-                goal = Dyadic(1, target)
-                if have >= goal:
+                # in units of 2^-n_k: the bracket minimum, less what the child
+                # holds, has given away and was given at this stage
+                held = sum(1 << (n_k - len(y)) for y in chain(
+                    s_now.get(child, ()), t_now.get(child, ()), pending.get(child, ())))
+                count = (1 << (n_k - ceil_neg_log2(value))) - held
+                if count <= 0:
                     continue
-                need = goal - have
-                count = need.num << (n_k - need.exp)
                 donors = s_new[x]
                 if count > len(donors):
                     raise InsufficientMass(
@@ -240,8 +236,7 @@ class NuFunction:
         tally object, which callers read and never change."""
         tally = self._tallies.get(n)
         if tally is None:
-            tally = Counter(nu_apply(self, format(v, f"0{n}b") if n else "")
-                            for v in range(1 << n))
+            tally = Counter(nu_apply(self, y) for y in strings_of_length(n))
             self._tallies[n] = tally
         return tally
 
@@ -254,28 +249,22 @@ def _has_extension(sorted_strings: tuple[str, ...], y: str) -> bool:
 
 
 def nu_apply(nu: NuFunction, y: str) -> str:
-    """First stage whose sets place y: directly a member of S[x]; or strictly
-    between a member of S[x] at k and one at k+1; or between a member of
-    S[x] at k and one of S[x+b] at k+1.  Inputs shorter than the stage-0
-    length map to the empty string."""
+    """The owner x of y's first n bits at the last stage whose length n is
+    at most len(y).  A longer y must extend a member of S[x], S[x0] or
+    S[x1] at the next stage.  Inputs shorter than the stage-0 length map to
+    the empty string."""
     stages = nu.transducer.stages
     if len(y) < stages[0].n:
         return ""
     if len(y) > stages[-1].n:
         raise DepthExceeded(f"input length {len(y)} exceeds built depth {stages[-1].n}")
-    for idx, st in enumerate(stages):
-        if len(y) == st.n:
-            return nu._owners[idx][y]
-        if st.n < len(y) and idx + 1 < len(stages) and len(y) < stages[idx + 1].n:
-            x = nu._owners[idx][y[:st.n]]
-            nxt = stages[idx + 1].s_sets
-            if _has_extension(nxt.get(x, ()), y):
-                return x
-            for b in "01":
-                if _has_extension(nxt.get(x + b, ()), y):
-                    return x
+    idx = bisect_right(stages, len(y), key=lambda st: st.n) - 1
+    x = nu._owners[idx][y[:stages[idx].n]]
+    if len(y) > stages[idx].n:
+        nxt = stages[idx + 1].s_sets
+        if not any(_has_extension(nxt.get(z, ()), y) for z in (x, x + "0", x + "1")):
             raise AssertionError("every extension must stay within the child sets")
-    raise DepthExceeded(f"input length {len(y)} falls outside built stages")
+    return x
 
 
 def preimage_count(nu, members: Iterable[str], n: int) -> int:
@@ -355,8 +344,7 @@ def uniform_table(stages: int) -> ThetaTable:
     entries = {}
     for k in range(stages + 1):
         for length in range(k + 1):
-            for v in range(1 << length):
-                x = format(v, f"0{length}b") if length else ""
+            for x in strings_of_length(length):
                 entries[(x, k)] = Dyadic(1, length)
     return ThetaTable(entries, stages)
 

@@ -70,17 +70,10 @@ def cylinder(g: BinaryPredicate) -> PrefixFreeSet:
     index; the empty domain leaves the length undefined and is rejected."""
     if not len(g):
         raise ValueError("the empty predicate has no cylinder length")
-    n = max(g.domain)
     fixed = dict(g.pairs)
-    members = []
-    free = [i for i in range(1, n + 1) if i not in fixed]
-    for v in range(1 << len(free)):
-        word = ["0"] * n
-        for i, bit in fixed.items():
-            word[i - 1] = str(bit)
-        for j, i in enumerate(free):
-            word[i - 1] = "1" if (v >> j) & 1 else "0"
-        members.append("".join(word))
+    members = [""]
+    for i in range(1, max(g.domain) + 1):
+        members = [m + b for m in members for b in (str(fixed[i]) if i in fixed else "01")]
     return PrefixFreeSet(members)
 
 

@@ -5,9 +5,10 @@ never runs.
   a prefix scan for the halting-sequence proxy, and the edges of the
   boundary graph read off the instruction decoder ``expand``.
 - The left-total transform: the transformed machine, a tree walk, the
-  pieces of the interval table, the table's text form, the base machine's
-  totality and a child-by-child descent to the border prefix; the left-of
-  relation and the open dyadic intervals it orders.
+  pieces of the interval table, the table's text form, ``m_b``'s mass
+  filter without its totality gate, the base machine's totality and a
+  child-by-child descent to the border prefix; the left-of relation and the
+  open dyadic intervals it orders.
 - Encodings: the measure encoder, the predicate decoder and the predicate
   of a cylinder, each the inverse of what ``ait`` reads or writes.
 - Measures and transducers: the W-test, every greedy draw of the hitting
@@ -32,9 +33,10 @@ from ait.codec import (
     decode_string_set,
     encode_nat,
     encode_self_delim,
+    kraft_sum,
 )
 from ait.dyadic import Dyadic, ceil_neg_log2
-from ait.leftward import IntervalTable
+from ait.leftward import IntervalTable, _cuts, _mass_below
 from ait.machine import (
     ExecOutcome,
     MachineConfig,
@@ -44,7 +46,7 @@ from ait.machine import (
     get_enumeration,
 )
 from ait.measures import ElementaryMeasure
-from ait.monotone import DepthExceeded, Stage, mass_of
+from ait.monotone import DepthExceeded, Stage
 from ait.predicates import BinaryPredicate
 
 
@@ -278,6 +280,13 @@ def omega_hat_by_pieces(b: str, pieces: list[Piece]) -> Dyadic:
                Dyadic.zero())
 
 
+def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:
+    """``m_b``'s left-of-or-extending program mass for output x, read off the
+    table's cuts without the totality gate (with b = "" it excludes nothing)."""
+    _left, upto = _cuts(b, table)
+    return Dyadic(_mass_below(upto, x, table), table.config.max_program_len)
+
+
 class UTotality:
     """Desk-scale totality for the base machine, from its enumeration: x is
     total when every leaf of the depth-L tree under it has a halting prefix."""
@@ -508,7 +517,7 @@ def xi(stage: Stage, x: str) -> Optional[int]:
     members = set(stage.s_sets.get(x, ())) | set(stage.t_sets.get(x, ()))
     if not members:
         return None
-    return ceil_neg_log2(mass_of(members))
+    return ceil_neg_log2(kraft_sum(members))
 
 
 # ---------------------------------------------------------------------------

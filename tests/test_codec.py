@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ait.codec import (
     DecodeError,
@@ -16,11 +16,13 @@ from ait.codec import (
     encode_nat,
     encode_self_delim,
     encode_string_set,
+    kraft_sum,
     nat_to_bits,
     prefix_pair,
     self_delim_at,
+    strings_of_length,
 )
-from ait.dyadic import Dyadic
+from ait.dyadic import Dyadic, dyadic_sum
 
 from oracles import OpenInterval, encode_measure_entries, interval_of, left_of
 
@@ -164,9 +166,20 @@ def test_prefix_pair_matches_all_pairs(strings):
 
 def test_kraft_sum_exact():
     s = PrefixFreeSet(["0", "10", "110"])
-    assert s.kraft_sum() == Dyadic(7, 3)
+    assert kraft_sum(s) == Dyadic(7, 3)
     full = PrefixFreeSet(all_strings_of(5))
-    assert full.kraft_sum() == Dyadic.one()
+    assert kraft_sum(full) == Dyadic.one()
+
+
+@settings(max_examples=200, derandomize=True)
+@given(strings=st.lists(st.text(alphabet="01", max_size=4), max_size=12),
+       n=st.integers(0, 10))
+@example(strings=[], n=0)
+@example(strings=["", "", "01", "01", "1"], n=1)
+def test_kraft_sum_and_strings_of_length_match_their_definitions(strings, n):
+    # a multiset of short strings, so that repeats are common
+    assert kraft_sum(strings) == dyadic_sum(Dyadic(1, len(s)) for s in strings)
+    assert list(strings_of_length(n)) == ["".join(p) for p in itertools.product("01", repeat=n)]
 
 
 @settings(max_examples=150, derandomize=True)
@@ -177,4 +190,4 @@ def test_any_antichain_kraft_at_most_one(strings):
     for x in sorted(strings, key=len):
         if not any(x.startswith(p) or p.startswith(x) for p in chain):
             chain.append(x)
-    assert PrefixFreeSet(chain).kraft_sum() <= Dyadic.one()
+    assert kraft_sum(PrefixFreeSet(chain)) <= Dyadic.one()

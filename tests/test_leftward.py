@@ -16,7 +16,6 @@ from ait.leftward import (
     is_total_uprime,
     m_b,
     m_b_set,
-    mass_filtered,
     omega_pair,
     shortest_total_satisfying,
     total_strings_of_length,
@@ -30,6 +29,7 @@ from oracles import (
     is_total_uprime_by_walk,
     left_of,
     mass_by_pieces,
+    mass_filtered,
     omega_hat_by_pieces,
     run_left_total,
     serialize_table,

@@ -422,6 +422,25 @@ def test_boundary_edges_match_the_decoder(x, aux, max_len):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(x=st.text(alphabet="01", max_size=8), aux=st.text(alphabet="01", max_size=6),
        max_len=st.integers(1, 16))
+def test_target_edges_dominate_the_decoder_edges_they_drop(x, aux, max_len):
+    # every decoder edge that _target_edges leaves out, other than a self-loop
+    # or a continuing code longer than room - 2, has a kept edge to the same
+    # next boundary whose code is no longer and whose weight is no larger, so
+    # no least program needs it
+    prefix, out = _boundaries(x, aux, max_len, _target_edges)
+    for s, target in out.items():
+        room = max_len - prefix[s]
+        kept = set(target)
+        for code, t, w in edges_by_expand(x, aux, *s, room):
+            if (code, t, w) in kept or t == s or t is not None and len(code) > room - 2:
+                continue
+            assert any(t2 == t and len(c2) <= len(code) and w2 <= w
+                       for c2, t2, w2 in kept), (s, code, t, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x=st.text(alphabet="01", max_size=8), aux=st.text(alphabet="01", max_size=6),
+       max_len=st.integers(1, 16))
 def test_extending_edges_match_the_decoder(x, aux, max_len):
     # oracle: every instruction that ``expand`` decodes at each boundary of the
     # graph and whose output agrees with x as far as both go, with the bits

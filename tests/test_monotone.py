@@ -1,3 +1,4 @@
+import hashlib
 import json
 from unittest import mock
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ait.monotone as monotone
+from ait.codec import kraft_sum
 from ait.dyadic import Dyadic, ceil_neg_log2
 from ait.monotone import (
     DepthExceeded,
@@ -17,7 +19,6 @@ from ait.monotone import (
     ZeroMeasureSet,
     build_nu,
     km_sigma,
-    mass_of,
     measure_matching_gap,
     point_mass_table,
     preimage_count,
@@ -307,13 +308,22 @@ def test_transducer_serialization_deterministic():
     assert [st["k"] for st in payload] == [0, 1, 2, 3]
 
 
+def test_transducer_serializations_are_pinned():
+    # calibrate's twelve tables: a change to the gift counts or to the order
+    # in which gifts are taken changes some S or T set, hence this digest
+    tables = [uniform_table(6), point_mass_table(6)] + [random_pow2_table(s, 5) for s in range(10)]
+    text = "".join(build_nu(t).serialize() + "\n" for t in tables)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        "25a6c72903d2be15e8839b108559bd2ddcf862545a3f790e2b296e58ec0529c4"
+
+
 def test_gifts_recorded_in_t_sets():
     t = uniform_table(2)
     tr = build_nu(t)
     st1 = tr.stages[1]
     # the root gifted both children everything: its S is empty, T holds all
     assert not st1.s_sets.get("", ())
-    assert mass_of(st1.t_sets[""]) == Dyadic.one()
+    assert kraft_sum(st1.t_sets[""]) == Dyadic.one()
 
 
 @pytest.mark.parametrize("members", [[], ["0"]])
