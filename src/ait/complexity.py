@@ -29,10 +29,6 @@ from .machine import (
 )
 
 
-class InformationUndefined(ValueError):
-    """Mutual information needs a finite unconditional complexity."""
-
-
 @dataclass(frozen=True)
 class ComplexityValue:
     """min program length within bounds; None means nothing reached the target."""
@@ -89,6 +85,18 @@ def m_set(members: Iterable[str], y: str = "", cfg: MachineConfig = None) -> Dya
     return dyadic_sum(m_t(x, y, cfg) for x in set(members))
 
 
+def k_set(members: Iterable[str], y: str = "", cfg: MachineConfig = None) -> ComplexityValue:
+    """The (length, lex)-least program whose output is a member of the set:
+    the least k_t over its members, asked once per member."""
+    outputs = _outputs(y, cfg)
+    if outputs is None:
+        records = (min_program_for_output(x, cfg, y) for x in set(members))
+    else:
+        records = (outputs[x][0] for x in set(members) if x in outputs)
+    return _complexity(min(filter(None, records), default=None,
+                           key=lambda rec: (len(rec.program), rec.program)), cfg)
+
+
 def km_t(members, cfg: MachineConfig) -> ComplexityValue:
     """Shortest program whose output has a prefix in the (nonempty) set."""
     targets = set(members)
@@ -106,15 +114,15 @@ def km_t(members, cfg: MachineConfig) -> ComplexityValue:
                              if any(out[:n] in targets for n in lengths)), None), cfg)
 
 
-def mutual_info_t(x: str, y: str, cfg: MachineConfig) -> int:
-    """k_t(x) - k_t(x|y); negative desk-scale values are reported, not clamped."""
+def mutual_info_t(x: str, y: str, cfg: MachineConfig) -> Optional[int]:
+    """k_t(x) - k_t(x|y), or None when either side is infinite at these bounds
+    (the conditional side is not asked once k_t(x) is); negative desk-scale
+    values are reported, not clamped."""
     base = k_t(x, "", cfg)
     if not base.is_finite:
-        raise InformationUndefined(f"no program within bounds outputs {x!r}")
+        return None
     cond = k_t(x, y, cfg)
-    if not cond.is_finite:
-        raise InformationUndefined("conditional complexity infinite at these bounds")
-    return base.value - cond.value
+    return base.value - cond.value if cond.is_finite else None
 
 
 @dataclass(frozen=True)
@@ -148,14 +156,6 @@ def _build_halting_proxy(cfg: MachineConfig, aux: str) -> HaltingProxy:
     return HaltingProxy(b"".join(levels).translate(_BIT_CHARS).decode())
 
 
-def _info(x: str, aux: str, cfg: MachineConfig) -> Optional[int]:
-    """``mutual_info_t``, or None when either side is infinite at these bounds."""
-    try:
-        return mutual_info_t(x, aux, cfg)
-    except InformationUndefined:
-        return None
-
-
 def info_with_halting(x: str, cfg: MachineConfig) -> Optional[int]:
     """I(x : H_t) proxy: k_t(x) - k_t(x | proxy bits); None when either side
     is infinite at these bounds.
@@ -168,12 +168,12 @@ def info_with_halting(x: str, cfg: MachineConfig) -> Optional[int]:
     cut = cfg.readable_aux_len
     n = max(cut.bit_length() - 1, 1)  # the proxy up to n bits has 2^(n+1) - 1 >= cut bits
     levels = MachineConfig(min(cfg.max_program_len, n), cfg.fuel)
-    return _info(x, halting_proxy(levels).bits[:cut], cfg)
+    return mutual_info_t(x, halting_proxy(levels).bits[:cut], cfg)
 
 
 def info_with_set(x: str, members, cfg: MachineConfig) -> Optional[int]:
     """I_t(x ; <D>) with the set condition under its canonical encoding."""
-    return _info(x, encode_string_set(members), cfg)
+    return mutual_info_t(x, encode_string_set(members), cfg)
 
 
 @dataclass(frozen=True)

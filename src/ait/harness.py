@@ -33,7 +33,6 @@ from .machine import MachineConfig, cache_digest, get_enumeration, per_bounds
 from .measures import StochasticityNotFound, _int_log_score, stochasticity
 from .monotone import (
     NuFunction,
-    ThetaTable,
     ThresholdNotFound,
     ZeroMeasureSet,
     build_nu,
@@ -108,12 +107,6 @@ def _report(name: str, cfg: MachineConfig, **params) -> ExperimentReport:
     return ExperimentReport(name, config, digest)
 
 
-def _min_k(members, cfg) -> Optional[int]:
-    values = [cx.k_t(x, "", cfg).value for x in members]
-    finite = [v for v in values if v is not None]
-    return min(finite) if finite else None
-
-
 # ---------------------------------------------------------------------------
 # fixture families
 # ---------------------------------------------------------------------------
@@ -162,7 +155,6 @@ def s_n_set(n: int, cfg: MachineConfig) -> frozenset:
 def exp_set_probability(
     d_family: Optional[list] = None,
     cfg: MachineConfig = None,
-    include_s_n: bool = True,
 ) -> ExperimentReport:
     """Set-probability floor, the shortest-total-string search with its
     uniqueness and recovery, and the slack measurements."""
@@ -170,7 +162,7 @@ def exp_set_probability(
     rep = _report("set_probability", cfg, sets=len(family))
     for name, members in family:
         mass = cx.m_set(members, "", cfg)
-        min_k = _min_k(members, cfg)
+        min_k = cx.k_set(members, "", cfg).value
         if mass.is_zero or min_k is None:
             rep.check(f"{name}.reachable", str(mass), "positive", False)
             continue
@@ -192,15 +184,13 @@ def exp_set_probability(
         rep.measure(f"{name}.slack", min_k - floor)
         rep.measure(f"{name}.info_with_halting",
                     _fmt_inf(cx.info_with_halting(encode_string_set(members), cfg)))
-    if include_s_n:
-        for n in range(1, 5):
-            sn = s_n_set(n, cfg)
-            mass = cx.m_set(sn, "", cfg)
-            min_k = _min_k(sn, cfg)
-            rep.measure(f"S_{n}.size", len(sn))
-            rep.measure(f"S_{n}.neg_log_mass",
-                        ceil_neg_log2(mass) if not mass.is_zero else "inf")
-            rep.measure(f"S_{n}.min_k", _fmt_inf(min_k))
+    for n in range(1, 5):
+        sn = s_n_set(n, cfg)
+        mass = cx.m_set(sn, "", cfg)
+        rep.measure(f"S_{n}.size", len(sn))
+        rep.measure(f"S_{n}.neg_log_mass",
+                    ceil_neg_log2(mass) if not mass.is_zero else "inf")
+        rep.measure(f"S_{n}.min_k", _fmt_inf(cx.k_set(sn, "", cfg).value))
     return rep
 
 
@@ -349,7 +339,7 @@ def exp_distortion(y: str, spec: DistortionSpec, cfg: MachineConfig) -> Experime
     except TotalSearchNotFound:
         rep.measure("b.search", "not-found-within-bounds")
     rep.measure("codeword.k", best[1])
-    info_xy = cx._info(x_best, y, cfg)
+    info_xy = cx.mutual_info_t(x_best, y, cfg)
     info_yh = cx.info_with_halting(y, cfg)
     rep.measure("info.x_best_vs_y", _fmt_inf(info_xy))
     rep.measure("info.y_vs_halting", _fmt_inf(info_yh))
@@ -361,11 +351,9 @@ def exp_distortion(y: str, spec: DistortionSpec, cfg: MachineConfig) -> Experime
 # -- clopen (prefix sets against a compiled transducer) ----------------------
 
 def exp_clopen(
-    g_family: Optional[list] = None,
-    table: Optional[ThetaTable] = None,
-    cfg: MachineConfig = None,
+    g_family: Optional[list] = None, cfg: MachineConfig = None
 ) -> ExperimentReport:
-    table = table if table is not None else uniform_table(4)
+    table = uniform_table(4)
     if g_family is None:
         g_family = [
             ("g0", PrefixFreeSet(["0"])),
@@ -377,7 +365,7 @@ def exp_clopen(
     nu = NuFunction(build_nu(table))
     for name, members in g_family:
         km = cx.km_t(members, cfg)
-        min_k = _min_k(members, cfg)
+        min_k = cx.k_set(members, "", cfg).value
         if km.is_finite and min_k is not None:
             rep.check(f"{name}.km_le_min_k", km.value, min_k, km.value <= min_k)
         else:
@@ -456,10 +444,13 @@ def exp_predicate(
         rep.measure(f"{name}.slack", res.bound_slack)
         rep.measure(f"{name}.info_with_halting",
                     _fmt_inf(cx.info_with_halting(encode_predicate(g), cfg)))
-        if any((k := cx.k_t(x, "", cfg)).is_finite
-               and k.value <= len(g) + FROZEN["c_machine"] for x in cyl):
-            rep.check(f"{name}.slack_bound", res.bound_slack, FROZEN["c_machine"],
-                      res.bound_slack <= FROZEN["c_machine"])
+        # km_t(cyl) <= k_t(x) for every member x, whose least program outputs
+        # x itself, so a slack above c_machine rules out every member
+        c = FROZEN["c_machine"]
+        if res.bound_slack <= c:
+            k = cx.k_set(cyl, "", cfg).value
+            if k is not None and k <= len(g) + c:
+                rep.check(f"{name}.slack_bound", res.bound_slack, c, res.bound_slack <= c)
     return rep
 
 

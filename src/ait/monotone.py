@@ -107,7 +107,6 @@ class Stage:
 @dataclass(frozen=True)
 class MonotoneTransducer:
     stages: tuple
-    origin: ThetaTable
 
     @property
     def depth(self) -> int:
@@ -206,7 +205,7 @@ def build_nu(t: ThetaTable) -> MonotoneTransducer:
         ))
         n_prev = n_k
 
-    return MonotoneTransducer(tuple(stages), t)
+    return MonotoneTransducer(tuple(stages))
 
 
 @dataclass

@@ -10,11 +10,11 @@ from ait import complexity, machine
 from ait.codec import PrefixFreeSet, all_strings_upto, encode_self_delim, encode_string_set
 from ait.complexity import (
     ComplexityValue,
-    InformationUndefined,
     chain_rule_report,
     coding_direction_holds,
     halting_proxy,
     info_with_halting,
+    k_set,
     k_t,
     km_t,
     m_set,
@@ -196,8 +196,8 @@ def test_mutual_info(fixture_cfg):
     assert self_info == k_t(x, "", fixture_cfg).value - k_t(x, x, fixture_cfg).value
     # empty condition changes nothing: identical machine behavior
     assert mutual_info_t(x, "", fixture_cfg) == 0
-    with pytest.raises(InformationUndefined):
-        mutual_info_t("0101101", "", fixture_cfg)
+    # no program reaches x, so I(x; y) is undefined, whatever y is
+    assert mutual_info_t("0101101", "", fixture_cfg) is None
 
 
 def test_halting_proxy_shape(fixture_cfg, enumeration):
@@ -257,7 +257,7 @@ def test_info_with_halting_matches_the_whole_proxy(cfg, monkeypatch):
         assert info_with_halting(x, cfg) == want, x
     # the condition is the whole proxy's readable prefix, bit for bit
     seen = []
-    monkeypatch.setattr(complexity, "_info", lambda x, aux, cfg: seen.append(aux))
+    monkeypatch.setattr(complexity, "mutual_info_t", lambda x, aux, cfg: seen.append(aux))
     info_with_halting("0", cfg)
     assert seen == [whole[:cfg.readable_aux_len]]
 
@@ -307,7 +307,15 @@ def _assert_index_matches_targeted(cfg, families, aux=""):
         assert k_t(x, aux, cfg) == _as_value(min_program_for_output(x, cfg, aux), cfg)
         assert m_t(x, aux, cfg) == mass_for_output(x, cfg, aux)
     for members in families:
-        assert km_t(members, cfg) == _as_value(min_program_with_prefix_in(members, cfg), cfg)
+        km = km_t(members, cfg)
+        assert km == _as_value(min_program_with_prefix_in(members, cfg), cfg)
+        least = min(filter(None, (min_program_for_output(x, cfg, aux) for x in members)),
+                    key=lambda rec: (len(rec.program), rec.program), default=None)
+        assert k_set(members, aux, cfg) == _as_value(least, cfg)
+        # the inequality the predicate experiment's slack gate rests on: a
+        # member's least program outputs the member, which is in the set
+        k = k_set(members, "", cfg).value
+        assert k is None or km.value <= k
 
 
 def _prefix_free(strings):
@@ -370,19 +378,20 @@ def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatc
 
     def ask():
         return (k_t("0110", "", cfg), m_t("0110", "", cfg), km_t(members, cfg),
-                k_t("0110", aux, cfg), m_t("0110", aux, cfg))
+                k_set(members, "", cfg), k_t("0110", aux, cfg), m_t("0110", aux, cfg))
 
     cold = ask()
     assert not machine._BUILT  # no query builds an enumeration or a table
-    assert calls == Counter({"min_program_for_output": 2, "mass_for_output": 2,
+    # k_set takes one least-program search per member
+    assert calls == Counter({"min_program_for_output": 4, "mass_for_output": 2,
                              "min_program_with_prefix_in": 1})
     get_enumeration(cfg, "")
     unconditional = ask()  # only the conditional queries take the DPs
-    assert calls == Counter({"min_program_for_output": 3, "mass_for_output": 3,
+    assert calls == Counter({"min_program_for_output": 5, "mass_for_output": 3,
                              "min_program_with_prefix_in": 1})
     get_enumeration(cfg, aux)
     assert ask() == unconditional == cold
-    assert sum(calls.values()) == 7
+    assert sum(calls.values()) == 9
 
 
 @pytest.mark.parametrize("aux", ["", "0110"])

@@ -8,10 +8,11 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ait import harness, machine
+from ait import complexity, harness, machine
 from ait.cli import main
 from ait.codec import PrefixFreeSet, encode_string_set
 from ait.dyadic import Dyadic
+from ait.frozen import FROZEN
 from ait.harness import (
     DistortionSpec,
     default_predicate_family,
@@ -46,7 +47,7 @@ def small_families():
 
 
 def test_set_probability_report(fixture_cfg, small_families):
-    rep = exp_set_probability(small_families["sets"], fixture_cfg, include_s_n=True)
+    rep = exp_set_probability(small_families["sets"], fixture_cfg)
     assert rep.passed
     names = {r["name"] for r in rep.rows}
     assert any(n.endswith(".floor") for n in names)
@@ -138,6 +139,18 @@ def test_predicate_report(fixture_cfg, small_families):
     assert rep.passed
     worked = [r for r in rep.rows if r["name"] == "worked.cylinder"][0]
     assert worked["pass"] is True
+
+
+def test_predicate_slack_gate_asks_the_set_only_within_the_bound(fixture_cfg, monkeypatch):
+    # km_t(cyl) <= k_t(x) for every member x, so only a predicate whose slack
+    # is within c_machine can have a member cheap enough for the slack_bound row
+    asked = []
+    k_set = complexity.k_set
+    monkeypatch.setattr(complexity, "k_set", lambda *args: asked.append(args) or k_set(*args))
+    rep = exp_predicate(default_predicate_family(), fixture_cfg)
+    slacks = [r["lhs"] for r in rep.rows if r["name"].endswith(".slack")]
+    assert len(slacks) == 200
+    assert len(asked) == sum(s <= FROZEN["c_machine"] for s in slacks) == 0
 
 
 def test_report_rows_schema(fixture_cfg, small_families):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ait.codec import Lcg, all_strings_upto, prefix_pair
+from ait.complexity import pair_aux, pair_aux_nat
 from ait.dyadic import Dyadic, dyadic_sum
 from ait.frozen import CHAIN
 from ait.machine import (
@@ -417,6 +418,23 @@ def test_boundary_edges_match_the_decoder(x, aux, max_len):
                 massless.add((c, t, w))
         assert counted == expected
         assert massless <= {(4, s, 5), (5, s, 7)}
+
+
+def test_target_edges_at_chain_are_decoder_edges():
+    # calibrate's chain queries at L=48, fuel 4096, where each COPY_N width
+    # tries counts up to F/2.  The oracle's cost grows with the room, so only
+    # the boundaries with at most 28 bits of room are checked: five of the
+    # first query's and two of the last's
+    L, checked = CHAIN.max_program_len, 0
+    for x, aux in [(pair_aux("01", "110"), ""), (pair_aux("1", "0"), ""),
+                   ("110", pair_aux_nat("01", 5)), ("0110", pair_aux_nat("0110", 10))]:
+        prefix, out = _boundaries(x, aux, L, _target_edges)
+        for s, target in out.items():
+            if L - prefix[s] <= 28:
+                oracle = edges_by_expand(x, aux, *s, L - prefix[s], fuel=CHAIN.fuel)
+                assert set(target) <= set(oracle), (x, aux, s)
+                checked += 1
+    assert checked == 7
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

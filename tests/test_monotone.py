@@ -336,7 +336,7 @@ def test_preimage_count_keeps_the_child_set_check_live(members):
         Stage(1, 3, {"": ("010", "011", "100", "101", "110", "111"),
                      "00": ("000", "001")}, {}),
     )
-    nu = NuFunction(MonotoneTransducer(stages, ThetaTable({}, 1)))
+    nu = NuFunction(MonotoneTransducer(stages))
     with pytest.raises(AssertionError, match="child sets"):
         preimage_count(nu, members, 2)
 
