@@ -20,7 +20,7 @@ from .complexity import k_t, km_t, m_set, m_t
 from .dyadic import Dyadic
 from .frozen import FROZEN, CalibrationUndefined, calibrate
 from .harness import EXPERIMENTS, run_all, run_experiment
-from .leftward import bb, border_prefix, get_interval_table, m_b, omega_pair
+from .leftward import border_prefix, get_interval_table, m_b, omega_pair
 from .machine import MachineConfig, get_enumeration
 from .measures import (
     SEMIMEASURE,

@@ -64,7 +64,7 @@ def _complexity(rec: Optional[ProgramRecord], cfg: MachineConfig) -> ComplexityV
     return ComplexityValue(len(rec.program), rec.program, cfg)
 
 
-def k_t(x: str, y: str = "", cfg: MachineConfig = None) -> ComplexityValue:
+def k_t(x: str, y: str, cfg: MachineConfig) -> ComplexityValue:
     """Length of the shortest fuel-bounded program computing x from aux y."""
     outputs = _outputs(y, cfg)
     if outputs is None:
@@ -72,7 +72,7 @@ def k_t(x: str, y: str = "", cfg: MachineConfig = None) -> ComplexityValue:
     return _complexity(outputs[x][0] if x in outputs else None, cfg)
 
 
-def m_t(x: str, y: str = "", cfg: MachineConfig = None) -> Dyadic:
+def m_t(x: str, y: str, cfg: MachineConfig) -> Dyadic:
     """Total 2^-len mass of fuel-bounded programs computing x from aux y."""
     outputs = _outputs(y, cfg)
     if outputs is None:
@@ -80,21 +80,17 @@ def m_t(x: str, y: str = "", cfg: MachineConfig = None) -> Dyadic:
     return Dyadic(outputs[x][2][-1], cfg.max_program_len) if x in outputs else Dyadic.zero()
 
 
-def m_set(members: Iterable[str], y: str = "", cfg: MachineConfig = None) -> Dyadic:
+def m_set(members: Iterable[str], y: str, cfg: MachineConfig) -> Dyadic:
     """Algorithmic probability of a finite set: the sum of its members' masses."""
     return dyadic_sum(m_t(x, y, cfg) for x in set(members))
 
 
-def k_set(members: Iterable[str], y: str = "", cfg: MachineConfig = None) -> ComplexityValue:
+def k_set(members: Iterable[str], y: str, cfg: MachineConfig) -> ComplexityValue:
     """The (length, lex)-least program whose output is a member of the set:
-    the least k_t over its members, asked once per member."""
-    outputs = _outputs(y, cfg)
-    if outputs is None:
-        records = (min_program_for_output(x, cfg, y) for x in set(members))
-    else:
-        records = (outputs[x][0] for x in set(members) if x in outputs)
-    return _complexity(min(filter(None, records), default=None,
-                           key=lambda rec: (len(rec.program), rec.program)), cfg)
+    the least k_t over its members, as m_set sums their m_t."""
+    values = (k_t(x, y, cfg) for x in set(members))
+    return min((k for k in values if k.is_finite), key=lambda k: (k.value, k.witness),
+               default=ComplexityValue(None, None, cfg))
 
 
 def km_t(members, cfg: MachineConfig) -> ComplexityValue:

@@ -129,29 +129,32 @@ def dyadic_sum(values) -> Dyadic:
     return total
 
 
-def ceil_neg_log2(q: Dyadic) -> int:
-    """The unique k with 2**-k <= q < 2**-(k-1), for 0 < q <= 1.
+def _neg_log2(q: Dyadic | Fraction) -> tuple[int, bool]:
+    """(floor(-log2 q), whether q is a power of two) for a rational 0 < q <= 1,
+    a Dyadic or a Fraction, from its numerator and denominator alone.
 
     A zero argument is rejected: a measure-zero set has no finite log-weight.
     """
-    if q.is_zero:
-        raise ValueError("ceil(-log q) is undefined for q = 0")
-    if q > Dyadic.one():
+    num, den = (q.num, 1 << q.exp) if isinstance(q, Dyadic) else (q.numerator, q.denominator)
+    if num <= 0:
+        raise ValueError("-log q is undefined for q <= 0")
+    if num > den:
         raise ValueError("argument exceeds 1")
-    # q = num / 2^exp with num odd, so ceil(exp - log2 num) = exp - floor(log2 num).
-    return q.exp - (q.num.bit_length() - 1)
-
-
-def floor_neg_log2(q: Dyadic) -> int:
-    """The unique k with 2**-(k+1) < q <= 2**-k, for 0 < q <= 1."""
-    if q.is_zero:
-        raise ValueError("floor(-log q) is undefined for q = 0")
-    if q > Dyadic.one():
-        raise ValueError("argument exceeds 1")
-    k = q.exp - (q.num.bit_length() - 1)
-    if q.num & (q.num - 1):
+    k = den.bit_length() - num.bit_length()  # den < num << (k + 1) already
+    if num << k > den:
         k -= 1
-    return k
+    return k, num << k == den
+
+
+def ceil_neg_log2(q: Dyadic | Fraction) -> int:
+    """The unique k with 2**-k <= q < 2**-(k-1), for 0 < q <= 1."""
+    k, exact = _neg_log2(q)
+    return k if exact else k + 1
+
+
+def floor_neg_log2(q: Dyadic | Fraction) -> int:
+    """The unique k with 2**-(k+1) < q <= 2**-k, for 0 < q <= 1."""
+    return _neg_log2(q)[0]
 
 
 def ceil_log2(q: Dyadic) -> int:

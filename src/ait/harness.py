@@ -154,7 +154,7 @@ def s_n_set(n: int, cfg: MachineConfig) -> frozenset:
 
 def exp_set_probability(
     d_family: Optional[list] = None,
-    cfg: MachineConfig = None,
+    *, cfg: MachineConfig,
 ) -> ExperimentReport:
     """Set-probability floor, the shortest-total-string search with its
     uniqueness and recovery, and the slack measurements."""
@@ -205,7 +205,7 @@ def _recover_at_length(pred, length: int, cfg: MachineConfig) -> Optional[str]:
 
 
 def exp_info_with_set(
-    d_family: Optional[list] = None, cfg: MachineConfig = None
+    d_family: Optional[list] = None, *, cfg: MachineConfig
 ) -> ExperimentReport:
     """The scaled in-set semimeasure is exactly a semimeasure; information
     between a set and its members is measured against the mass scale.
@@ -351,7 +351,7 @@ def exp_distortion(y: str, spec: DistortionSpec, cfg: MachineConfig) -> Experime
 # -- clopen (prefix sets against a compiled transducer) ----------------------
 
 def exp_clopen(
-    g_family: Optional[list] = None, cfg: MachineConfig = None
+    g_family: Optional[list] = None, *, cfg: MachineConfig
 ) -> ExperimentReport:
     table = uniform_table(4)
     if g_family is None:
@@ -414,7 +414,7 @@ def _threshold_oracle(counts: list[int], i: int) -> Optional[int]:
 # -- predicates ---------------------------------------------------------------
 
 def exp_predicate(
-    pred_family: Optional[list] = None, cfg: MachineConfig = None
+    pred_family: Optional[list] = None, *, cfg: MachineConfig
 ) -> ExperimentReport:
     family = pred_family if pred_family is not None else default_predicate_family()
     rep = _report("predicate", cfg, predicates=len(family))
@@ -456,25 +456,26 @@ def exp_predicate(
 
 # -- orchestration ------------------------------------------------------------
 
-EXPERIMENTS = ("set_probability", "info_with_set", "distortion", "clopen", "predicate")
+# each runner looks its experiment up by name when it runs, so rebinding a
+# module-level exp_* function (as a tracer does) reaches every run
+_RUNNERS = {
+    "set_probability": lambda cfg: [exp_set_probability(cfg=cfg)],
+    "info_with_set": lambda cfg: [exp_info_with_set(cfg=cfg)],
+    "distortion": lambda cfg: [
+        exp_distortion("0000", DistortionSpec("hamming-equal-length", Dyadic(1)), cfg),
+        exp_distortion("0000", DistortionSpec("hamming-equal-length", Dyadic(2)), cfg),
+        exp_distortion("0110", DistortionSpec("prefix-disagreement", Dyadic(3)), cfg),
+    ],
+    "clopen": lambda cfg: [exp_clopen(cfg=cfg)],
+    "predicate": lambda cfg: [exp_predicate(cfg=cfg)],
+}
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(name: str, cfg: MachineConfig) -> list[ExperimentReport]:
-    if name == "set_probability":
-        return [exp_set_probability(cfg=cfg)]
-    if name == "info_with_set":
-        return [exp_info_with_set(cfg=cfg)]
-    if name == "distortion":
-        return [
-            exp_distortion("0000", DistortionSpec("hamming-equal-length", Dyadic(1)), cfg),
-            exp_distortion("0000", DistortionSpec("hamming-equal-length", Dyadic(2)), cfg),
-            exp_distortion("0110", DistortionSpec("prefix-disagreement", Dyadic(3)), cfg),
-        ]
-    if name == "clopen":
-        return [exp_clopen(cfg=cfg)]
-    if name == "predicate":
-        return [exp_predicate(cfg=cfg)]
-    raise ValueError(f"unknown experiment {name!r}")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown experiment {name!r}")
+    return _RUNNERS[name](cfg)
 
 
 def run_all(cfg: MachineConfig) -> list[ExperimentReport]:

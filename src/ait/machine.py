@@ -113,10 +113,6 @@ class ProgramRecord:
     steps: int
 
 
-# fixture located by exhaustive enumeration at L=16, t=4096: the shortest
-# program emitting the empty string is EMIT_HALT with an empty literal.
-P_EPSILON = "00"
-
 _OPCODES = {
     "0": "EMIT_HALT",
     "100": "EMIT",
@@ -236,7 +232,7 @@ def expand(aux: str, fuel: int, a: int, steps: int, c: int):
 # running single programs
 # ---------------------------------------------------------------------------
 
-def run(program: str, aux: str = "", fuel: int = 2048) -> ExecOutcome:
+def run(program: str, aux: str, fuel: int) -> ExecOutcome:
     """Execute ``program`` left to right, one decoded instruction at a time.
 
     If the machine halts after consuming k <= len(program) bits, the outcome

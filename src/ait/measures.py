@@ -23,6 +23,7 @@ from .codec import (
     strings_of_length,
 )
 from .complexity import k_t, pair_aux
+from .dyadic import ceil_neg_log2, floor_neg_log2
 from .machine import MachineConfig, search_programs
 
 SEMIMEASURE = "semimeasure"
@@ -78,11 +79,9 @@ def uniform_measure(n: int) -> ElementaryMeasure:
     return ElementaryMeasure({x: Fraction(1, 1 << n) for x in strings_of_length(n)})
 
 
-def decode_measure(bits: str, kind: str = PROBABILITY) -> ElementaryMeasure:
+def decode_measure(bits: str) -> ElementaryMeasure:
     entries = decode_measure_entries(bits)
-    return ElementaryMeasure(
-        {x: Fraction(num, 1 << exp) for x, num, exp in entries}, kind
-    )
+    return ElementaryMeasure({x: Fraction(num, 1 << exp) for x, num, exp in entries})
 
 
 # ---------------------------------------------------------------------------
@@ -112,22 +111,11 @@ def deficiency(a: str, w: ElementaryMeasure, y: str, cfg: MachineConfig) -> Defi
         raise NotInSupport(f"{a!r} is not in the support")
     if weight > 1:
         raise ValueError("weights above 1 have no log-weight")
-    fl = _floor_neg_log2_fraction(weight)
+    fl = floor_neg_log2(weight)
     cond = k_t(a, y, cfg)
     if not cond.is_finite:
         raise UnreachableSupport(f"no program within bounds outputs {a!r}")
     return DeficiencyValue(fl - cond.value, fl, cond.value)
-
-
-def _floor_neg_log2_fraction(q: Fraction) -> int:
-    """floor(-log2 q) for rational q in (0, 1]: the k with 2^-(k+1) < q <= 2^-k."""
-    if q <= 0 or q > 1:
-        raise ValueError("argument must be in (0, 1]")
-    num, den = q.numerator, q.denominator
-    k = den.bit_length() - num.bit_length()  # den < num << (k + 1) already
-    if (num << k) > den:
-        k -= 1
-    return k
 
 
 def deficiency_test_sum(w: ElementaryMeasure, y: str, cfg: MachineConfig) -> Fraction:
@@ -155,12 +143,7 @@ def shannon_fano(p: ElementaryMeasure) -> dict[str, str]:
     """
     if measure_violations(p):
         raise ValueError("code source must be a valid measure")
-    lengths = []
-    for x in p.support:
-        fl = _floor_neg_log2_fraction(p(x))
-        ceil = fl if (Fraction(1, 1 << fl) == p(x)) else fl + 1
-        lengths.append((ceil + 1, canon_key(x), x))
-    lengths.sort()
+    lengths = sorted((ceil_neg_log2(p(x)) + 1, canon_key(x), x) for x in p.support)
     code: dict[str, str] = {}
     value, prev_len = 0, 0
     for length, _, x in lengths:
@@ -261,7 +244,7 @@ def stochasticity(
 
     def score(rec) -> int:
         nonlocal best, best_payload
-        w = decode_measure(rec.output, PROBABILITY)
+        w = decode_measure(rec.output)
         try:
             d = deficiency(a, w, pair_aux(rec.program, y), cfg)
         except UnreachableSupport:

@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .codec import Lcg, assert_bits, canon_key, canonical_sorted, strings_of_length
 from .dyadic import Dyadic, ceil_log2, ceil_neg_log2, dyadic_sum
@@ -284,11 +284,10 @@ class ThresholdNotFound(RuntimeError):
     pass
 
 
-def threshold_N(nu, members: Iterable[str], i: Optional[int] = None
-                ) -> tuple[int, int]:
+def threshold_N(nu, members: Iterable[str]) -> tuple[int, int]:
     """The least N' with 2^(-i+2) > count(N') 2^-N' > 2^-i, verifying the
     one-sided bound below N' and the two-sided bound up to the built depth.
-    Returns (N', i); i defaults to 1 + ceil(-log of the deepest preimage mass).
+    Returns (N', i) with i = 1 + ceil(-log of the deepest preimage mass).
     Takes the preimage_count evaluator; the counts at every length come from
     nu's image tallies, so each input is evaluated once per nu and length
     however many member sets are tested.
@@ -296,11 +295,9 @@ def threshold_N(nu, members: Iterable[str], i: Optional[int] = None
     targets = tuple(set(members))
     depth = nu.depth
     counts = {n: preimage_count(nu, targets, n) for n in range(1, depth + 1)}
-    if i is None:
-        deepest = counts[depth]
-        if deepest == 0:
-            raise ThresholdNotFound("the preimage has measure zero at depth")
-        i = 1 + ceil_neg_log2(Dyadic(deepest, depth))
+    if counts[depth] == 0:
+        raise ThresholdNotFound("the preimage has measure zero at depth")
+    i = 1 + ceil_neg_log2(Dyadic(counts[depth], depth))
     lo = Dyadic(1, i)
     hi = Dyadic(1, i).shifted(2)  # 2^(-i+2)
     n_prime = None
@@ -325,10 +322,9 @@ class ZeroMeasureSet(ValueError):
     pass
 
 
-def km_sigma(members: Iterable[str], t: ThetaTable, stage: Optional[int] = None) -> int:
-    """1 - ceil(log2 of the table mass of the set) at the given stage."""
-    k = t.max_stage if stage is None else stage
-    total = dyadic_sum(t.theta(x, k) for x in set(members))
+def km_sigma(members: Iterable[str], t: ThetaTable) -> int:
+    """1 - ceil(log2 of the table mass of the set) at the table's last stage."""
+    total = dyadic_sum(t.theta(x, t.max_stage) for x in set(members))
     if total.is_zero:
         raise ZeroMeasureSet("the set has zero table mass at this stage")
     return 1 - ceil_log2(total)

@@ -258,26 +258,28 @@ def table_pieces(table: IntervalTable) -> list[Piece]:
     return pieces
 
 
-def _reach(b: str, pieces: list[Piece]) -> list[Piece]:
-    return [p for p in pieces if left_of(p.program, b) or p.program.startswith(b)]
+class Reach(NamedTuple):
+    """The pieces left of b or extending b, read in one pass, with no totality
+    gate: their longest output and their mass per output, and the mass of
+    the pieces strictly left of b; masses in grid units of 2^-L."""
+
+    bb: int
+    mass: Counter
+    omega_hat: int
 
 
-def bb_by_pieces(b: str, pieces: list[Piece]) -> int:
-    """The longest output of the pieces left of b or extending b, with no
-    totality gate."""
-    return max((len(p.output) for p in _reach(b, pieces)), default=0)
-
-
-def mass_by_pieces(b: str, x: str, pieces: list[Piece]) -> Dyadic:
-    """The mass of the pieces left of b or extending b whose output is x."""
-    return sum((Dyadic(1, len(p.program)) for p in _reach(b, pieces) if p.output == x),
-               Dyadic.zero())
-
-
-def omega_hat_by_pieces(b: str, pieces: list[Piece]) -> Dyadic:
-    """The mass of the pieces strictly left of b."""
-    return sum((Dyadic(1, len(p.program)) for p in pieces if left_of(p.program, b)),
-               Dyadic.zero())
+def reach_by_pieces(b: str, pieces: list[Piece], L: int) -> Reach:
+    """One pass over the pieces of a table with length bound L for probe b."""
+    longest, mass, left = 0, Counter(), 0
+    for p in pieces:
+        width = 1 << (L - len(p.program))
+        if left_of(p.program, b):
+            left += width
+        elif not p.program.startswith(b):
+            continue
+        longest = max(longest, len(p.output))
+        mass[p.output] += width
+    return Reach(longest, mass, left)
 
 
 def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:

@@ -290,7 +290,7 @@ def test_criterion_09_unique_total_searches():
         exp_set_probability,
     )
 
-    rows = exp_set_probability(default_set_family(40), FIXTURE).rows
+    rows = exp_set_probability(default_set_family(40), cfg=FIXTURE).rows
     rows += exp_distortion("0000", DistortionSpec("hamming-equal-length",
                                                   Dyadic(2)), FIXTURE).rows
     rows += exp_clopen(cfg=FIXTURE).rows

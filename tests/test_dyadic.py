@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,8 +49,8 @@ def test_ceil_neg_log2_rejects_zero():
 
 
 @settings(max_examples=200, derandomize=True)
-@given(st.integers(1, 1 << 20), st.integers(0, 24))
-def test_integer_logs_bracket_the_value(num, exp):
+@given(st.integers(1, 1 << 20), st.integers(0, 24), st.integers(1, 1 << 10))
+def test_integer_logs_bracket_the_value(num, exp, odd):
     q = Dyadic(num, exp)
     if q > Dyadic.one():
         return
@@ -59,6 +61,14 @@ def test_integer_logs_bracket_the_value(num, exp):
     assert q <= Dyadic.pow2(-f)
     assert q > Dyadic.pow2(-(f + 1))
     assert ceil_log2(q) == -f
+    assert (ceil_neg_log2(q.as_fraction()), floor_neg_log2(q.as_fraction())) == (k, f)
+    # a Fraction just above q whose denominator keeps the odd factor d > 1
+    d = 2 * odd + 1
+    r = Fraction(d * num + 1, d << exp)
+    if r <= 1:
+        k, f = ceil_neg_log2(r), floor_neg_log2(r)
+        assert Fraction(1, 1 << k) <= r < Fraction(2, 1 << k)
+        assert Fraction(1, 2 << f) < r <= Fraction(1, 1 << f)
 
 
 def test_dyadic_sum_telescopes():

@@ -47,7 +47,7 @@ def small_families():
 
 
 def test_set_probability_report(fixture_cfg, small_families):
-    rep = exp_set_probability(small_families["sets"], fixture_cfg)
+    rep = exp_set_probability(small_families["sets"], cfg=fixture_cfg)
     assert rep.passed
     names = {r["name"] for r in rep.rows}
     assert any(n.endswith(".floor") for n in names)
@@ -57,7 +57,7 @@ def test_set_probability_report(fixture_cfg, small_families):
 
 
 def test_info_with_set_report(fixture_cfg, small_families):
-    rep = exp_info_with_set(small_families["sets"], fixture_cfg)
+    rep = exp_info_with_set(small_families["sets"], cfg=fixture_cfg)
     assert rep.passed
     assert any(n["name"].endswith("tau_semimeasure") for n in rep.rows)
 
@@ -135,7 +135,7 @@ def test_clopen_measures_only_absent_results(target, error, row, fixture_cfg, mo
 
 
 def test_predicate_report(fixture_cfg, small_families):
-    rep = exp_predicate(small_families["preds"], fixture_cfg)
+    rep = exp_predicate(small_families["preds"], cfg=fixture_cfg)
     assert rep.passed
     worked = [r for r in rep.rows if r["name"] == "worked.cylinder"][0]
     assert worked["pass"] is True
@@ -147,14 +147,14 @@ def test_predicate_slack_gate_asks_the_set_only_within_the_bound(fixture_cfg, mo
     asked = []
     k_set = complexity.k_set
     monkeypatch.setattr(complexity, "k_set", lambda *args: asked.append(args) or k_set(*args))
-    rep = exp_predicate(default_predicate_family(), fixture_cfg)
+    rep = exp_predicate(default_predicate_family(), cfg=fixture_cfg)
     slacks = [r["lhs"] for r in rep.rows if r["name"].endswith(".slack")]
     assert len(slacks) == 200
     assert len(asked) == sum(s <= FROZEN["c_machine"] for s in slacks) == 0
 
 
 def test_report_rows_schema(fixture_cfg, small_families):
-    rep = exp_predicate(small_families["preds"][:3], fixture_cfg)
+    rep = exp_predicate(small_families["preds"][:3], cfg=fixture_cfg)
     for line in rep.to_jsonl().splitlines():
         row = json.loads(line)
         assert set(row) == {"experiment", "name", "kind", "lhs", "rhs", "pass"}
@@ -164,8 +164,8 @@ def test_report_rows_schema(fixture_cfg, small_families):
 
 
 def test_report_determinism(fixture_cfg, small_families):
-    a = exp_set_probability(small_families["sets"], fixture_cfg).to_jsonl()
-    b = exp_set_probability(small_families["sets"], fixture_cfg).to_jsonl()
+    a = exp_set_probability(small_families["sets"], cfg=fixture_cfg).to_jsonl()
+    b = exp_set_probability(small_families["sets"], cfg=fixture_cfg).to_jsonl()
     assert a == b
 
 

@@ -23,14 +23,12 @@ from ait.leftward import (
 from ait.machine import MachineConfig, Status, kraft_sum, mass_for_output, run
 from oracles import (
     UTotality,
-    bb_by_pieces,
     border_by_descent,
     interval_of,
     is_total_uprime_by_walk,
     left_of,
-    mass_by_pieces,
     mass_filtered,
-    omega_hat_by_pieces,
+    reach_by_pieces,
     run_left_total,
     serialize_table,
     table_pieces,
@@ -111,12 +109,14 @@ def test_pieces_partition_and_length_bound(fixture_cfg, interval_table):
 
 def _assert_queries_match_pieces(table, aux, pieces, probes, outputs):
     cfg = table.config
+    L = cfg.max_program_len
     for b in probes:
         total = is_total_uprime(b, table)
-        assert bb(b, cfg, aux) == (bb_by_pieces(b, pieces) if total else 0), b
-        assert omega_pair(b, cfg, aux) == (table.omega, omega_hat_by_pieces(b, pieces)), b
+        reach = reach_by_pieces(b, pieces, L)
+        assert bb(b, cfg, aux) == (reach.bb if total else 0), b
+        assert omega_pair(b, cfg, aux) == (table.omega, Dyadic(reach.omega_hat, L)), b
         for x in outputs:
-            want = mass_by_pieces(b, x, pieces)
+            want = Dyadic(reach.mass[x], L)
             assert mass_filtered(b, x, table) == want, (b, x)
             assert m_b(b, x, aux, cfg) == (want if total else Dyadic.zero()), (b, x)
 
@@ -300,8 +300,10 @@ def test_omega_pair_bounds(fixture_cfg):
 def test_omega_hat_oracle(fixture_cfg, aux):
     table = get_interval_table(fixture_cfg, aux)
     pieces = table_pieces(table)
+    L = fixture_cfg.max_program_len
     for b in _probes(table):
-        assert omega_pair(b, fixture_cfg, aux)[1] == omega_hat_by_pieces(b, pieces)
+        want = Dyadic(reach_by_pieces(b, pieces, L).omega_hat, L)
+        assert omega_pair(b, fixture_cfg, aux)[1] == want
 
 
 def test_omega_matches_kraft(fixture_cfg, enumeration):
@@ -314,8 +316,9 @@ def test_bb_definition_oracle(fixture_cfg, aux):
     # brute force over pieces using the left-of / extends filter on strings
     table = get_interval_table(fixture_cfg, aux)
     pieces = table_pieces(table)
+    L = fixture_cfg.max_program_len
     for b in _probes(table):
-        want = bb_by_pieces(b, pieces) if is_total_uprime(b, table) else 0
+        want = reach_by_pieces(b, pieces, L).bb if is_total_uprime(b, table) else 0
         assert bb(b, fixture_cfg, aux) == want
 
 
@@ -336,10 +339,12 @@ def test_m_b_oracle_and_monotonicity(fixture_cfg, aux):
     table = get_interval_table(fixture_cfg, aux)
     outputs = ["", "0", "1", "00", "0000", "0110"]
     pieces = table_pieces(table)
+    L = fixture_cfg.max_program_len
     for b in _probes(table):
         total = is_total_uprime(b, table)
+        reach = reach_by_pieces(b, pieces, L)
         for x in outputs:
-            want = mass_by_pieces(b, x, pieces)
+            want = Dyadic(reach.mass[x], L)
             assert mass_filtered(b, x, table) == want
             assert m_b(b, x, aux, fixture_cfg) == (want if total else Dyadic.zero())
 
@@ -405,7 +410,9 @@ def test_m_b_with_conditioning(fixture_cfg):
     least, _tiles, mass = table.outputs[aux]
     assert run(least.program, aux, fixture_cfg.fuel).output == aux
     assert Dyadic(mass[-1], fixture_cfg.max_program_len) == mass_for_output(aux, fixture_cfg, aux)
-    assert m_b("0", aux, aux, fixture_cfg) == mass_by_pieces("0", aux, table_pieces(table))
+    L = fixture_cfg.max_program_len
+    reach = reach_by_pieces("0", table_pieces(table), L)
+    assert m_b("0", aux, aux, fixture_cfg) == Dyadic(reach.mass[aux], L)
 
 
 def test_shortest_total_parent_never_total(fixture_cfg, interval_table):

@@ -19,7 +19,6 @@ from ait.machine import (
     _target_edges,
     _literal,
     get_enumeration,
-    P_EPSILON,
     Status,
     enumerate_halting,
     kraft_sum,
@@ -30,6 +29,11 @@ from ait.machine import (
     search_programs,
 )
 from oracles import edges_by_expand, halting_by_bits, run_by_bits
+
+# fixture located by exhaustive enumeration at L=16, t=4096: the shortest
+# program emitting the empty string is EMIT_HALT with an empty literal.
+P_EPSILON = "00"
+
 
 # the designated empty-output program, located by exhaustive enumeration at L=16, t=4096
 def test_p_epsilon_is_the_designated_fixture():

@@ -209,13 +209,13 @@ def test_threshold_identity_example():
     # mu-preimage of {"0"} is 1/2, i = 2, and every depth satisfies the
     # two-sided bound, so the threshold is the first depth
     ident = _identity_nu()
-    n_prime, i = threshold_N(ident, ["0"], i=2)
+    n_prime, i = threshold_N(ident, ["0"])
     assert (n_prime, i) == (1, 2)
 
 
 def test_threshold_full_measure():
     ident = _identity_nu()
-    n_prime, i = threshold_N(ident, [""], i=1)
+    n_prime, i = threshold_N(ident, [""])
     assert n_prime == 1 and i == 1
 
 
@@ -252,8 +252,7 @@ def test_km_sigma_examples():
 
 
 def test_km_sigma_monotone_in_stage():
-    t = uniform_table(4)
-    values = [km_sigma(["0"], t, stage=k) for k in range(1, 5)]
+    values = [km_sigma(["0"], uniform_table(k)) for k in range(1, 5)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
