@@ -18,7 +18,7 @@ from . import frozen
 from .codec import assert_bits, decode_string_set
 from .complexity import k_t, km_t, m_set, m_t
 from .dyadic import Dyadic
-from .frozen import FROZEN, CalibrationUndefined, calibrate
+from .frozen import FIXTURE, FROZEN, CalibrationUndefined, calibrate
 from .harness import EXPERIMENTS, run_all, run_experiment
 from .leftward import border_prefix, get_interval_table, m_b, omega_pair
 from .machine import MachineConfig, get_enumeration
@@ -42,7 +42,6 @@ from .monotone import (
     NuFunction,
     ThetaTable,
     build_nu,
-    nu_apply,
     preimage_count,
 )
 from .predicates import (
@@ -287,7 +286,8 @@ def main(argv=None) -> int:
     p.add_argument("--write", action="store_true",
                    help="rewrite frozen.py in a source checkout")
 
-    defaults = argparse.Namespace(max_len=14, fuel=2048, config=None, seedless=False)
+    defaults = argparse.Namespace(max_len=FIXTURE.max_program_len, fuel=FIXTURE.fuel,
+                                  config=None, seedless=False)
     args = parser.parse_args(argv, defaults)
     try:
         return _dispatch(args, _machine_config(args))
@@ -402,7 +402,7 @@ def _dispatch(args, cfg: MachineConfig) -> int:
             return 0
         nu = NuFunction(transducer)
         if args.nu_command == "apply":
-            print(nu_apply(nu, _read_bits_token(args.y)))
+            print(nu.apply(_read_bits_token(args.y)))
             return 0
         if args.nu_command == "preimage":
             members = [_read_bits_token(t) for t in args.members.split(",")]
@@ -446,13 +446,17 @@ def _dispatch(args, cfg: MachineConfig) -> int:
 
 
 def _rewrite_frozen(measured: dict, path: str = None) -> None:
+    """Rewrite each measured constant in frozen.py; a constant that is not
+    written there exactly once is a usage error, and then nothing is written."""
     if path is None:
         path = frozen.__file__
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         text = fh.read()
     for key, value in measured.items():
-        text = re.sub(rf'("{key}": )\d+', rf"\g<1>{value}", text)
-    with open(path, "w", encoding="utf-8") as fh:
+        text, found = re.subn(rf'("{key}": )-?\d+', rf"\g<1>{value}", text)
+        if found != 1:
+            raise _UsageError(f"{path}: {key!r} is written {found} times, not once")
+    with _open(path, "w") as fh:
         fh.write(text)
 
 

@@ -185,9 +185,6 @@ class PrefixFreeSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, x: str) -> bool:
-        return x in self.members
-
 
 def prefix_pair(strings: Iterable[str]) -> Optional[tuple[str, str]]:
     """The first lexicographic neighbours (a, b) with a a proper prefix of b,

@@ -155,8 +155,3 @@ def ceil_neg_log2(q: Dyadic | Fraction) -> int:
 def floor_neg_log2(q: Dyadic | Fraction) -> int:
     """The unique k with 2**-(k+1) < q <= 2**-k, for 0 < q <= 1."""
     return _neg_log2(q)[0]
-
-
-def ceil_log2(q: Dyadic) -> int:
-    """ceil(log2 q) for 0 < q <= 1 (a nonpositive integer)."""
-    return -floor_neg_log2(q)

@@ -283,11 +283,6 @@ class SupportNotHeavy(ValueError):
     """A set in the support of Q has m-mass below 2^-i."""
 
 
-def _decode_set(bits: str) -> frozenset:
-    """The member set behind a support element of Q."""
-    return frozenset(decode_string_set(bits))
-
-
 def hitting_vector(
     q: ElementaryMeasure,
     m: ElementaryMeasure,
@@ -307,20 +302,22 @@ def hitting_vector(
     """
     sets: list[tuple[Fraction, frozenset]] = []
     for enc in q.support:
-        members = _decode_set(enc)
+        members = frozenset(decode_string_set(enc))
         mass = m.mass_of(members)
         if mass < Fraction(1, 1 << i):
             raise SupportNotHeavy(f"support set {sorted(members)} is not {i}-heavy")
         sets.append((q(enc), members))
 
     size = c * d * (1 << (i + 1))
+    if size and not m.support:
+        raise HittingInfeasible(f"{size} draws from a measure with empty support")
     scale = Fraction(1 << (c * d))
     # potential with r draws left: sum of q * (1 - m(F))^r * 2^cd over live sets
     chosen: list[str] = []
     alive = [(qw, members, 1 - m.mass_of(members)) for qw, members in sets]
     for r in range(size, 0, -1):
         if not alive:  # every potential is 0, so each draw left takes the first element
-            chosen += [next(iter(m.support), None)] * r
+            chosen += [m.support[0]] * r
             break
         # the potential after drawing w is the live total less the live weight
         # that w hits, so the least potential is the most weight hit; max
@@ -342,6 +339,6 @@ def hitting_score(z: HittingVector, q: ElementaryMeasure, m: ElementaryMeasure) 
     hit = set(z.elements)
     total = Fraction(0)
     for enc in q.support:
-        if not (_decode_set(enc) & hit):
+        if hit.isdisjoint(decode_string_set(enc)):
             total += q(enc) * (1 << (c * d))
     return total

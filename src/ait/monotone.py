@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
-from .codec import Lcg, assert_bits, canon_key, canonical_sorted, strings_of_length
-from .dyadic import Dyadic, ceil_log2, ceil_neg_log2, dyadic_sum
+from .codec import (Lcg, all_strings_upto, assert_bits, canon_key, canonical_sorted,
+                    strings_of_length)
+from .dyadic import Dyadic, ceil_neg_log2, dyadic_sum, floor_neg_log2
 
 
 class InsufficientMass(RuntimeError):
@@ -99,9 +100,6 @@ class Stage:
     n: int                      # all members of S sets have this length
     s_sets: dict                # x -> tuple of sorted strings, disjoint across x
     t_sets: dict                # x -> tuple of sorted strings (mixed lengths)
-
-    def owner_index(self) -> dict:
-        return {y: x for x, ys in self.s_sets.items() for y in ys}
 
 
 @dataclass(frozen=True)
@@ -208,25 +206,47 @@ def build_nu(t: ThetaTable) -> MonotoneTransducer:
     return MonotoneTransducer(tuple(stages))
 
 
+def _has_extension(sorted_strings: tuple[str, ...], y: str) -> bool:
+    """Any member extending y?  Fixed-length members with prefix y form a
+    contiguous lexicographic range."""
+    i = bisect_left(sorted_strings, y)
+    return i < len(sorted_strings) and sorted_strings[i].startswith(y)
+
+
 @dataclass
 class NuFunction:
-    """The compiled total string-monotonic function, with lookup indexes and
-    a per-length tally of its images."""
+    """The compiled total string-monotonic function, with per-stage owner
+    indexes and a per-length tally of its images."""
 
     transducer: MonotoneTransducer
-    _owners: list = field(default_factory=list, repr=False)
+    _owners: list = field(init=False, repr=False)  # per stage: S-set member -> x
     _tallies: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for st in self.transducer.stages:
-            self._owners.append(st.owner_index())
+        self._owners = [{y: x for x, ys in st.s_sets.items() for y in ys}
+                        for st in self.transducer.stages]
 
     @property
     def depth(self) -> int:
         return self.transducer.depth
 
     def apply(self, y: str) -> str:
-        return nu_apply(self, y)
+        """The owner x of y's first n bits at the last stage whose length n
+        is at most len(y).  A longer y must extend a member of S[x], S[x0] or
+        S[x1] at the next stage.  Inputs shorter than the stage-0 length map
+        to the empty string."""
+        stages = self.transducer.stages
+        if len(y) < stages[0].n:
+            return ""
+        if len(y) > stages[-1].n:
+            raise DepthExceeded(f"input length {len(y)} exceeds built depth {stages[-1].n}")
+        idx = bisect_right(stages, len(y), key=lambda st: st.n) - 1
+        x = self._owners[idx][y[:stages[idx].n]]
+        if len(y) > stages[idx].n:
+            nxt = stages[idx + 1].s_sets
+            if not any(_has_extension(nxt.get(z, ()), y) for z in (x, x + "0", x + "1")):
+                raise AssertionError("every extension must stay within the child sets")
+        return x
 
     def image_counts(self, n: int) -> dict:
         """{image: number of length-n inputs mapped to it}.  The first call
@@ -235,35 +255,9 @@ class NuFunction:
         tally object, which callers read and never change."""
         tally = self._tallies.get(n)
         if tally is None:
-            tally = Counter(nu_apply(self, y) for y in strings_of_length(n))
+            tally = Counter(map(self.apply, strings_of_length(n)))
             self._tallies[n] = tally
         return tally
-
-
-def _has_extension(sorted_strings: tuple[str, ...], y: str) -> bool:
-    """Any member extending y?  Fixed-length members with prefix y form a
-    contiguous lexicographic range."""
-    i = bisect_left(sorted_strings, y)
-    return i < len(sorted_strings) and sorted_strings[i].startswith(y)
-
-
-def nu_apply(nu: NuFunction, y: str) -> str:
-    """The owner x of y's first n bits at the last stage whose length n is
-    at most len(y).  A longer y must extend a member of S[x], S[x0] or
-    S[x1] at the next stage.  Inputs shorter than the stage-0 length map to
-    the empty string."""
-    stages = nu.transducer.stages
-    if len(y) < stages[0].n:
-        return ""
-    if len(y) > stages[-1].n:
-        raise DepthExceeded(f"input length {len(y)} exceeds built depth {stages[-1].n}")
-    idx = bisect_right(stages, len(y), key=lambda st: st.n) - 1
-    x = nu._owners[idx][y[:stages[idx].n]]
-    if len(y) > stages[idx].n:
-        nxt = stages[idx + 1].s_sets
-        if not any(_has_extension(nxt.get(z, ()), y) for z in (x, x + "0", x + "1")):
-            raise AssertionError("every extension must stay within the child sets")
-    return x
 
 
 def preimage_count(nu, members: Iterable[str], n: int) -> int:
@@ -323,40 +317,37 @@ class ZeroMeasureSet(ValueError):
 
 
 def km_sigma(members: Iterable[str], t: ThetaTable) -> int:
-    """1 - ceil(log2 of the table mass of the set) at the table's last stage."""
+    """1 + floor(-log2 of the table mass of the set) at the table's last stage."""
     total = dyadic_sum(t.theta(x, t.max_stage) for x in set(members))
     if total.is_zero:
         raise ZeroMeasureSet("the set has zero table mass at this stage")
-    return 1 - ceil_log2(total)
+    return 1 + floor_neg_log2(total)
 
 
 # ---------------------------------------------------------------------------
 # fixture tables (all power-of-two valued, hence always feasible)
 # ---------------------------------------------------------------------------
 
+def _staged(tree: dict[str, Dyadic], stages: int) -> ThetaTable:
+    """A final tree revealed one level per stage, theta(x, k) = tree[x] for
+    len(x) <= k, which keeps stage monotonicity trivially exact."""
+    return ThetaTable({(x, k): v for k in range(stages + 1)
+                       for x, v in tree.items() if len(x) <= k}, stages)
+
+
 def uniform_table(stages: int) -> ThetaTable:
     """theta(x, k) = 2^-len(x) for len(x) <= k: the uniform-measure ladder."""
-    entries = {}
-    for k in range(stages + 1):
-        for length in range(k + 1):
-            for x in strings_of_length(length):
-                entries[(x, k)] = Dyadic(1, length)
-    return ThetaTable(entries, stages)
+    return _staged({x: Dyadic(1, len(x)) for x in all_strings_upto(stages)}, stages)
 
 
 def point_mass_table(stages: int) -> ThetaTable:
     """theta(0^j, k) = 1 for j <= k: all mass funnels down the zero path."""
-    entries = {}
-    for k in range(stages + 1):
-        for j in range(k + 1):
-            entries[("0" * j, k)] = Dyadic.one()
-    return ThetaTable(entries, stages)
+    return _staged({"0" * j: Dyadic.one() for j in range(stages + 1)}, stages)
 
 
 def random_pow2_table(seed: int, stages: int) -> ThetaTable:
     """A deterministic pseudo-random power-of-two table: the final tree is
-    drawn once from a fixed linear-congruential stream, then revealed one
-    level per stage (which keeps stage monotonicity trivially exact).  No
+    drawn once from a fixed linear-congruential stream, then staged.  No
     value below 2^-6 subdivides."""
     rng = Lcg(seed)
     tree: dict[str, Dyadic] = {"": Dyadic.one()}
@@ -382,12 +373,7 @@ def random_pow2_table(seed: int, stages: int) -> ThetaTable:
                 tree[x + "1"] = v.halved()
                 nxt.extend((x + "0", x + "1"))
         frontier = nxt
-    entries = {}
-    for k in range(stages + 1):
-        for x, v in tree.items():
-            if len(x) <= k:
-                entries[(x, k)] = v
-    return ThetaTable(entries, stages)
+    return _staged(tree, stages)
 
 
 def measure_matching_gap(t: ThetaTable) -> int:

@@ -12,7 +12,6 @@ reports say so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .codec import PrefixFreeSet, encode_nat
 from .complexity import km_t
@@ -44,9 +43,6 @@ class BinaryPredicate:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __call__(self, i: int) -> Optional[int]:
-        return dict(self.pairs).get(i)
 
     def agrees_with(self, bits: str) -> bool:
         """Does an infinite word starting with ``bits`` (then zeros) agree?"""

@@ -1,10 +1,10 @@
 import pytest
 
+from ait.frozen import FIXTURE
 from ait.machine import MachineConfig
 
-# CI-scale fixture bounds; the acceptance module uses these throughout.
-FIXTURE = MachineConfig(max_program_len=14, fuel=2048)
-DOUBLE_FUEL = MachineConfig(max_program_len=14, fuel=4096)
+# the fixture's length bound at twice its fuel
+DOUBLE_FUEL = MachineConfig(FIXTURE.max_program_len, 2 * FIXTURE.fuel)
 SMALL = MachineConfig(max_program_len=10, fuel=512)
 
 

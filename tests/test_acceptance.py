@@ -12,11 +12,8 @@ from contextlib import redirect_stdout
 from ait import codec
 from ait.codec import prefix_pair
 from ait.dyadic import Dyadic, ceil_neg_log2
-from ait.frozen import FROZEN
-from ait.machine import MachineConfig, enumerate_halting, kraft_sum, run
-
-FIXTURE = MachineConfig(max_program_len=14, fuel=2048)
-DOUBLE_FUEL = MachineConfig(max_program_len=14, fuel=4096)
+from ait.frozen import FIXTURE, FROZEN
+from ait.machine import enumerate_halting, kraft_sum, run
 
 
 def _announce(number: int, ok: bool, label: str):
@@ -304,22 +301,22 @@ def test_criterion_09_unique_total_searches():
               f"({ran} exhaustive level scans)")
 
 
-def test_criterion_10_monotonicity_suite(enumeration):
+def test_criterion_10_monotonicity_suite(enumeration, double_fuel_cfg):
     from ait.complexity import halting_proxy, k_t, m_t
     from ait.leftward import bb, get_interval_table, m_b, total_strings_of_length
 
     # fuel t vs 2t over the full corpus reachable at the larger fuel
-    big = {r.output for r in enumerate_halting(DOUBLE_FUEL, "")}
+    big = {r.output for r in enumerate_halting(double_fuel_cfg, "")}
     k_ok = m_ok = True
     for x in sorted(big, key=lambda s: (len(s), s)):
         k_small = k_t(x, "", FIXTURE)
-        k_large = k_t(x, "", DOUBLE_FUEL)
+        k_large = k_t(x, "", double_fuel_cfg)
         if k_small.is_finite:
             k_ok &= k_large.is_finite and k_large.value <= k_small.value
-        m_ok &= m_t(x, "", FIXTURE) <= m_t(x, "", DOUBLE_FUEL)
+        m_ok &= m_t(x, "", FIXTURE) <= m_t(x, "", double_fuel_cfg)
     proxy_ok = all(
         a <= b for a, b in zip(halting_proxy(FIXTURE).bits,
-                               halting_proxy(DOUBLE_FUEL).bits)
+                               halting_proxy(double_fuel_cfg).bits)
     )
 
     table = get_interval_table(FIXTURE, "")

@@ -30,6 +30,7 @@ from ait.measures import HittingInfeasible
 from ait.monotone import (
     ThresholdNotFound,
     ZeroMeasureSet,
+    build_nu,
     point_mass_table,
     random_pow2_table,
     uniform_table,
@@ -277,6 +278,14 @@ def test_cli_hitvec(tmp_path, capsys):
                  "-i", "1", "-c", "1", "-d", "1"]) == 0
     row = json.loads(capsys.readouterr().out)
     assert len(row["elements"]) == 4 and row["score"] == "0/1"
+    # with no element to draw, a draw is an error and no draw is the empty vector
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    argv = ["hitvec", "--sets", str(empty), "--measure", str(empty), "-i", "1", "-d", "1"]
+    assert main(argv + ["-c", "1"]) == 1
+    assert "empty support" in json.loads(capsys.readouterr().out)["error"]
+    assert main(argv + ["-c", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"elements": [], "score": "0/1"}
 
 
 def test_cli_nu(tmp_path, capsys):
@@ -289,6 +298,19 @@ def test_cli_nu(tmp_path, capsys):
     assert main(["nu", "build", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["N"] == 1
+
+
+def test_cli_nu_build_truncates_to_stages(tmp_path, capsys):
+    path = tmp_path / "theta.tsv"
+    path.write_text(uniform_table(3).serialize())
+    for k in (2, 0):
+        assert main(["nu", "build", str(path), "--stages", str(k)]) == 0
+        assert capsys.readouterr().out == build_nu(uniform_table(k)).serialize() + "\n"
+    # past the last stage the root is 0, which the table invariants reject
+    with pytest.raises(SystemExit) as exit_info:
+        main(["nu", "build", str(path), "--stages", "5"])
+    assert exit_info.value.code == 2
+    assert "invalid table: theta(eps,4) is 0" in capsys.readouterr().err
 
 
 def test_cli_nu_preimage_empty_member_first(tmp_path, capsys):
@@ -504,13 +526,23 @@ def test_cli_seedless_flag(capsys):
 
 
 def test_rewrite_frozen_updates_constants(tmp_path):
-    from ait.cli import _rewrite_frozen
+    from ait.cli import _UsageError, _rewrite_frozen
 
     stub = tmp_path / "frozen_stub.py"
     stub.write_text('FROZEN = {\n    "c_machine": 1,\n    "c_chain": 19,\n}\n')
     _rewrite_frozen({"c_chain": 23}, str(stub))
     assert '"c_chain": 23' in stub.read_text()
     assert '"c_machine": 1' in stub.read_text()
+    # a negative constant is written, and a later rewrite replaces it
+    _rewrite_frozen({"c_machine": -2}, str(stub))
+    assert '"c_machine": -2' in stub.read_text()
+    _rewrite_frozen({"c_machine": 5}, str(stub))
+    assert '"c_machine": 5' in stub.read_text()
+    # a measured key that the file lacks writes nothing, not even the keys it has
+    before = stub.read_text()
+    with pytest.raises(_UsageError, match=re.escape(f"{stub}: 'c_copy' is written 0 times")):
+        _rewrite_frozen({"c_chain": 7, "c_copy": 3}, str(stub))
+    assert stub.read_text() == before
 
 
 # ---------------------------------------------------------------------------

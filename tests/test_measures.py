@@ -19,6 +19,8 @@ from ait.machine import MachineConfig, run, search_programs
 from ait.measures import (
     DeficiencyValue,
     ElementaryMeasure,
+    HittingInfeasible,
+    HittingVector,
     PROBABILITY,
     SEMIMEASURE,
     StochasticityNotFound,
@@ -361,6 +363,21 @@ def test_hitting_vector_rejects_light_sets():
     q = ElementaryMeasure({encode_string_set(["0"]): Fraction(1)})
     with pytest.raises(ValueError):
         hitting_vector(q, m, i=0, c=1, d=1)  # m({"0"}) = 1/2 < 2^0
+
+
+def test_hitting_vector_needs_an_element_to_draw():
+    empty = ElementaryMeasure({}, SEMIMEASURE)
+    with pytest.raises(HittingInfeasible, match="empty support"):
+        hitting_vector(empty, empty, i=1, c=1, d=1)
+    assert hitting_vector(empty, empty, i=1, c=0, d=1).elements == ()
+
+
+def test_hitting_score_counts_each_missed_set():
+    m = ElementaryMeasure({"0": Fraction(1, 2), "1": Fraction(1, 2)})
+    q = ElementaryMeasure({encode_string_set(["0"]): Fraction(1, 4),
+                           encode_string_set(["1"]): Fraction(3, 4)})
+    # z hits {1} and misses {0}, which counts q({0}) 2^(c*d) = 1/4 * 2^2
+    assert hitting_score(HittingVector(("1", "1"), (1, 2, 1)), q, m) == 1
 
 
 def test_hitting_vector_random_instances():

@@ -380,14 +380,14 @@ def test_preimage_tally_matches_per_input_oracle(table, members):
 
 def test_each_input_applied_once_per_nu_and_length(monkeypatch):
     calls = 0
-    real = monotone.nu_apply
+    real = NuFunction.apply
 
     def counted(nu, y):
         nonlocal calls
         calls += 1
         return real(nu, y)
 
-    monkeypatch.setattr(monotone, "nu_apply", counted)
+    monkeypatch.setattr(NuFunction, "apply", counted)
     nu = NuFunction(build_nu(random_pow2_table(3, 5)))
     for _ in range(2):
         for members in (["0"], ["00", "01"], ["11"], ["", "10"]):
