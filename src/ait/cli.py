@@ -305,8 +305,7 @@ def _emit(result: dict) -> int:
 
 def _dispatch(args, cfg: MachineConfig) -> int:
     if args.command == "machine" and args.machine_command == "enumerate":
-        for rec in get_enumeration(cfg, _read_bits_token(args.aux)):
-            sys.stdout.write(f"{rec.program}\t{rec.output}\t{rec.steps}\n")
+        sys.stdout.writelines(get_enumeration(cfg, _read_bits_token(args.aux)).lines())
         return 0
 
     if args.command == "border":

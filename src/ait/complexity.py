@@ -137,13 +137,14 @@ def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
 
 
 def _build_halting_proxy(cfg: MachineConfig, aux: str) -> HaltingProxy:
+    L = cfg.max_program_len
     by_length: dict[int, list[int]] = {}
-    for r in get_enumeration(cfg, aux):
-        by_length.setdefault(len(r.program), []).append(int(r.program, 2))
+    for n, padded, _steps in get_enumeration(cfg, aux).columns():
+        by_length.setdefault(n, []).append(padded >> (L - n))
     # level n holds one byte per string of length n, lexicographically; a
     # string halts when it is a program or its one-bit-shorter prefix halts
     levels = [bytearray(1)]  # the empty string never halts
-    for n in range(1, cfg.max_program_len + 1):
+    for n in range(1, L + 1):
         lvl = bytearray(1 << n)
         lvl[0::2] = lvl[1::2] = levels[-1]
         for v in by_length.get(n, ()):

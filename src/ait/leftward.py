@@ -11,7 +11,9 @@ exactly into maximal dyadic pieces — the minimal transformed programs — and
 all mass bookkeeping below happens in integer grid units of 2^-L.  The table
 keeps the tiles, never the pieces: a query about a string b needs at most one
 piece, the one that properly contains b's interval, and the tile endpoints
-give it.
+give it.  The tiles are the records of ``machine.Enumeration``, the columnar
+store of the walk: their widths come from its length column and their
+grouping by output from its output ids.
 
 Desk-scale totality is relative to the bounds: a string is total when every
 leaf of the depth-L tree under it has a prefix on which the machine halts
@@ -32,7 +34,7 @@ from typing import Callable
 
 from .codec import strings_of_length
 from .dyadic import Dyadic
-from .machine import MachineConfig, ProgramRecord, get_enumeration, per_bounds
+from .machine import Enumeration, MachineConfig, ProgramRecord, get_enumeration, per_bounds
 
 
 class TotalSearchNotFound(RuntimeError):
@@ -51,8 +53,11 @@ class BorderPrefix:
 @dataclass
 class IntervalTable:
     """Consecutive open intervals, the tiles, over the enumeration order.
-    Tile k belongs to ``records[k]``, the cached enumeration itself, and
-    spans [_bounds[k], _bounds[k + 1]) in integer grid units of 2^-L.
+    Tile k belongs to ``records[k]``, record k of the cached enumeration
+    store itself, and spans [_bounds[k], _bounds[k + 1]) in integer grid
+    units of 2^-L.  The build reads each tile's width off the store's
+    program lengths and groups the tiles by output id, building a
+    ``ProgramRecord`` only for each output's least program.
 
     ``outputs`` is the one per-output view of the enumeration: for each
     output, its (length, lex)-least program, its tile indices and their
@@ -61,7 +66,7 @@ class IntervalTable:
     program."""
 
     config: MachineConfig
-    records: list[ProgramRecord]
+    records: Enumeration
     omega: Dyadic                      # total assigned width = the final grid position
     outputs: dict[str, tuple[ProgramRecord, array, array]]
     # n + 1 tile endpoints from 0 to omega; the longest output among the
@@ -77,25 +82,24 @@ class IntervalTable:
 def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     L = cfg.max_program_len
     records = get_enumeration(cfg, aux)
-    widths = [1 << (L - len(rec.program)) for rec in records]
+    # each program's place in (length, lex) order: equal lengths order as
+    # their zero-padded values
+    ranks = [n << L | padded for n, padded, _steps in records.columns()]
+    widths = [1 << (L - (rank >> L)) for rank in ranks]
     bounds = array("q", accumulate(widths, initial=0))
     if bounds[-1] > 1 << L:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
-    prefix_maxlen = array("q", accumulate((len(rec.output) for rec in records), max, initial=0))
-    groups: dict[str, list] = {}  # output -> [least program, tiles, running mass]
-    for k, (rec, width) in enumerate(zip(records, widths)):
-        group = groups.get(rec.output)
-        if group is None:
-            groups[rec.output] = [rec, array("q", [k]), array("q", [0, width])]
-            continue
-        least, tiles, mass = group
-        if (len(rec.program), rec.program) < (len(least.program), least.program):
-            group[0] = rec
-        tiles.append(k)
-        mass.append(mass[-1] + width)
-    ranked = sorted(groups.values(), key=lambda g: (len(g[0].program), g[0].program))
-    return IntervalTable(cfg, records, Dyadic(bounds[-1], L),
-                         {g[0].output: tuple(g) for g in ranked}, bounds, prefix_maxlen)
+    lengths = [len(x) for x in records.outputs]
+    prefix_maxlen = array("q", accumulate(map(lengths.__getitem__, records.ids), max, initial=0))
+    tiles = [array("q") for _ in records.outputs]  # per output id
+    for k, i in enumerate(records.ids):
+        tiles[i].append(k)
+    least = [min(t, key=ranks.__getitem__) for t in tiles]
+    outputs = {}
+    for i in sorted(range(len(tiles)), key=lambda i: ranks[least[i]]):
+        mass = array("q", accumulate(map(widths.__getitem__, tiles[i]), initial=0))
+        outputs[records.outputs[i]] = (records[least[i]], tiles[i], mass)
+    return IntervalTable(cfg, records, Dyadic(bounds[-1], L), outputs, bounds, prefix_maxlen)
 
 
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:

@@ -44,15 +44,24 @@ the level-order walk ``search_programs`` both go through it one whole
 instruction at a time: the output changes only when an instruction
 completes, so the walk branches at instruction boundaries, never inside a
 code.  The enumeration of the whole domain is that walk with nothing cut.
+
+The walk writes its records into one ``Enumeration``: integer columns, one
+key per program (its steps, its program zero-padded to L bits, and its
+length) and one id into the list of distinct outputs.  The interval table,
+the halting proxy and the digest read the columns; reading a record builds a
+``ProgramRecord`` on demand.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import codec
 from .codec import self_delim_at, strings_of_length
@@ -111,6 +120,59 @@ class ProgramRecord:
     program: str
     output: str
     steps: int
+
+
+class Enumeration(Sequence):
+    """The records of one walk as integer columns, sorted by (steps, program).
+
+    Record k is ``keys[k]`` and ``outputs[ids[k]]``.  A key holds the steps,
+    then the program zero-padded to L bits, then the program's length n in
+    L.bit_length() bits.  The programs are prefix-free, so their zero-padded
+    values sort as the programs do, and sorting the keys sorts the records by
+    (steps, program).  The keys are an ``array('Q')`` when fuel, L and the
+    length field fit in 64 bits, a list otherwise; ``outputs`` holds each
+    distinct output once.  Indexing, and the iteration and search that
+    ``Sequence`` derives from it, build ``ProgramRecord``s on demand; a slice
+    is an ``Enumeration`` over the same outputs, and ``+`` gives a list of
+    records.
+    """
+
+    __slots__ = ("max_len", "keys", "ids", "outputs")
+
+    def __init__(self, max_len: int, keys, ids: array, outputs: list[str]):
+        self.max_len, self.keys, self.ids, self.outputs = max_len, keys, ids, outputs
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Enumeration(self.max_len, self.keys[k], self.ids[k], self.outputs)
+        (n, padded, steps), = _fields((self.keys[k],), self.max_len)
+        return ProgramRecord(bin(1 << self.max_len | padded)[3:3 + n],
+                             self.outputs[self.ids[k]], steps)
+
+    def __add__(self, other) -> list[ProgramRecord]:
+        return [*self, *other]
+
+    def columns(self) -> Iterator[tuple[int, int, int]]:
+        """(n, padded, steps) per record: its program is the first n of the
+        L bits of ``padded``."""
+        return _fields(self.keys, self.max_len)
+
+    def lines(self) -> Iterator[str]:
+        """``program<TAB>output<TAB>steps`` per record."""
+        top, outputs = 1 << self.max_len, self.outputs
+        for (n, padded, steps), i in zip(self.columns(), self.ids):
+            yield f"{bin(top | padded)[3:3 + n]}\t{outputs[i]}\t{steps}\n"
+
+
+def _fields(keys, L: int) -> Iterator[tuple[int, int, int]]:
+    """``Enumeration.columns`` of ``keys``."""
+    width = L.bit_length()
+    low, mask = (1 << width) - 1, (1 << L) - 1
+    for key in keys:
+        yield key & low, key >> width & mask, key >> width + L
 
 
 _OPCODES = {
@@ -268,7 +330,7 @@ def run(program: str, aux: str, fuel: int) -> ExecOutcome:
 # exhaustive enumeration of the fuel-bounded domain
 # ---------------------------------------------------------------------------
 
-def enumerate_halting(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
+def enumerate_halting(cfg: MachineConfig, aux: str = "") -> Enumeration:
     """All minimal halting programs with len <= L and steps <= fuel.
 
     The level-order walk of ``search_programs`` with no state callback, so
@@ -305,7 +367,7 @@ def is_built(kind: str, cfg: MachineConfig, aux: str = "") -> bool:
     return (kind, cfg.max_program_len, cfg.fuel, aux[:cfg.readable_aux_len]) in _BUILT
 
 
-def get_enumeration(cfg: MachineConfig, aux: str = "") -> list[ProgramRecord]:
+def get_enumeration(cfg: MachineConfig, aux: str = "") -> Enumeration:
     """The enumeration, built once per bounds and readable aux prefix."""
     return per_bounds("enumeration", enumerate_halting, cfg, aux)
 
@@ -324,7 +386,7 @@ def search_programs(
     state: Optional[Callable[[str], str]] = None,
     *,
     cutoff: Optional[Callable[[ProgramRecord], int]] = None,
-) -> list[ProgramRecord]:
+) -> Enumeration:
     """Every minimal halting program within bounds whose output is complete,
     sorted by (steps, program).
 
@@ -337,43 +399,59 @@ def search_programs(
 
     The walk goes in level order: every program of length n before any of
     length n + 1, lexicographically within a level.  At level n each open
-    instruction boundary, with a prefix of p bits, takes the instructions
-    whose codes have exactly n - p bits.  ``cutoff(record)`` is called on
-    each recorded program in that order, and no level longer than the least
-    value it has returned is started; only the records found up to there
-    are returned.
+    instruction boundary, with a prefix of p bits held as an integer, takes
+    the instructions whose codes have exactly n - p bits.  ``cutoff(record)``
+    is called on each recorded program in that order, and no level longer
+    than the least value it has returned is started; only the records found
+    up to there are returned.
     """
-    results: list[ProgramRecord] = []
-    shared: dict[str, str] = {}  # one string object per distinct output
-    if state is not None and state("") == "dead":
-        return results
-    fuel, limit = cfg.fuel, cfg.max_program_len
-    boundaries = [("", "", 0, 0)]  # (prefix, output, aux position, steps)
-    n = 0
+    fuel, L = cfg.fuel, cfg.max_program_len
+    width = L.bit_length()
+    found: list[int] = []  # per record, its Enumeration key above 32 bits of output id
+    below_steps = (1 << 32 + L + width) - 1
+    outputs: list[str] = []
+    ids: dict[str, int] = {}
+    # (prefix value, prefix length, output, aux position, steps)
+    boundaries = [] if state is not None and state("") == "dead" else [(0, 0, "", 0, 0)]
+    limit, n = L, 0
     while boundaries and n < limit:
         n += 1
         level, reached = [], []
-        for prefix, out, a, steps in boundaries:
-            for code, emitted, after, spent in expand(aux, fuel, a, steps, n - len(prefix)):
+        for prefix, p, out, a, steps in boundaries:
+            for code, emitted, after, spent in expand(aux, fuel, a, steps, n - p):
                 output = out + emitted
                 kind = "complete" if state is None else state(output)
                 if kind == "dead":
                     continue
+                value = prefix << (n - p) | int(code, 2)
                 if after is not None:
-                    reached.append((prefix + code, output, after, spent))
+                    reached.append((value, n, output, after, spent))
                 elif kind == "complete":
-                    level.append(ProgramRecord(prefix + code, shared.setdefault(output, output),
-                                               spent))
+                    i = ids.get(output)
+                    if i is None:
+                        i = ids[output] = len(outputs)
+                        outputs.append(output)
+                    level.append(((spent << L | value << (L - n)) << width | n) << 32 | i)
         # a boundary stays open while a code one bit longer still fits
-        boundaries = [(prefix, out, a, steps) for prefix, out, a, steps in boundaries + reached
-                      if steps + (n + 1 - len(prefix)) + 1 <= fuel]
-        level.sort(key=lambda r: r.program)
-        for rec in level:
-            results.append(rec)
-            if cutoff is not None:
+        boundaries = [b for b in boundaries + reached if b[4] + (n + 1 - b[1]) + 1 <= fuel]
+        if cutoff is not None:
+            # one level's programs have n bits each, so the key bits below
+            # the steps sort them
+            level.sort(key=below_steps.__and__)
+            for rec in _unpack(cfg, level, outputs):
                 limit = min(limit, cutoff(rec))
-    results.sort(key=lambda r: (r.steps, r.program))
-    return results
+        found += level
+    found.sort()
+    return _unpack(cfg, found, outputs)
+
+
+def _unpack(cfg: MachineConfig, packed: list[int], outputs: list[str]) -> Enumeration:
+    """The Enumeration of ``packed``, keys above 32 bits of output id."""
+    L = cfg.max_program_len
+    keys = (k >> 32 for k in packed)
+    fits = cfg.fuel.bit_length() + L + L.bit_length() <= 64
+    return Enumeration(L, array("Q", keys) if fits else list(keys),
+                       array("I", (k & 0xFFFFFFFF for k in packed)), outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +714,18 @@ def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
 # ---------------------------------------------------------------------------
 
 def cache_digest(records: Iterable[ProgramRecord]) -> str:
+    """sha256 of one ``program<TAB>output<TAB>steps`` line per record, fed
+    in chunks of 4096 lines; an Enumeration writes its lines from its
+    columns."""
     # imported here: loading hashlib's OpenSSL module takes about 4 ms on a
     # 2-vCPU VM, which only the commands that hash should pay
     import hashlib
 
-    body = "".join(f"{r.program}\t{r.output}\t{r.steps}\n" for r in records)
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+    digest = hashlib.sha256()
+    if isinstance(records, Enumeration):
+        lines = records.lines()
+    else:
+        lines = (f"{r.program}\t{r.output}\t{r.steps}\n" for r in records)
+    while chunk := "".join(islice(lines, 4096)):
+        digest.update(chunk.encode("ascii"))
+    return digest.hexdigest()

@@ -2,8 +2,9 @@
 never runs.
 
 - The machine: a bit-at-a-time interpreter and its brute-force enumeration,
-  a prefix scan for the halting-sequence proxy, and the edges of the
-  boundary graph read off the instruction decoder ``expand``.
+  the level-order walk writing one ``ProgramRecord`` per halting program, a
+  prefix scan for the halting-sequence proxy, and the edges of the boundary
+  graph read off the instruction decoder ``expand``.
 - The left-total transform: the transformed machine, a tree walk, the
   pieces of the interval table, the table's text form, ``m_b``'s mass
   filter without its totality gate, the base machine's totality and a
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from ait.codec import (
     DecodeError,
@@ -142,6 +143,47 @@ def halting_by_bits(max_len: int, fuel: int, aux: str = "") -> list[ProgramRecor
                 records.append(ProgramRecord(p, out.output, out.steps))
     records.sort(key=lambda r: (r.steps, r.program))
     return records
+
+
+def search_programs_by_records(
+    cfg: MachineConfig,
+    aux: str,
+    state: Optional[Callable[[str], str]] = None,
+    *,
+    cutoff: Optional[Callable[[ProgramRecord], int]] = None,
+) -> list[ProgramRecord]:
+    """``machine.search_programs`` over string prefixes, writing one
+    ``ProgramRecord`` per halting program and sorting the records
+    themselves: the reference the walk's columnar store is compared with."""
+    results: list[ProgramRecord] = []
+    if state is not None and state("") == "dead":
+        return results
+    fuel, limit = cfg.fuel, cfg.max_program_len
+    boundaries = [("", "", 0, 0)]  # (prefix, output, aux position, steps)
+    n = 0
+    while boundaries and n < limit:
+        n += 1
+        level, reached = [], []
+        for prefix, out, a, steps in boundaries:
+            for code, emitted, after, spent in expand(aux, fuel, a, steps, n - len(prefix)):
+                output = out + emitted
+                kind = "complete" if state is None else state(output)
+                if kind == "dead":
+                    continue
+                if after is not None:
+                    reached.append((prefix + code, output, after, spent))
+                elif kind == "complete":
+                    level.append(ProgramRecord(prefix + code, output, spent))
+        # a boundary stays open while a code one bit longer still fits
+        boundaries = [(prefix, out, a, steps) for prefix, out, a, steps in boundaries + reached
+                      if steps + (n + 1 - len(prefix)) + 1 <= fuel]
+        level.sort(key=lambda r: r.program)
+        for rec in level:
+            results.append(rec)
+            if cutoff is not None:
+                limit = min(limit, cutoff(rec))
+    results.sort(key=lambda r: (r.steps, r.program))
+    return results
 
 
 def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from ait.leftward import (
     shortest_total_satisfying,
     total_strings_of_length,
 )
-from ait.machine import MachineConfig, Status, kraft_sum, mass_for_output, run
+from ait.machine import Enumeration, MachineConfig, Status, kraft_sum, mass_for_output, run
 from oracles import (
     UTotality,
     border_by_descent,
@@ -74,7 +74,10 @@ def test_table_structure(fixture_cfg, interval_table, enumeration):
 def test_table_rejects_kraft_sum_above_one(fixture_cfg, enumeration, monkeypatch):
     # a duplicated shortest program pushes the fixture's Kraft sum past 1
     shortest = min(enumeration, key=lambda r: len(r.program))
-    broken = list(enumeration) + [shortest]
+    k = list(enumeration).index(shortest)
+    broken = Enumeration(enumeration.max_len, enumeration.keys + enumeration.keys[k:k + 1],
+                         enumeration.ids + enumeration.ids[k:k + 1], enumeration.outputs)
+    assert list(broken) == list(enumeration) + [shortest]
     assert kraft_sum(broken) > Dyadic.one()
     monkeypatch.setattr(leftward, "get_enumeration", lambda cfg, aux: broken)
     with pytest.raises(AssertionError, match="Kraft sum exceeded 1"):

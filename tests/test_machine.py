@@ -1,6 +1,9 @@
+import json
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +15,7 @@ from ait.frozen import CHAIN
 from ait.machine import (
     _CODE,
     _OPCODES,
+    Enumeration,
     MachineConfig,
     _boundaries,
     _count_edges,
@@ -20,6 +24,7 @@ from ait.machine import (
     _literal,
     get_enumeration,
     Status,
+    cache_digest,
     enumerate_halting,
     kraft_sum,
     mass_for_output,
@@ -28,7 +33,7 @@ from ait.machine import (
     run,
     search_programs,
 )
-from oracles import edges_by_expand, halting_by_bits, run_by_bits
+from oracles import edges_by_expand, halting_by_bits, run_by_bits, search_programs_by_records
 
 # fixture located by exhaustive enumeration at L=16, t=4096: the shortest
 # program emitting the empty string is EMIT_HALT with an empty literal.
@@ -225,7 +230,7 @@ def test_walks_match_bit_level_enumeration(aux, max_len, fuel, banned, cap, modu
     # where a walk that closes a boundary one step early loses it.  A
     # monotone viable keeps exactly the records whose final output is viable
     everything = halting_by_bits(max_len, fuel, aux)
-    assert enumerate_halting(MachineConfig(max_len, fuel), aux) == everything
+    assert list(enumerate_halting(MachineConfig(max_len, fuel), aux)) == everything
 
     def viable(out):
         return banned not in out and len(out) <= cap
@@ -243,11 +248,12 @@ def test_walks_match_bit_level_enumeration(aux, max_len, fuel, banned, cap, modu
     for f in sorted(sweep):
         cfg = MachineConfig(max_len, f)
         within = [r for r in everything if r.steps <= f]
-        assert search_programs(cfg, aux, _state(viable, accept)) == \
+        assert list(search_programs(cfg, aux, _state(viable, accept))) == \
             _search_by_filter(within, max_len, viable, accept, lambda rec: max_len)
         seen, expected_seen = [], []
         got = search_programs(cfg, aux, _state(viable, accept), cutoff=recorder(seen))
-        assert got == _search_by_filter(within, max_len, viable, accept, recorder(expected_seen))
+        assert list(got) == _search_by_filter(within, max_len, viable, accept,
+                                              recorder(expected_seen))
         assert seen == expected_seen
 
 
@@ -269,8 +275,81 @@ def test_level_order_walk_matches_enumeration(aux, max_len, fuel, slack):
 
     cut = search_programs(cfg, aux, lambda out: "complete", cutoff=cutoff)
     limit = min((len(r.program) for r in everything), default=0) + slack
-    assert cut == [r for r in everything if len(r.program) <= limit]
+    assert list(cut) == [r for r in everything if len(r.program) <= limit]
     assert seen == sorted(cut, key=lambda r: (len(r.program), r.program))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(aux=st.text(alphabet="01", max_size=8), max_len=st.integers(1, 16),
+       fuel=st.sampled_from([16, 64, 256, 1024, 4096]),
+       banned=st.text(alphabet="01", min_size=1, max_size=4), modulus=st.integers(1, 5),
+       cuts=st.lists(st.integers(0, 16), min_size=1, max_size=6))
+@example(aux="01101001", max_len=16, fuel=4096, banned="0000", modulus=1, cuts=[16])
+def test_store_matches_record_walk(aux, max_len, fuel, banned, modulus, cuts):
+    # the store's records, one by one, against the walk that writes a
+    # ProgramRecord per program: uncut, pruned by a state, and cut
+    cfg = MachineConfig(max_len, fuel)
+    assert list(search_programs(cfg, aux)) == search_programs_by_records(cfg, aux)
+
+    def state(out):
+        return "dead" if banned in out else "complete" if int("1" + out, 2) % modulus != 1 \
+            else "viable"
+
+    def recorder(seen):
+        def cutoff(rec):
+            seen.append(rec)
+            return cuts[len(seen) % len(cuts)]
+        return cutoff
+
+    assert list(search_programs(cfg, aux, state)) == search_programs_by_records(cfg, aux, state)
+    seen, expected_seen = [], []
+    got = search_programs(cfg, aux, state, cutoff=recorder(seen))
+    assert list(got) == search_programs_by_records(cfg, aux, state, cutoff=recorder(expected_seen))
+    assert seen == expected_seen
+
+
+def test_store_keys_past_64_bits_are_a_list():
+    # 5 bits of fuel, L = 60 and a 6-bit length field take 71 bits
+    cfg = MachineConfig(60, 24)
+    store = enumerate_halting(cfg, "01")
+    assert isinstance(store.keys, list) and max(store.keys).bit_length() > 64
+    assert list(store) == search_programs_by_records(cfg, "01")
+    narrow = enumerate_halting(MachineConfig(20, 2048), "01")
+    assert isinstance(narrow.keys, array) and narrow.keys.typecode == "Q"
+
+
+def test_store_reads_as_a_sequence_of_records(fixture_cfg, enumeration):
+    records = list(enumeration)
+    n = len(enumeration)
+    assert n == len(records) > 1
+    assert [enumeration[k] for k in range(-n, n)] == records + records
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            enumeration[k]
+    for cut in (slice(None, -1), slice(3, 40, 7), slice(None, None, -1), slice(n, None),
+                slice(-5, None)):
+        view = enumeration[cut]
+        assert isinstance(view, Enumeration) and view.outputs is enumeration.outputs
+        assert len(view) == len(records[cut]) and list(view) == records[cut]
+    assert enumeration + records[:1] == records + records[:1]
+    assert list(reversed(enumeration)) == records[::-1] and records[-1] in enumeration
+    # the columns and the lines say what the records say
+    L = fixture_cfg.max_program_len
+    assert list(enumeration.columns()) == \
+        [(len(r.program), int(r.program, 2) << (L - len(r.program)), r.steps) for r in records]
+    assert list(enumeration.lines()) == [f"{r.program}\t{r.output}\t{r.steps}\n" for r in records]
+    assert cache_digest(enumeration) == cache_digest(records)
+    assert len(enumeration.outputs) == len({r.output for r in records})
+
+
+def test_digests_match_the_benchmark_seed():
+    # perfbench/seed_digests.json pins cache_digest at L=20, fuel 2048 for
+    # every aux of at most 8 bits; read here, never written
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "seed_digests.json"
+    digests = json.loads(path.read_text(encoding="ascii"))["digests"]
+    cfg = MachineConfig(20, 2048)
+    for aux in all_strings_upto(2):
+        assert cache_digest(get_enumeration(cfg, aux)) == digests[aux]
 
 
 def test_walk_classifies_each_output_once(monkeypatch):
