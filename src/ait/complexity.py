@@ -19,7 +19,6 @@ from .dyadic import Dyadic, dyadic_sum
 from .leftward import get_interval_table
 from .machine import (
     MachineConfig,
-    ProgramRecord,
     get_enumeration,
     is_built,
     mass_for_output,
@@ -58,18 +57,20 @@ def _outputs(y: str, cfg: MachineConfig):
     return get_interval_table(cfg, y).outputs if is_built("enumeration", cfg, y) else None
 
 
-def _complexity(rec: Optional[ProgramRecord], cfg: MachineConfig) -> ComplexityValue:
-    if rec is None:
+def _complexity(program: Optional[str], cfg: MachineConfig) -> ComplexityValue:
+    if program is None:
         return ComplexityValue(None, None, cfg)
-    return ComplexityValue(len(rec.program), rec.program, cfg)
+    return ComplexityValue(len(program), program, cfg)
 
 
 def k_t(x: str, y: str, cfg: MachineConfig) -> ComplexityValue:
     """Length of the shortest fuel-bounded program computing x from aux y."""
     outputs = _outputs(y, cfg)
     if outputs is None:
-        return _complexity(min_program_for_output(x, cfg, y), cfg)
-    return _complexity(outputs[x][0] if x in outputs else None, cfg)
+        rec = min_program_for_output(x, cfg, y)
+        return _complexity(rec and rec.program, cfg)
+    i = outputs.index.get(x)
+    return _complexity(None if i is None else outputs.program(i), cfg)
 
 
 def m_t(x: str, y: str, cfg: MachineConfig) -> Dyadic:
@@ -77,7 +78,8 @@ def m_t(x: str, y: str, cfg: MachineConfig) -> Dyadic:
     outputs = _outputs(y, cfg)
     if outputs is None:
         return mass_for_output(x, cfg, y)
-    return Dyadic(outputs[x][2][-1], cfg.max_program_len) if x in outputs else Dyadic.zero()
+    i = outputs.index.get(x)
+    return Dyadic.zero() if i is None else Dyadic(outputs.mass(i), cfg.max_program_len)
 
 
 def m_set(members: Iterable[str], y: str, cfg: MachineConfig) -> Dyadic:
@@ -100,14 +102,16 @@ def km_t(members, cfg: MachineConfig) -> ComplexityValue:
         raise ValueError("prefix set must be nonempty")
     outputs = _outputs("", cfg)
     if outputs is None:
-        return _complexity(min_program_with_prefix_in(targets, cfg), cfg)
+        rec = min_program_with_prefix_in(targets, cfg)
+        return _complexity(rec and rec.program, cfg)
     # an output qualifies when its first n bits are a member for some member
     # length n; a slice past its end is the output itself, which then is a
     # member, so the test lets in no output that extends no member.  The
     # view is ranked by least program, so the first that qualifies is least.
     lengths = {len(x) for x in targets}
-    return _complexity(next((rec for out, (rec, _tiles, _mass) in outputs.items()
-                             if any(out[:n] in targets for n in lengths)), None), cfg)
+    found = next((i for out, i in outputs.index.items()
+                  if any(out[:n] in targets for n in lengths)), None)
+    return _complexity(None if found is None else outputs.program(found), cfg)
 
 
 def mutual_info_t(x: str, y: str, cfg: MachineConfig) -> Optional[int]:
@@ -199,15 +203,15 @@ def chain_rule_report(x: str, y: str, cfg: MachineConfig) -> ChainRuleReport:
 
 def output_stats(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[int, Dyadic]]:
     """Per reachable output: (shortest program length, total program mass),
-    read off the interval table's per-output view."""
+    read off the interval table's per-output view in its ranked order."""
     L = cfg.max_program_len
-    return {x: (len(rec.program), Dyadic(mass[-1], L))
-            for x, (rec, _tiles, mass) in get_interval_table(cfg, aux).outputs.items()}
+    view = get_interval_table(cfg, aux).outputs
+    return {x: (view.length(i), Dyadic(view.mass(i), L)) for x, i in view.index.items()}
 
 
 def coding_direction_holds(cfg: MachineConfig, aux: str = "") -> bool:
     """ceil(-log m_t(x)) <= k_t(x) over every reachable output, exactly: k_t
     is an integer, so that is m_t(x) >= 2^-k_t(x), compared on the 2^-L grid."""
     L = cfg.max_program_len
-    return all(mass[-1] >= 1 << (L - len(rec.program))
-               for rec, _tiles, mass in get_interval_table(cfg, aux).outputs.values())
+    view = get_interval_table(cfg, aux).outputs
+    return all(view.mass(i) >= 1 << (L - view.length(i)) for i in range(len(view)))

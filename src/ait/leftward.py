@@ -13,7 +13,11 @@ keeps the tiles, never the pieces: a query about a string b needs at most one
 piece, the one that properly contains b's interval, and the tile endpoints
 give it.  The tiles are the records of ``machine.Enumeration``, the columnar
 store of the walk: their widths come from its length column and their
-grouping by output from its output ids.
+grouping by output from its output ids.  The per-output view is columnar
+too: the tile indices grouped by output id in one flat array, with group
+offsets, running mass on the grid, and each output's least tile.  The
+queries read these columns and the store's keys; a ``ProgramRecord`` is
+built only when an output is looked up in the view.
 
 Desk-scale totality is relative to the bounds: a string is total when every
 leaf of the depth-L tree under it has a prefix on which the machine halts
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from typing import Callable
+from typing import Callable, Iterator
 
 from .codec import strings_of_length
 from .dyadic import Dyadic
@@ -50,25 +56,74 @@ class BorderPrefix:
     bits: str
 
 
+class OutputView(Mapping):
+    """The tiles of an enumeration grouped by output, as integer columns
+    over the store's output ids.
+
+    ``tiles`` holds the tile indices grouped by output id, ascending within
+    each group: output i's are ``tiles[starts[i]:starts[i + 1]]``.  ``cum``
+    is the running mass over ``tiles`` on the 2^-L grid, so output i's mass
+    is ``cum[starts[i + 1]] - cum[starts[i]]``.  ``least`` holds each
+    output's (length, lex)-least tile.  ``index`` maps each output to its
+    id, inserted in strictly increasing (len(program), program) order of
+    the least programs.
+
+    As a mapping it iterates over the outputs in that order, so the first
+    output a query accepts holds its least program, and looking up an
+    output builds its (least ``ProgramRecord``, tile indices, running mass
+    from 0) on demand."""
+
+    __slots__ = ("records", "index", "tiles", "starts", "cum", "least")
+
+    def __init__(self, records: Enumeration, index: dict[str, int], tiles: array,
+                 starts: array, cum: array, least: array):
+        self.records, self.index, self.tiles = records, index, tiles
+        self.starts, self.cum, self.least = starts, cum, least
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __contains__(self, x) -> bool:
+        return x in self.index
+
+    def __getitem__(self, x: str) -> tuple[ProgramRecord, array, array]:
+        i = self.index[x]
+        lo, hi = self.starts[i], self.starts[i + 1]
+        base = self.cum[lo]
+        return (self.records[self.least[i]], self.tiles[lo:hi],
+                array("q", [c - base for c in self.cum[lo:hi + 1]]))
+
+    def program(self, i: int) -> str:
+        """Output i's (length, lex)-least program, with no record built."""
+        return self.records.program(self.least[i])
+
+    def length(self, i: int) -> int:
+        """The length of output i's least program, read off its key."""
+        return self.records.keys[self.least[i]] & (1 << self.records.max_len.bit_length()) - 1
+
+    def mass(self, i: int) -> int:
+        """Output i's tile mass in grid units of 2^-L."""
+        return self.cum[self.starts[i + 1]] - self.cum[self.starts[i]]
+
+
 @dataclass
 class IntervalTable:
     """Consecutive open intervals, the tiles, over the enumeration order.
     Tile k belongs to ``records[k]``, record k of the cached enumeration
     store itself, and spans [_bounds[k], _bounds[k + 1]) in integer grid
     units of 2^-L.  The build reads each tile's width off the store's
-    program lengths and groups the tiles by output id, building a
-    ``ProgramRecord`` only for each output's least program.
+    program lengths and groups the tiles by output id with one counting
+    sort; it builds no ``ProgramRecord``.
 
-    ``outputs`` is the one per-output view of the enumeration: for each
-    output, its (length, lex)-least program, its tile indices and their
-    running mass, in strictly increasing (len(program), program) order of
-    the least programs, so the first output a query accepts holds its least
-    program."""
+    ``outputs`` is the one per-output view of the enumeration."""
 
     config: MachineConfig
     records: Enumeration
     omega: Dyadic                      # total assigned width = the final grid position
-    outputs: dict[str, tuple[ProgramRecord, array, array]]
+    outputs: OutputView
     # n + 1 tile endpoints from 0 to omega; the longest output among the
     # first k tiles
     _bounds: array = field(repr=False)
@@ -89,17 +144,23 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     bounds = array("q", accumulate(widths, initial=0))
     if bounds[-1] > 1 << L:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
-    lengths = [len(x) for x in records.outputs]
-    prefix_maxlen = array("q", accumulate(map(lengths.__getitem__, records.ids), max, initial=0))
-    tiles = [array("q") for _ in records.outputs]  # per output id
-    for k, i in enumerate(records.ids):
-        tiles[i].append(k)
-    least = [min(t, key=ranks.__getitem__) for t in tiles]
-    outputs = {}
-    for i in sorted(range(len(tiles)), key=lambda i: ranks[least[i]]):
-        mass = array("q", accumulate(map(widths.__getitem__, tiles[i]), initial=0))
-        outputs[records.outputs[i]] = (records[least[i]], tiles[i], mass)
-    return IntervalTable(cfg, records, Dyadic(bounds[-1], L), outputs, bounds, prefix_maxlen)
+    ids, names = records.ids, records.outputs
+    lengths = [len(x) for x in names]
+    prefix_maxlen = array("q", accumulate(map(lengths.__getitem__, ids), max, initial=0))
+    # a counting sort of the tile indices by output id
+    counts = Counter(ids)
+    starts = array("I", accumulate(map(counts.__getitem__, range(len(names))), initial=0))
+    fill = starts.tolist()
+    tiles = array("I", [0]) * len(ids)
+    for k, i in enumerate(ids):
+        tiles[fill[i]] = k
+        fill[i] += 1
+    cum = array("q", accumulate(map(widths.__getitem__, tiles), initial=0))
+    least = array("I", [min(tiles[lo:hi], key=ranks.__getitem__)
+                        for lo, hi in zip(starts, starts[1:])])
+    ranked = sorted(range(len(names)), key=[ranks[k] for k in least].__getitem__)
+    view = OutputView(records, {names[i]: i for i in ranked}, tiles, starts, cum, least)
+    return IntervalTable(cfg, records, Dyadic(bounds[-1], L), view, bounds, prefix_maxlen)
 
 
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
@@ -220,15 +281,16 @@ def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
 def _mass_below(upto: int, x: str, table: IntervalTable) -> int:
     """x's tile mass clipped to [0, upto), in grid units: the tiles that
     start below upto, less the part of the last one past it."""
-    group = table.outputs.get(x)
-    if group is None:
+    view = table.outputs
+    i = view.index.get(x)
+    if i is None:
         return 0
-    _least, tiles, mass = group
-    bounds = table._bounds
-    count = bisect_left(tiles, bisect_left(bounds, upto, 0, len(table.records)))
-    total = mass[count]
-    if count:
-        total -= max(bounds[tiles[count - 1] + 1] - upto, 0)
+    tiles, bounds, lo = view.tiles, table._bounds, view.starts[i]
+    end = bisect_left(tiles, bisect_left(bounds, upto, 0, len(table.records)),
+                      lo, view.starts[i + 1])
+    total = view.cum[end] - view.cum[lo]
+    if end > lo:
+        total -= max(bounds[tiles[end - 1] + 1] - upto, 0)
     return total
 
 

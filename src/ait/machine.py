@@ -155,6 +155,12 @@ class Enumeration(Sequence):
     def __add__(self, other) -> list[ProgramRecord]:
         return [*self, *other]
 
+    def program(self, k: int) -> str:
+        """Record k's program alone, decoded from its key as ``_fields`` does."""
+        L, key = self.max_len, self.keys[k]
+        width = L.bit_length()
+        return bin(1 << L | key >> width & (1 << L) - 1)[3:3 + (key & (1 << width) - 1)]
+
     def columns(self) -> Iterator[tuple[int, int, int]]:
         """(n, padded, steps) per record: its program is the first n of the
         L bits of ``padded``."""

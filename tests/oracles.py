@@ -6,7 +6,8 @@ never runs.
   prefix scan for the halting-sequence proxy, and the edges of the boundary
   graph read off the instruction decoder ``expand``.
 - The left-total transform: the transformed machine, a tree walk, the
-  pieces of the interval table, the table's text form, ``m_b``'s mass
+  pieces of the interval table, its per-output view as a dict of arrays
+  grouped from the records, the table's text form, ``m_b``'s mass
   filter without its totality gate, the base machine's totality and a
   child-by-child descent to the border prefix; the left-of relation and the
   open dyadic intervals it orders.
@@ -17,10 +18,12 @@ never runs.
 - Fixtures: a family of prefix-free sets the machine can reach.
 """
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from ait.codec import (
@@ -198,6 +201,24 @@ def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:
 def tiles(table: IntervalTable):
     """(record, lo, hi) per tile in position order, in grid units of 2^-L."""
     return zip(table.records, table._bounds, table._bounds[1:])
+
+
+def outputs_by_grouping(table: IntervalTable) -> dict[str, tuple[ProgramRecord, array, array]]:
+    """The table's per-output view grouped from its records: per output, its
+    (length, lex)-least program, its tile indices and their running mass on
+    the 2^-L grid from 0, in increasing (len, program) order of the least
+    programs."""
+    L = table.config.max_program_len
+    records = list(table.records)
+    tiles = {}
+    for k, rec in enumerate(records):
+        tiles.setdefault(rec.output, array("q")).append(k)
+    rank = lambda k: (len(records[k].program), records[k].program)
+    least = {x: min(group, key=rank) for x, group in tiles.items()}
+    return {x: (records[least[x]], tiles[x],
+                array("q", accumulate((1 << (L - len(records[k].program)) for k in tiles[x]),
+                                      initial=0)))
+            for x in sorted(tiles, key=lambda x: rank(least[x]))}
 
 
 def run_left_total(p_prime: str, table: IntervalTable) -> ExecOutcome:

@@ -26,8 +26,9 @@ from ait.complexity import (
 from ait.dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from ait.frozen import CHAIN, FROZEN, calibrate
 from ait.harness import default_predicate_family
-from ait.leftward import get_interval_table
+from ait.leftward import OutputView, get_interval_table
 from ait.machine import (
+    Enumeration,
     MachineConfig,
     ProgramRecord,
     get_enumeration,
@@ -99,8 +100,13 @@ def test_coding_direction_exhaustive(fixture_cfg, monkeypatch):
     # the grid comparison at its edge: a least program of 3 bits with a mass
     # of exactly 2^-3 passes, and one grid unit less fails
     L = fixture_cfg.max_program_len
+    # one tile, the program 000 with output "" after 5 steps, keyed as the
+    # store keys it: the steps, the zero-padded program, then its length
+    records = Enumeration(L, array("Q", [5 << (L.bit_length() + L) | 3]), array("I", [0]), [""])
+    assert list(records) == [ProgramRecord("000", "", 5)]
     for mass, holds in ((1 << (L - 3), True), ((1 << (L - 3)) - 1, False)):
-        view = {"": (ProgramRecord("000", "", 5), array("q", [0]), array("q", [0, mass]))}
+        view = OutputView(records, {"": 0}, array("I", [0]), array("I", [0, 1]),
+                          array("q", [0, mass]), array("I", [0]))
         monkeypatch.setattr(complexity, "get_interval_table",
                             lambda cfg, aux, _view=view: SimpleNamespace(outputs=_view))
         assert coding_direction_holds(fixture_cfg) is holds

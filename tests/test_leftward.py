@@ -28,6 +28,7 @@ from oracles import (
     is_total_uprime_by_walk,
     left_of,
     mass_filtered,
+    outputs_by_grouping,
     reach_by_pieces,
     run_left_total,
     serialize_table,
@@ -141,6 +142,41 @@ def test_tile_queries_match_pieces_on_random_tables(aux, L, fuel, data):
     probes = [""] + data.draw(st.lists(st.one_of(kinds), min_size=1, max_size=12))
     outputs = sorted({p.output for p in pieces})[:4] + ["", "1"]
     _assert_queries_match_pieces(table, aux, pieces, probes, outputs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(L=st.integers(1, 12), fuel=st.integers(16, 2048), aux=st.text("01", max_size=6),
+       data=st.data())
+def test_output_view_matches_grouping(L, fuel, aux, data):
+    # the columnar per-output view against the records regrouped into a dict
+    # of arrays: the same outputs in the same ranked order, and per output
+    # the same least record, tiles and running mass
+    cfg = MachineConfig(L, fuel)
+    table = get_interval_table(cfg, aux)
+    view, want = table.outputs, outputs_by_grouping(table)
+    assert list(view) == list(want) and len(view) == len(want)
+    for x, (least, tiles, mass) in want.items():
+        got_least, got_tiles, got_mass = view[x]
+        assert got_least == least and list(got_tiles) == list(tiles)
+        assert list(got_mass) == list(mass)
+        i = view.index[x]
+        assert view.program(i) == least.program and view.length(i) == len(least.program)
+        assert view.mass(i) == mass[-1]
+    strangers = [x for x in ("", "0", "1", "00", "0" * (L + 9)) if x not in want]
+    assert not any(x in view or view.get(x) for x in strangers)
+    # m_b_set at random total strings against the pieces found by descent,
+    # for every output alone and for a random set
+    pieces = table_pieces(table)
+    for n in data.draw(st.lists(st.integers(1, L), max_size=4)):
+        total = total_strings_of_length(n, table)
+        if not total:
+            continue
+        b = data.draw(st.sampled_from(total))
+        mass = reach_by_pieces(b, pieces, L).mass
+        for x in want:
+            assert m_b_set(b, [x], aux, cfg) == Dyadic(mass[x], L), (b, x)
+        members = data.draw(st.lists(st.sampled_from(list(want) + strangers), max_size=4))
+        assert m_b_set(b, members, aux, cfg) == Dyadic(sum(mass[x] for x in set(members)), L)
 
 
 def test_transform_preserves_output_within_one_bit(interval_table):

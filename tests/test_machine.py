@@ -338,6 +338,7 @@ def test_store_reads_as_a_sequence_of_records(fixture_cfg, enumeration):
     assert list(enumeration.columns()) == \
         [(len(r.program), int(r.program, 2) << (L - len(r.program)), r.steps) for r in records]
     assert list(enumeration.lines()) == [f"{r.program}\t{r.output}\t{r.steps}\n" for r in records]
+    assert [enumeration.program(k) for k in range(-n, n)] == [r.program for r in records + records]
     assert cache_digest(enumeration) == cache_digest(records)
     assert len(enumeration.outputs) == len({r.output for r in records})
 
