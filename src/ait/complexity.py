@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from .codec import encode_self_delim, encode_string_set, nat_to_bits
 from .dyadic import Dyadic, dyadic_sum
-from .leftward import get_interval_table
+from .leftward import IntervalTable, get_interval_table
 from .machine import (
     MachineConfig,
     get_enumeration,
@@ -50,11 +50,11 @@ def pair_aux_nat(x: str, n: int) -> str:
     return encode_self_delim(x) + encode_self_delim(nat_to_bits(n))
 
 
-def _outputs(y: str, cfg: MachineConfig):
-    """The interval table's per-output view once the enumeration for (cfg, y)
-    is built, else None: then the boundary-graph DPs answer, and no query
-    builds an enumeration."""
-    return get_interval_table(cfg, y).outputs if is_built("enumeration", cfg, y) else None
+def _outputs(y: str, cfg: MachineConfig) -> Optional[IntervalTable]:
+    """The interval table, whose columns group the tiles by output, once the
+    enumeration for (cfg, y) is built, else None: then the boundary-graph DPs
+    answer, and no query builds an enumeration."""
+    return get_interval_table(cfg, y) if is_built("enumeration", cfg, y) else None
 
 
 def _complexity(program: Optional[str], cfg: MachineConfig) -> ComplexityValue:
@@ -65,21 +65,21 @@ def _complexity(program: Optional[str], cfg: MachineConfig) -> ComplexityValue:
 
 def k_t(x: str, y: str, cfg: MachineConfig) -> ComplexityValue:
     """Length of the shortest fuel-bounded program computing x from aux y."""
-    outputs = _outputs(y, cfg)
-    if outputs is None:
+    table = _outputs(y, cfg)
+    if table is None:
         rec = min_program_for_output(x, cfg, y)
         return _complexity(rec and rec.program, cfg)
-    i = outputs.index.get(x)
-    return _complexity(None if i is None else outputs.program(i), cfg)
+    i = table.index.get(x)
+    return _complexity(None if i is None else table.program(i), cfg)
 
 
 def m_t(x: str, y: str, cfg: MachineConfig) -> Dyadic:
     """Total 2^-len mass of fuel-bounded programs computing x from aux y."""
-    outputs = _outputs(y, cfg)
-    if outputs is None:
+    table = _outputs(y, cfg)
+    if table is None:
         return mass_for_output(x, cfg, y)
-    i = outputs.index.get(x)
-    return Dyadic.zero() if i is None else Dyadic(outputs.mass(i), cfg.max_program_len)
+    i = table.index.get(x)
+    return Dyadic.zero() if i is None else Dyadic(table.mass(i), cfg.max_program_len)
 
 
 def m_set(members: Iterable[str], y: str, cfg: MachineConfig) -> Dyadic:
@@ -100,18 +100,18 @@ def km_t(members, cfg: MachineConfig) -> ComplexityValue:
     targets = set(members)
     if not targets:
         raise ValueError("prefix set must be nonempty")
-    outputs = _outputs("", cfg)
-    if outputs is None:
+    table = _outputs("", cfg)
+    if table is None:
         rec = min_program_with_prefix_in(targets, cfg)
         return _complexity(rec and rec.program, cfg)
     # an output qualifies when its first n bits are a member for some member
     # length n; a slice past its end is the output itself, which then is a
     # member, so the test lets in no output that extends no member.  The
-    # view is ranked by least program, so the first that qualifies is least.
+    # index is ranked by least program, so the first that qualifies is least.
     lengths = {len(x) for x in targets}
-    found = next((i for out, i in outputs.index.items()
+    found = next((i for out, i in table.index.items()
                   if any(out[:n] in targets for n in lengths)), None)
-    return _complexity(None if found is None else outputs.program(found), cfg)
+    return _complexity(None if found is None else table.program(found), cfg)
 
 
 def mutual_info_t(x: str, y: str, cfg: MachineConfig) -> Optional[int]:
@@ -142,19 +142,19 @@ def halting_proxy(cfg: MachineConfig, aux: str = "") -> HaltingProxy:
 
 def _build_halting_proxy(cfg: MachineConfig, aux: str) -> HaltingProxy:
     L = cfg.max_program_len
-    by_length: dict[int, list[int]] = {}
-    for n, padded, _steps in get_enumeration(cfg, aux).columns():
-        by_length.setdefault(n, []).append(padded >> (L - n))
-    # level n holds one byte per string of length n, lexicographically; a
-    # string halts when it is a program or its one-bit-shorter prefix halts
-    levels = [bytearray(1)]  # the empty string never halts
+    # a string s is byte int("1" + s, 2) of ``halts``, so its canonical index
+    # is one less, and the strings of length n fill [2^n, 2^(n+1)); a string
+    # halts when it is a program or its one-bit-shorter prefix halts
+    by_level: dict[int, list[int]] = {}
+    for p in get_enumeration(cfg, aux).programs:
+        by_level.setdefault(p.bit_length(), []).append(p)
+    halts = bytearray(2 << L)  # the empty string, byte 1, never halts
     for n in range(1, L + 1):
-        lvl = bytearray(1 << n)
-        lvl[0::2] = lvl[1::2] = levels[-1]
-        for v in by_length.get(n, ()):
-            lvl[v] = 1
-        levels.append(lvl)
-    return HaltingProxy(b"".join(levels).translate(_BIT_CHARS).decode())
+        lo = 1 << n
+        halts[lo:2 * lo:2] = halts[lo + 1:2 * lo:2] = halts[lo >> 1:lo]
+        for p in by_level.get(n + 1, ()):
+            halts[p] = 1
+    return HaltingProxy(halts[1:].translate(_BIT_CHARS).decode())
 
 
 def info_with_halting(x: str, cfg: MachineConfig) -> Optional[int]:
@@ -203,15 +203,15 @@ def chain_rule_report(x: str, y: str, cfg: MachineConfig) -> ChainRuleReport:
 
 def output_stats(cfg: MachineConfig, aux: str = "") -> dict[str, tuple[int, Dyadic]]:
     """Per reachable output: (shortest program length, total program mass),
-    read off the interval table's per-output view in its ranked order."""
+    read off the interval table's output columns in its ranked order."""
     L = cfg.max_program_len
-    view = get_interval_table(cfg, aux).outputs
-    return {x: (view.length(i), Dyadic(view.mass(i), L)) for x, i in view.index.items()}
+    table = get_interval_table(cfg, aux)
+    return {x: (table.length(i), Dyadic(table.mass(i), L)) for x, i in table.index.items()}
 
 
 def coding_direction_holds(cfg: MachineConfig, aux: str = "") -> bool:
     """ceil(-log m_t(x)) <= k_t(x) over every reachable output, exactly: k_t
     is an integer, so that is m_t(x) >= 2^-k_t(x), compared on the 2^-L grid."""
     L = cfg.max_program_len
-    view = get_interval_table(cfg, aux).outputs
-    return all(view.mass(i) >= 1 << (L - view.length(i)) for i in range(len(view)))
+    table = get_interval_table(cfg, aux)
+    return all(table.mass(i) >= 1 << (L - table.length(i)) for i in range(len(table.index)))

@@ -101,7 +101,7 @@ def _enumeration_digest(cfg: MachineConfig, aux: str) -> str:
 
 def _report(name: str, cfg: MachineConfig, **params) -> ExperimentReport:
     # the digest builds the enumeration before any query, so the report's
-    # unconditional queries read the interval table's per-output view
+    # unconditional queries read the interval table's output columns
     digest = per_bounds("enumeration digest", _enumeration_digest, cfg, "")
     config = {"max_len": cfg.max_program_len, "fuel": cfg.fuel, **params}
     return ExperimentReport(name, config, digest)

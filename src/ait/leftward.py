@@ -12,12 +12,12 @@ all mass bookkeeping below happens in integer grid units of 2^-L.  The table
 keeps the tiles, never the pieces: a query about a string b needs at most one
 piece, the one that properly contains b's interval, and the tile endpoints
 give it.  The tiles are the records of ``machine.Enumeration``, the columnar
-store of the walk: their widths come from its length column and their
-grouping by output from its output ids.  The per-output view is columnar
-too: the tile indices grouped by output id in one flat array, with group
+store of the walk: their widths come from its program column and their
+grouping by output from its output ids.  The table groups them by output in
+flat columns too: the tile indices grouped by output id, with group
 offsets, running mass on the grid, and each output's least tile.  The
-queries read these columns and the store's keys; a ``ProgramRecord`` is
-built only when an output is looked up in the view.
+queries read these columns and the store's; none builds a
+``ProgramRecord``.
 
 Desk-scale totality is relative to the bounds: a string is total when every
 leaf of the depth-L tree under it has a prefix on which the machine halts
@@ -33,14 +33,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from .codec import strings_of_length
 from .dyadic import Dyadic
-from .machine import Enumeration, MachineConfig, ProgramRecord, get_enumeration, per_bounds
+from .machine import Enumeration, MachineConfig, get_enumeration, per_bounds
 
 
 class TotalSearchNotFound(RuntimeError):
@@ -56,74 +55,33 @@ class BorderPrefix:
     bits: str
 
 
-class OutputView(Mapping):
-    """The tiles of an enumeration grouped by output, as integer columns
-    over the store's output ids.
-
-    ``tiles`` holds the tile indices grouped by output id, ascending within
-    each group: output i's are ``tiles[starts[i]:starts[i + 1]]``.  ``cum``
-    is the running mass over ``tiles`` on the 2^-L grid, so output i's mass
-    is ``cum[starts[i + 1]] - cum[starts[i]]``.  ``least`` holds each
-    output's (length, lex)-least tile.  ``index`` maps each output to its
-    id, inserted in strictly increasing (len(program), program) order of
-    the least programs.
-
-    As a mapping it iterates over the outputs in that order, so the first
-    output a query accepts holds its least program, and looking up an
-    output builds its (least ``ProgramRecord``, tile indices, running mass
-    from 0) on demand."""
-
-    __slots__ = ("records", "index", "tiles", "starts", "cum", "least")
-
-    def __init__(self, records: Enumeration, index: dict[str, int], tiles: array,
-                 starts: array, cum: array, least: array):
-        self.records, self.index, self.tiles = records, index, tiles
-        self.starts, self.cum, self.least = starts, cum, least
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.index)
-
-    def __contains__(self, x) -> bool:
-        return x in self.index
-
-    def __getitem__(self, x: str) -> tuple[ProgramRecord, array, array]:
-        i = self.index[x]
-        lo, hi = self.starts[i], self.starts[i + 1]
-        base = self.cum[lo]
-        return (self.records[self.least[i]], self.tiles[lo:hi],
-                array("q", [c - base for c in self.cum[lo:hi + 1]]))
-
-    def program(self, i: int) -> str:
-        """Output i's (length, lex)-least program, with no record built."""
-        return self.records.program(self.least[i])
-
-    def length(self, i: int) -> int:
-        """The length of output i's least program, read off its key."""
-        return self.records.keys[self.least[i]] & (1 << self.records.max_len.bit_length()) - 1
-
-    def mass(self, i: int) -> int:
-        """Output i's tile mass in grid units of 2^-L."""
-        return self.cum[self.starts[i + 1]] - self.cum[self.starts[i]]
-
-
 @dataclass
 class IntervalTable:
     """Consecutive open intervals, the tiles, over the enumeration order.
     Tile k belongs to ``records[k]``, record k of the cached enumeration
     store itself, and spans [_bounds[k], _bounds[k + 1]) in integer grid
     units of 2^-L.  The build reads each tile's width off the store's
-    program lengths and groups the tiles by output id with one counting
+    program column and groups the tiles by output id with one counting
     sort; it builds no ``ProgramRecord``.
 
-    ``outputs`` is the one per-output view of the enumeration."""
+    The tiles grouped by output are integer columns over the store's output
+    ids.  ``tiles`` holds the tile indices grouped by output id, ascending
+    within each group: output i's are ``tiles[starts[i]:starts[i + 1]]``.
+    ``cum`` is the running mass over ``tiles`` on the grid, so output i's
+    mass is ``cum[starts[i + 1]] - cum[starts[i]]``.  ``least`` holds each
+    output's (length, lex)-least tile.  ``index`` maps each output to its
+    id, inserted in strictly increasing (len(program), program) order of
+    the least programs, so the first output a query accepts in its order
+    holds its least program."""
 
     config: MachineConfig
     records: Enumeration
     omega: Dyadic                      # total assigned width = the final grid position
-    outputs: OutputView
+    index: dict[str, int]
+    tiles: array = field(repr=False)
+    starts: array = field(repr=False)
+    cum: array = field(repr=False)
+    least: array = field(repr=False)
     # n + 1 tile endpoints from 0 to omega; the longest output among the
     # first k tiles
     _bounds: array = field(repr=False)
@@ -133,14 +91,24 @@ class IntervalTable:
     def omega_grid(self) -> int:
         return self._bounds[-1]
 
+    def program(self, i: int) -> str:
+        """Output i's (length, lex)-least program."""
+        return self.records.program(self.least[i])
+
+    def length(self, i: int) -> int:
+        """The length of output i's least program."""
+        return self.records.programs[self.least[i]].bit_length() - 1
+
+    def mass(self, i: int) -> int:
+        """Output i's tile mass in grid units of 2^-L."""
+        return self.cum[self.starts[i + 1]] - self.cum[self.starts[i]]
+
 
 def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     L = cfg.max_program_len
     records = get_enumeration(cfg, aux)
-    # each program's place in (length, lex) order: equal lengths order as
-    # their zero-padded values
-    ranks = [n << L | padded for n, padded, _steps in records.columns()]
-    widths = [1 << (L - (rank >> L)) for rank in ranks]
+    programs = records.programs  # "1" + p as an integer: p has bit_length() - 1 bits
+    widths = [1 << (L + 1 - p.bit_length()) for p in programs]
     bounds = array("q", accumulate(widths, initial=0))
     if bounds[-1] > 1 << L:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
@@ -156,11 +124,12 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
         tiles[fill[i]] = k
         fill[i] += 1
     cum = array("q", accumulate(map(widths.__getitem__, tiles), initial=0))
-    least = array("I", [min(tiles[lo:hi], key=ranks.__getitem__)
+    # the program integers sort in (length, lex) order
+    least = array("I", [min(tiles[lo:hi], key=programs.__getitem__)
                         for lo, hi in zip(starts, starts[1:])])
-    ranked = sorted(range(len(names)), key=[ranks[k] for k in least].__getitem__)
-    view = OutputView(records, {names[i]: i for i in ranked}, tiles, starts, cum, least)
-    return IntervalTable(cfg, records, Dyadic(bounds[-1], L), view, bounds, prefix_maxlen)
+    ranked = sorted(range(len(names)), key=[programs[k] for k in least].__getitem__)
+    return IntervalTable(cfg, records, Dyadic(bounds[-1], L), {names[i]: i for i in ranked},
+                         tiles, starts, cum, least, bounds, prefix_maxlen)
 
 
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
@@ -274,21 +243,21 @@ def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
     if not is_total_uprime(b, table):
         return Dyadic.zero()
     _left, upto = _cuts(b, table)
-    return Dyadic(sum(_mass_below(upto, x, table) for x in set(members)),
+    cut = bisect_left(table._bounds, upto, 0, len(table.records))
+    return Dyadic(sum(_mass_below(upto, cut, x, table) for x in set(members)),
                   cfg.max_program_len)
 
 
-def _mass_below(upto: int, x: str, table: IntervalTable) -> int:
-    """x's tile mass clipped to [0, upto), in grid units: the tiles that
-    start below upto, less the part of the last one past it."""
-    view = table.outputs
-    i = view.index.get(x)
+def _mass_below(upto: int, cut: int, x: str, table: IntervalTable) -> int:
+    """x's tile mass clipped to [0, upto), in grid units: its tiles among
+    the first ``cut``, those that start below upto, less the part of the
+    last one past upto."""
+    i = table.index.get(x)
     if i is None:
         return 0
-    tiles, bounds, lo = view.tiles, table._bounds, view.starts[i]
-    end = bisect_left(tiles, bisect_left(bounds, upto, 0, len(table.records)),
-                      lo, view.starts[i + 1])
-    total = view.cum[end] - view.cum[lo]
+    tiles, bounds, lo = table.tiles, table._bounds, table.starts[i]
+    end = bisect_left(tiles, cut, lo, table.starts[i + 1])
+    total = table.cum[end] - table.cum[lo]
     if end > lo:
         total -= max(bounds[tiles[end - 1] + 1] - upto, 0)
     return total

@@ -45,11 +45,12 @@ instruction at a time: the output changes only when an instruction
 completes, so the walk branches at instruction boundaries, never inside a
 code.  The enumeration of the whole domain is that walk with nothing cut.
 
-The walk writes its records into one ``Enumeration``: integer columns, one
-key per program (its steps, its program zero-padded to L bits, and its
-length) and one id into the list of distinct outputs.  The interval table,
-the halting proxy and the digest read the columns; reading a record builds a
-``ProgramRecord`` on demand.
+The walk writes its records into one ``Enumeration``: integer columns of
+steps, of programs and of ids into the list of distinct outputs.  A program
+p is held as the integer of "1" + p, which gives its length and sorts the
+programs in (length, lex) order.  The interval table, the halting proxy and
+the digest read the columns; reading a record builds a ``ProgramRecord`` on
+demand.
 """
 
 from __future__ import annotations
@@ -125,60 +126,42 @@ class ProgramRecord:
 class Enumeration(Sequence):
     """The records of one walk as integer columns, sorted by (steps, program).
 
-    Record k is ``keys[k]`` and ``outputs[ids[k]]``.  A key holds the steps,
-    then the program zero-padded to L bits, then the program's length n in
-    L.bit_length() bits.  The programs are prefix-free, so their zero-padded
-    values sort as the programs do, and sorting the keys sorts the records by
-    (steps, program).  The keys are an ``array('Q')`` when fuel, L and the
-    length field fit in 64 bits, a list otherwise; ``outputs`` holds each
-    distinct output once.  Indexing, and the iteration and search that
-    ``Sequence`` derives from it, build ``ProgramRecord``s on demand; a slice
-    is an ``Enumeration`` over the same outputs, and ``+`` gives a list of
-    records.
+    Record k's program is ``bin(programs[k])[3:]``: the store holds each
+    program p as the integer of "1" + p, so its length is
+    ``programs[k].bit_length() - 1``, and the integers sort in (length, lex)
+    order of the programs.  Its steps are ``steps[k]`` and its output
+    ``outputs[ids[k]]``; ``outputs`` holds each distinct output once.  A
+    column is an unsigned ``array`` when its values fit one, a list past 64
+    bits.  Indexing, and the iteration and search that ``Sequence`` derives
+    from it, build ``ProgramRecord``s on demand; a slice is an
+    ``Enumeration`` over the same outputs, and ``+`` gives a list of records.
     """
 
-    __slots__ = ("max_len", "keys", "ids", "outputs")
+    __slots__ = ("steps", "programs", "ids", "outputs")
 
-    def __init__(self, max_len: int, keys, ids: array, outputs: list[str]):
-        self.max_len, self.keys, self.ids, self.outputs = max_len, keys, ids, outputs
+    def __init__(self, steps, programs, ids: array, outputs: list[str]):
+        self.steps, self.programs, self.ids, self.outputs = steps, programs, ids, outputs
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.ids)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return Enumeration(self.max_len, self.keys[k], self.ids[k], self.outputs)
-        (n, padded, steps), = _fields((self.keys[k],), self.max_len)
-        return ProgramRecord(bin(1 << self.max_len | padded)[3:3 + n],
-                             self.outputs[self.ids[k]], steps)
+            return Enumeration(self.steps[k], self.programs[k], self.ids[k], self.outputs)
+        return ProgramRecord(bin(self.programs[k])[3:], self.outputs[self.ids[k]], self.steps[k])
 
     def __add__(self, other) -> list[ProgramRecord]:
         return [*self, *other]
 
     def program(self, k: int) -> str:
-        """Record k's program alone, decoded from its key as ``_fields`` does."""
-        L, key = self.max_len, self.keys[k]
-        width = L.bit_length()
-        return bin(1 << L | key >> width & (1 << L) - 1)[3:3 + (key & (1 << width) - 1)]
-
-    def columns(self) -> Iterator[tuple[int, int, int]]:
-        """(n, padded, steps) per record: its program is the first n of the
-        L bits of ``padded``."""
-        return _fields(self.keys, self.max_len)
+        """Record k's program alone."""
+        return bin(self.programs[k])[3:]
 
     def lines(self) -> Iterator[str]:
         """``program<TAB>output<TAB>steps`` per record."""
-        top, outputs = 1 << self.max_len, self.outputs
-        for (n, padded, steps), i in zip(self.columns(), self.ids):
-            yield f"{bin(top | padded)[3:3 + n]}\t{outputs[i]}\t{steps}\n"
-
-
-def _fields(keys, L: int) -> Iterator[tuple[int, int, int]]:
-    """``Enumeration.columns`` of ``keys``."""
-    width = L.bit_length()
-    low, mask = (1 << width) - 1, (1 << L) - 1
-    for key in keys:
-        yield key & low, key >> width & mask, key >> width + L
+        outputs = self.outputs
+        for p, i, steps in zip(self.programs, self.ids, self.steps):
+            yield f"{bin(p)[3:]}\t{outputs[i]}\t{steps}\n"
 
 
 _OPCODES = {
@@ -413,7 +396,10 @@ def search_programs(
     """
     fuel, L = cfg.fuel, cfg.max_program_len
     width = L.bit_length()
-    found: list[int] = []  # per record, its Enumeration key above 32 bits of output id
+    # per record, a key that sorts as (steps, program): the steps, the
+    # program zero-padded to L bits, L less its length, and 32 bits of
+    # output id; ``_unpack`` reads the columns back from it
+    found: list[int] = []
     below_steps = (1 << 32 + L + width) - 1
     outputs: list[str] = []
     ids: dict[str, int] = {}
@@ -437,7 +423,7 @@ def search_programs(
                     if i is None:
                         i = ids[output] = len(outputs)
                         outputs.append(output)
-                    level.append(((spent << L | value << (L - n)) << width | n) << 32 | i)
+                    level.append(((spent << L | value << (L - n)) << width | L - n) << 32 | i)
         # a boundary stays open while a code one bit longer still fits
         boundaries = [b for b in boundaries + reached if b[4] + (n + 1 - b[1]) + 1 <= fuel]
         if cutoff is not None:
@@ -452,12 +438,24 @@ def search_programs(
 
 
 def _unpack(cfg: MachineConfig, packed: list[int], outputs: list[str]) -> Enumeration:
-    """The Enumeration of ``packed``, keys above 32 bits of output id."""
+    """The Enumeration of ``search_programs``' keys ``packed``."""
     L = cfg.max_program_len
-    keys = (k >> 32 for k in packed)
-    fits = cfg.fuel.bit_length() + L + L.bit_length() <= 64
-    return Enumeration(L, array("Q", keys) if fits else list(keys),
+    width = L.bit_length()
+    top, low = 1 << L, (1 << width) - 1
+    # the zero-padded program under a 1 bit, shifted right by L less its length
+    programs = ((k >> 32 + width & top - 1 | top) >> (k >> 32 & low) for k in packed)
+    return Enumeration(_column((k >> 32 + width + L for k in packed), cfg.fuel),
+                       _column(programs, 2 * top - 1),
                        array("I", (k & 0xFFFFFFFF for k in packed)), outputs)
+
+
+def _column(values: Iterator[int], most: int):
+    """``values``, none above ``most``, in the narrowest unsigned array that
+    holds ``most``, or in a list past 64 bits."""
+    for code in "IQ":
+        if most < 1 << 8 * array(code).itemsize:
+            return array(code, values)
+    return list(values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ never runs.
   prefix scan for the halting-sequence proxy, and the edges of the boundary
   graph read off the instruction decoder ``expand``.
 - The left-total transform: the transformed machine, a tree walk, the
-  pieces of the interval table, its per-output view as a dict of arrays
+  pieces of the interval table, its output columns as a dict of arrays
   grouped from the records, the table's text form, ``m_b``'s mass
   filter without its totality gate, the base machine's totality and a
   child-by-child descent to the border prefix; the left-of relation and the
@@ -19,7 +19,7 @@ never runs.
 """
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,7 +204,7 @@ def tiles(table: IntervalTable):
 
 
 def outputs_by_grouping(table: IntervalTable) -> dict[str, tuple[ProgramRecord, array, array]]:
-    """The table's per-output view grouped from its records: per output, its
+    """The table's output columns regrouped from its records: per output, its
     (length, lex)-least program, its tile indices and their running mass on
     the 2^-L grid from 0, in increasing (len, program) order of the least
     programs."""
@@ -349,7 +349,8 @@ def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:
     """``m_b``'s left-of-or-extending program mass for output x, read off the
     table's cuts without the totality gate (with b = "" it excludes nothing)."""
     _left, upto = _cuts(b, table)
-    return Dyadic(_mass_below(upto, x, table), table.config.max_program_len)
+    cut = bisect_left(table._bounds, upto, 0, len(table.records))
+    return Dyadic(_mass_below(upto, cut, x, table), table.config.max_program_len)
 
 
 class UTotality:

@@ -1,7 +1,6 @@
 from array import array
 from collections import Counter
 from itertools import accumulate
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +25,7 @@ from ait.complexity import (
 from ait.dyadic import Dyadic, ceil_neg_log2, dyadic_sum
 from ait.frozen import CHAIN, FROZEN, calibrate
 from ait.harness import default_predicate_family
-from ait.leftward import OutputView, get_interval_table
+from ait.leftward import IntervalTable, get_interval_table
 from ait.machine import (
     Enumeration,
     MachineConfig,
@@ -86,7 +85,7 @@ def test_m_lower_bounded_by_shortest_witness(fixture_cfg):
 
 
 def test_m_partition(fixture_cfg, enumeration):
-    outputs = get_interval_table(fixture_cfg).outputs
+    outputs = get_interval_table(fixture_cfg).index
     total = dyadic_sum(m_t(x, "", fixture_cfg) for x in outputs)
     from ait.machine import kraft_sum
 
@@ -100,15 +99,16 @@ def test_coding_direction_exhaustive(fixture_cfg, monkeypatch):
     # the grid comparison at its edge: a least program of 3 bits with a mass
     # of exactly 2^-3 passes, and one grid unit less fails
     L = fixture_cfg.max_program_len
-    # one tile, the program 000 with output "" after 5 steps, keyed as the
-    # store keys it: the steps, the zero-padded program, then its length
-    records = Enumeration(L, array("Q", [5 << (L.bit_length() + L) | 3]), array("I", [0]), [""])
+    # one tile, the program 000 with output "" after 5 steps, stored as the
+    # store holds it: the program as the integer of "1" + "000"
+    records = Enumeration(array("I", [5]), array("I", [0b1000]), array("I", [0]), [""])
     assert list(records) == [ProgramRecord("000", "", 5)]
     for mass, holds in ((1 << (L - 3), True), ((1 << (L - 3)) - 1, False)):
-        view = OutputView(records, {"": 0}, array("I", [0]), array("I", [0, 1]),
-                          array("q", [0, mass]), array("I", [0]))
+        table = IntervalTable(fixture_cfg, records, Dyadic(mass, L), {"": 0}, array("I", [0]),
+                              array("I", [0, 1]), array("q", [0, mass]), array("I", [0]),
+                              array("q", [0, mass]), array("q", [0, 0]))
         monkeypatch.setattr(complexity, "get_interval_table",
-                            lambda cfg, aux, _view=view: SimpleNamespace(outputs=_view))
+                            lambda cfg, aux, _table=table: _table)
         assert coding_direction_holds(fixture_cfg) is holds
 
 
@@ -164,7 +164,8 @@ def test_km_rejects_empty(fixture_cfg):
 
 
 def test_km_matches_enumeration_oracle(fixture_cfg, enumeration):
-    # the prefix-set witness, a scan of the per-output view at these bounds,
+    # the prefix-set witness, a scan of the table's ranked output index at
+    # these bounds,
     # against a scan of the full enumeration
     families = [["0000"], ["01", "10"], [""], ["111"], ["0", "10", "110"],
                 ["10110010"], ["0101010"]]
@@ -305,11 +306,11 @@ def _as_value(rec, cfg):
 
 def _assert_index_matches_targeted(cfg, families, aux=""):
     # with the enumerations built, the queries read the interval table's
-    # per-output view; the boundary-graph searches are their oracle, on every
+    # output columns; the boundary-graph searches are their oracle, on every
     # reachable output and on every string of at most 6 bits, reachable or not
     get_enumeration(cfg, aux)
     get_enumeration(cfg, "")  # km_t is unconditional
-    for x in list(get_interval_table(cfg, aux).outputs) + list(all_strings_upto(6)):
+    for x in list(get_interval_table(cfg, aux).index) + list(all_strings_upto(6)):
         assert k_t(x, aux, cfg) == _as_value(min_program_for_output(x, cfg, aux), cfg)
         assert m_t(x, aux, cfg) == mass_for_output(x, cfg, aux)
     for members in families:
@@ -343,7 +344,7 @@ def test_output_index_matches_targeted_searches(max_len, fuel, aux, sets, predic
 
 
 def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
-    assert len(get_interval_table(fixture_cfg).outputs) == 392
+    assert len(get_interval_table(fixture_cfg).index) == 392
     families = [members for _name, members in default_prefix_free_family(50)]
     families += [cylinder(g) for _name, g in default_predicate_family(60)]
     # mixed lengths: the least witness, 0^27, extends only the 9-bit member
@@ -402,22 +403,24 @@ def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatc
 
 @pytest.mark.parametrize("aux", ["", "0110"])
 def test_output_index_is_ranked_by_least_program(fixture_cfg, aux):
-    # the table's per-output view against a regrouping of the enumeration:
+    # the table's output columns against a regrouping of the enumeration:
     # each output's tiles, its least program and its running mass on the grid
     L = fixture_cfg.max_program_len
     records = get_enumeration(fixture_cfg, aux)
     groups = {}
     for k, rec in enumerate(records):
         groups.setdefault(rec.output, []).append(k)
-    outputs = get_interval_table(fixture_cfg, aux).outputs
-    assert outputs.keys() == groups.keys()
-    for x, (least, tiles, mass) in outputs.items():
+    table = get_interval_table(fixture_cfg, aux)
+    assert table.index.keys() == groups.keys()
+    for x, i in table.index.items():
+        lo, hi = table.starts[i], table.starts[i + 1]
+        tiles = table.tiles[lo:hi]
         assert list(tiles) == groups[x]
-        assert least == min((records[k] for k in tiles),
-                            key=lambda r: (len(r.program), r.program))
-        assert list(mass) == list(accumulate((1 << (L - len(records[k].program))
-                                              for k in tiles), initial=0))
-    ranks = [(len(rec.program), rec.program) for rec, _tiles, _mass in outputs.values()]
+        assert records[table.least[i]] == min((records[k] for k in tiles),
+                                              key=lambda r: (len(r.program), r.program))
+        assert [c - table.cum[lo] for c in table.cum[lo:hi + 1]] == \
+            list(accumulate((1 << (L - len(records[k].program)) for k in tiles), initial=0))
+    ranks = [(table.length(i), table.program(i)) for i in table.index.values()]
     assert len(ranks) > 100
     assert all(a < b for a, b in zip(ranks, ranks[1:]))
 

@@ -76,7 +76,8 @@ def test_table_rejects_kraft_sum_above_one(fixture_cfg, enumeration, monkeypatch
     # a duplicated shortest program pushes the fixture's Kraft sum past 1
     shortest = min(enumeration, key=lambda r: len(r.program))
     k = list(enumeration).index(shortest)
-    broken = Enumeration(enumeration.max_len, enumeration.keys + enumeration.keys[k:k + 1],
+    broken = Enumeration(enumeration.steps + enumeration.steps[k:k + 1],
+                         enumeration.programs + enumeration.programs[k:k + 1],
                          enumeration.ids + enumeration.ids[k:k + 1], enumeration.outputs)
     assert list(broken) == list(enumeration) + [shortest]
     assert kraft_sum(broken) > Dyadic.one()
@@ -148,22 +149,22 @@ def test_tile_queries_match_pieces_on_random_tables(aux, L, fuel, data):
 @given(L=st.integers(1, 12), fuel=st.integers(16, 2048), aux=st.text("01", max_size=6),
        data=st.data())
 def test_output_view_matches_grouping(L, fuel, aux, data):
-    # the columnar per-output view against the records regrouped into a dict
+    # the table's output columns against the records regrouped into a dict
     # of arrays: the same outputs in the same ranked order, and per output
     # the same least record, tiles and running mass
     cfg = MachineConfig(L, fuel)
     table = get_interval_table(cfg, aux)
-    view, want = table.outputs, outputs_by_grouping(table)
-    assert list(view) == list(want) and len(view) == len(want)
+    want = outputs_by_grouping(table)
+    assert list(table.index) == list(want) and len(table.index) == len(want)
     for x, (least, tiles, mass) in want.items():
-        got_least, got_tiles, got_mass = view[x]
-        assert got_least == least and list(got_tiles) == list(tiles)
-        assert list(got_mass) == list(mass)
-        i = view.index[x]
-        assert view.program(i) == least.program and view.length(i) == len(least.program)
-        assert view.mass(i) == mass[-1]
+        i = table.index[x]
+        lo, hi = table.starts[i], table.starts[i + 1]
+        assert table.records[table.least[i]] == least and list(table.tiles[lo:hi]) == list(tiles)
+        assert [c - table.cum[lo] for c in table.cum[lo:hi + 1]] == list(mass)
+        assert table.program(i) == least.program and table.length(i) == len(least.program)
+        assert table.mass(i) == mass[-1]
     strangers = [x for x in ("", "0", "1", "00", "0" * (L + 9)) if x not in want]
-    assert not any(x in view or view.get(x) for x in strangers)
+    assert not any(x in table.index for x in strangers)
     # m_b_set at random total strings against the pieces found by descent,
     # for every output alone and for a random set
     pieces = table_pieces(table)
@@ -446,9 +447,9 @@ def test_m_b_with_conditioning(fixture_cfg):
 
     aux = "0110"
     table = get_interval_table(fixture_cfg, aux)
-    least, _tiles, mass = table.outputs[aux]
-    assert run(least.program, aux, fixture_cfg.fuel).output == aux
-    assert Dyadic(mass[-1], fixture_cfg.max_program_len) == mass_for_output(aux, fixture_cfg, aux)
+    i = table.index[aux]
+    assert run(table.program(i), aux, fixture_cfg.fuel).output == aux
+    assert Dyadic(table.mass(i), fixture_cfg.max_program_len) == mass_for_output(aux, fixture_cfg, aux)
     L = fixture_cfg.max_program_len
     reach = reach_by_pieces("0", table_pieces(table), L)
     assert m_b("0", aux, aux, fixture_cfg) == Dyadic(reach.mass[aux], L)

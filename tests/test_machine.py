@@ -309,13 +309,18 @@ def test_store_matches_record_walk(aux, max_len, fuel, banned, modulus, cuts):
 
 
 def test_store_keys_past_64_bits_are_a_list():
-    # 5 bits of fuel, L = 60 and a 6-bit length field take 71 bits
-    cfg = MachineConfig(60, 24)
-    store = enumerate_halting(cfg, "01")
-    assert isinstance(store.keys, list) and max(store.keys).bit_length() > 64
-    assert list(store) == search_programs_by_records(cfg, "01")
-    narrow = enumerate_halting(MachineConfig(20, 2048), "01")
-    assert isinstance(narrow.keys, array) and narrow.keys.typecode == "Q"
+    # a column is the narrowest unsigned array that holds every value the
+    # bounds allow, and a list past 64 bits: a program of L = 64 bits takes
+    # 65 with its leading 1, and the steps of fuel 2^64 take 65
+    for cfg, aux, steps, programs in ((MachineConfig(64, 24), "01", "I", list),
+                                      (MachineConfig(40, 24), "01", "I", "Q"),
+                                      (MachineConfig(4, 1 << 64), "", list, "I"),
+                                      (MachineConfig(20, 2048), "01", "I", "I")):
+        store = enumerate_halting(cfg, aux)
+        for column, want in ((store.steps, steps), (store.programs, programs)):
+            assert (column.typecode if isinstance(column, array) else type(column)) == want
+        assert list(store) == search_programs_by_records(cfg, aux)
+    assert len(enumerate_halting(MachineConfig(4, 1 << 64), "")) == 3
 
 
 def test_store_reads_as_a_sequence_of_records(fixture_cfg, enumeration):
@@ -334,9 +339,8 @@ def test_store_reads_as_a_sequence_of_records(fixture_cfg, enumeration):
     assert enumeration + records[:1] == records + records[:1]
     assert list(reversed(enumeration)) == records[::-1] and records[-1] in enumeration
     # the columns and the lines say what the records say
-    L = fixture_cfg.max_program_len
-    assert list(enumeration.columns()) == \
-        [(len(r.program), int(r.program, 2) << (L - len(r.program)), r.steps) for r in records]
+    assert list(enumeration.programs) == [int("1" + r.program, 2) for r in records]
+    assert list(enumeration.steps) == [r.steps for r in records]
     assert list(enumeration.lines()) == [f"{r.program}\t{r.output}\t{r.steps}\n" for r in records]
     assert [enumeration.program(k) for k in range(-n, n)] == [r.program for r in records + records]
     assert cache_digest(enumeration) == cache_digest(records)
