@@ -15,9 +15,12 @@ give it.  The tiles are the records of ``machine.Enumeration``, the columnar
 store of the walk: their widths come from its program column and their
 grouping by output from its output ids.  The table groups them by output in
 flat columns too: the tile indices grouped by output id, with group
-offsets, running mass on the grid, and each output's least tile.  The
-queries read these columns and the store's; none builds a
-``ProgramRecord``.
+offsets, running mass on the grid, and each output's least tile.  Every
+column, the store's and the table's, is the narrowest unsigned array that
+holds the largest value its bound allows: 2^L for the grid points, the
+fuel for output lengths, and the record count for tile indices and
+offsets; past 64 bits it is a list.  The queries read these columns and
+the store's; none builds a ``ProgramRecord``.
 
 Desk-scale totality is relative to the bounds: a string is total when every
 leaf of the depth-L tree under it has a prefix on which the machine halts
@@ -39,7 +42,7 @@ from typing import Callable
 
 from .codec import strings_of_length
 from .dyadic import Dyadic
-from .machine import Enumeration, MachineConfig, get_enumeration, per_bounds
+from .machine import Enumeration, MachineConfig, _column, get_enumeration, per_bounds
 
 
 class TotalSearchNotFound(RuntimeError):
@@ -62,7 +65,7 @@ class IntervalTable:
     store itself, and spans [_bounds[k], _bounds[k + 1]) in integer grid
     units of 2^-L.  The build reads each tile's width off the store's
     program column and groups the tiles by output id with one counting
-    sort; it builds no ``ProgramRecord``.
+    sort; it builds no ``ProgramRecord`` and no list with an entry per tile.
 
     The tiles grouped by output are integer columns over the store's output
     ids.  ``tiles`` holds the tile indices grouped by output id, ascending
@@ -72,7 +75,14 @@ class IntervalTable:
     output's (length, lex)-least tile.  ``index`` maps each output to its
     id, inserted in strictly increasing (len(program), program) order of
     the least programs, so the first output a query accepts in its order
-    holds its least program."""
+    holds its least program.
+
+    Each integer column is sized by ``machine._column`` from the largest
+    value its bound allows: ``_bounds`` and ``cum`` by the grid's 2^L,
+    ``_prefix_maxlen`` by the fuel (each output bit costs a step), and
+    ``tiles``, ``starts`` and ``least`` by the record count.  So a column
+    is the narrowest unsigned ``array`` that holds its bound, or a list
+    past 64 bits, as at L = 64."""
 
     config: MachineConfig
     records: Enumeration
@@ -80,12 +90,12 @@ class IntervalTable:
     index: dict[str, int]
     tiles: array = field(repr=False)
     starts: array = field(repr=False)
-    cum: array = field(repr=False)
+    cum: array | list = field(repr=False)
     least: array = field(repr=False)
     # n + 1 tile endpoints from 0 to omega; the longest output among the
     # first k tiles
-    _bounds: array = field(repr=False)
-    _prefix_maxlen: array = field(repr=False)
+    _bounds: array | list = field(repr=False)
+    _prefix_maxlen: array | list = field(repr=False)
 
     @property
     def omega_grid(self) -> int:
@@ -108,25 +118,36 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     L = cfg.max_program_len
     records = get_enumeration(cfg, aux)
     programs = records.programs  # "1" + p as an integer: p has bit_length() - 1 bits
-    widths = [1 << (L + 1 - p.bit_length()) for p in programs]
-    bounds = array("q", accumulate(widths, initial=0))
-    if bounds[-1] > 1 << L:
+    n, top = len(records), 1 << L
+    width_of = [1 << L + 1 - b for b in range(L + 2)]  # by a program integer's bit length
+    widths = _column(map(width_of.__getitem__, map(int.bit_length, programs)), top)
+    try:
+        bounds = _column(accumulate(widths, initial=0), top)
+    except OverflowError:  # a running sum past the column's width
+        bounds = None
+    if bounds is None or bounds[-1] > top:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
     ids, names = records.ids, records.outputs
-    lengths = [len(x) for x in names]
-    prefix_maxlen = array("q", accumulate(map(lengths.__getitem__, ids), max, initial=0))
     # a counting sort of the tile indices by output id
     counts = Counter(ids)
-    starts = array("I", accumulate(map(counts.__getitem__, range(len(names))), initial=0))
-    fill = starts.tolist()
-    tiles = array("I", [0]) * len(ids)
+    starts = _column(accumulate(map(counts.__getitem__, range(len(names))), initial=0), n)
+    fill = list(starts)
+    tiles = _column((0,), n) * n
     for k, i in enumerate(ids):
         tiles[fill[i]] = k
         fill[i] += 1
-    cum = array("q", accumulate(map(widths.__getitem__, tiles), initial=0))
+    cum = _column(accumulate(map(widths.__getitem__, tiles), initial=0), top)
+    # the longest output among the first k tiles rises only past an output's
+    # first tile, so the column is one run per rise, filled in C
+    prefix_maxlen, longest = _column((), cfg.fuel), 0
+    for k, length in sorted(zip(map(tiles.__getitem__, starts[:-1]), map(len, names))):
+        if length > longest:
+            prefix_maxlen += _column((longest,), cfg.fuel) * (k + 1 - len(prefix_maxlen))
+            longest = length
+    prefix_maxlen += _column((longest,), cfg.fuel) * (n + 1 - len(prefix_maxlen))
     # the program integers sort in (length, lex) order
-    least = array("I", [min(tiles[lo:hi], key=programs.__getitem__)
-                        for lo, hi in zip(starts, starts[1:])])
+    least = _column((min(tiles[lo:hi], key=programs.__getitem__)
+                     for lo, hi in zip(starts, starts[1:])), n)
     ranked = sorted(range(len(names)), key=[programs[k] for k in least].__getitem__)
     return IntervalTable(cfg, records, Dyadic(bounds[-1], L), {names[i]: i for i in ranked},
                          tiles, starts, cum, least, bounds, prefix_maxlen)

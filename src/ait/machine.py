@@ -130,9 +130,11 @@ class Enumeration(Sequence):
     program p as the integer of "1" + p, so its length is
     ``programs[k].bit_length() - 1``, and the integers sort in (length, lex)
     order of the programs.  Its steps are ``steps[k]`` and its output
-    ``outputs[ids[k]]``; ``outputs`` holds each distinct output once.  A
-    column is an unsigned ``array`` when its values fit one, a list past 64
-    bits.  Indexing, and the iteration and search that ``Sequence`` derives
+    ``outputs[ids[k]]``; ``outputs`` holds each distinct output once.  Each
+    column is sized by ``_column`` from its bound: ``steps`` by the fuel,
+    ``programs`` by 2^(L+1) - 1 and ``ids`` by the output count, so it is
+    the narrowest unsigned ``array`` that holds the bound, or a list past
+    64 bits.  Indexing, and the iteration and search that ``Sequence`` derives
     from it, build ``ProgramRecord``s on demand; a slice is an
     ``Enumeration`` over the same outputs, and ``+`` gives a list of records.
     """
@@ -417,7 +419,8 @@ def search_programs(
                     continue
                 value = prefix << (n - p) | int(code, 2)
                 if after is not None:
-                    reached.append((value, n, output, after, spent))
+                    if n < limit:  # no level reads the last level's boundaries
+                        reached.append((value, n, output, after, spent))
                 elif kind == "complete":
                     i = ids.get(output)
                     if i is None:
@@ -446,13 +449,15 @@ def _unpack(cfg: MachineConfig, packed: list[int], outputs: list[str]) -> Enumer
     programs = ((k >> 32 + width & top - 1 | top) >> (k >> 32 & low) for k in packed)
     return Enumeration(_column((k >> 32 + width + L for k in packed), cfg.fuel),
                        _column(programs, 2 * top - 1),
-                       array("I", (k & 0xFFFFFFFF for k in packed)), outputs)
+                       _column((k & 0xFFFFFFFF for k in packed), len(outputs)), outputs)
 
 
-def _column(values: Iterator[int], most: int):
-    """``values``, none above ``most``, in the narrowest unsigned array that
-    holds ``most``, or in a list past 64 bits."""
-    for code in "IQ":
+def _column(values: Iterable[int], most: int):
+    """``values``, none above ``most``, in the narrowest unsigned array of
+    16, 32 or 64 bits that holds ``most``, or in a list past 64 bits.  Every
+    integer column of the store and of the interval table is sized by it,
+    from the largest value its bounds allow."""
+    for code in "HIQ":
         if most < 1 << 8 * array(code).itemsize:
             return array(code, values)
     return list(values)

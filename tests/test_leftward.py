@@ -73,17 +73,21 @@ def test_table_structure(fixture_cfg, interval_table, enumeration):
 
 
 def test_table_rejects_kraft_sum_above_one(fixture_cfg, enumeration, monkeypatch):
-    # a duplicated shortest program pushes the fixture's Kraft sum past 1
+    # a duplicated shortest program pushes the fixture's Kraft sum past 1;
+    # 64 copies push the tile endpoints past the 16 bits that the grid of
+    # 2^14 units needs
     shortest = min(enumeration, key=lambda r: len(r.program))
     k = list(enumeration).index(shortest)
-    broken = Enumeration(enumeration.steps + enumeration.steps[k:k + 1],
-                         enumeration.programs + enumeration.programs[k:k + 1],
-                         enumeration.ids + enumeration.ids[k:k + 1], enumeration.outputs)
-    assert list(broken) == list(enumeration) + [shortest]
-    assert kraft_sum(broken) > Dyadic.one()
-    monkeypatch.setattr(leftward, "get_enumeration", lambda cfg, aux: broken)
-    with pytest.raises(AssertionError, match="Kraft sum exceeded 1"):
-        build_interval_table(fixture_cfg, "")
+    for copies in (1, 64):
+        broken = Enumeration(enumeration.steps + enumeration.steps[k:k + 1] * copies,
+                             enumeration.programs + enumeration.programs[k:k + 1] * copies,
+                             enumeration.ids + enumeration.ids[k:k + 1] * copies,
+                             enumeration.outputs)
+        assert list(broken) == list(enumeration) + [shortest] * copies
+        assert kraft_sum(broken) > Dyadic.one()
+        monkeypatch.setattr(leftward, "get_enumeration", lambda cfg, aux: broken)
+        with pytest.raises(AssertionError, match="Kraft sum exceeded 1"):
+            build_interval_table(fixture_cfg, "")
 
 
 def test_table_serialization_golden(fixture_cfg, interval_table):
@@ -124,6 +128,21 @@ def _assert_queries_match_pieces(table, aux, pieces, probes, outputs):
             want = Dyadic(reach.mass[x], L)
             assert mass_filtered(b, x, table) == want, (b, x)
             assert m_b(b, x, aux, cfg) == (want if total else Dyadic.zero()), (b, x)
+
+
+@pytest.mark.parametrize("L", [40, 64])
+def test_tile_queries_match_pieces_past_32_bits(L):
+    # grid points up to 2^40 and 2^64: at L = 64 the endpoints and the
+    # running mass no longer fit 64 bits
+    cfg, aux = MachineConfig(L, 24), "01"
+    table = get_interval_table(cfg, aux)
+    pieces = table_pieces(table)
+    border = "111010111111001000100"
+    probes = ["", "0", "1", border, border + "1", border_prefix(cfg, aux).bits,
+              (border + "0" * L)[:L + 1], (border + "1" * L)[:L + 2]]
+    picked = [pieces[len(pieces) * j // 5].program for j in range(5)]
+    probes += picked + [p + "01" for p in picked]
+    _assert_queries_match_pieces(table, aux, pieces, probes, ["", "0", "1", "01", "0000"])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -12,6 +12,7 @@ from ait.codec import Lcg, all_strings_upto, prefix_pair
 from ait.complexity import pair_aux, pair_aux_nat
 from ait.dyadic import Dyadic, dyadic_sum
 from ait.frozen import CHAIN
+from ait.leftward import build_interval_table
 from ait.machine import (
     _CODE,
     _OPCODES,
@@ -311,16 +312,26 @@ def test_store_matches_record_walk(aux, max_len, fuel, banned, modulus, cuts):
 def test_store_keys_past_64_bits_are_a_list():
     # a column is the narrowest unsigned array that holds every value the
     # bounds allow, and a list past 64 bits: a program of L = 64 bits takes
-    # 65 with its leading 1, and the steps of fuel 2^64 take 65
-    for cfg, aux, steps, programs in ((MachineConfig(64, 24), "01", "I", list),
-                                      (MachineConfig(40, 24), "01", "I", "Q"),
-                                      (MachineConfig(4, 1 << 64), "", list, "I"),
-                                      (MachineConfig(20, 2048), "01", "I", "I")):
+    # 65 with its leading 1, the steps of fuel 2^64 take 65, and so does the
+    # grid point 2^64 that bounds the table's endpoints and running mass at
+    # L = 64; the longest output, like the steps, is bounded by the fuel
+    for cfg, aux, steps, programs, ids, grid in (
+            (MachineConfig(64, 24), "01", "H", list, "H", list),
+            (MachineConfig(40, 24), "01", "H", "Q", "H", "Q"),
+            (MachineConfig(4, 1 << 64), "", list, "H", "H", "H"),
+            (MachineConfig(20, 2048), "01", "H", "I", "H", "I")):
         store = enumerate_halting(cfg, aux)
-        for column, want in ((store.steps, steps), (store.programs, programs)):
+        table = build_interval_table(cfg, aux)
+        for column, want in ((store.steps, steps), (store.programs, programs), (store.ids, ids),
+                             (table._bounds, grid), (table.cum, grid),
+                             (table._prefix_maxlen, steps)):
             assert (column.typecode if isinstance(column, array) else type(column)) == want
         assert list(store) == search_programs_by_records(cfg, aux)
     assert len(enumerate_halting(MachineConfig(4, 1 << 64), "")) == 3
+    # the grid of 2^L units fits 16 bits up to L = 15
+    for L in (14, 15, 16):
+        table = build_interval_table(MachineConfig(L, 64), "")
+        assert {table._bounds.typecode, table.cum.typecode} == {"H" if L <= 15 else "I"}
 
 
 def test_store_reads_as_a_sequence_of_records(fixture_cfg, enumeration):
