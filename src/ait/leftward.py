@@ -158,10 +158,11 @@ def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     return per_bounds("interval table", build_interval_table, cfg, aux)
 
 
-def _cuts(b: str, table: IntervalTable) -> tuple[int, int]:
-    """Grid points (left, upto): the pieces strictly left of b are the
-    pieces below ``left``, and those left of b or extending it the pieces
-    below ``upto``; no piece straddles either point.
+def _cuts(b: str, table: IntervalTable) -> tuple[int, int, int]:
+    """Grid points (left, upto) and a tile count: the pieces strictly left
+    of b are the pieces below ``left``, and those left of b or extending it
+    the pieces below ``upto``; no piece straddles either point.  The first
+    ``tiles`` tiles are those that start below upto.
 
     Pieces and b's interval I_b are dyadic, so each piece lies left of I_b,
     inside it, right of it, or properly contains it.  A piece properly
@@ -171,27 +172,25 @@ def _cuts(b: str, table: IntervalTable) -> tuple[int, int]:
     longer than L lies inside one grid cell, which takes the parent's part.
     """
     L = table.config.max_program_len
-    if not b:
-        return 0, 1 << L
     if len(b) > L:  # the grid cell holding b takes the parent's part
         lo = lo_b = int(b[:L], 2)
         hi_b, size = lo + 1, 1
     else:
         size = 1 << (L - len(b))
-        lo_b = int(b, 2) * size
+        lo_b = int(b or "0", 2) * size
         hi_b = lo_b + size
         size <<= 1
         lo = lo_b & -size  # the parent
-    bounds = table._bounds
+    bounds, n = table._bounds, len(table.records)
     k = bisect_right(bounds, lo) - 1
-    if k < len(table.records) and lo + size <= bounds[k + 1]:
+    if k < n and lo + size <= bounds[k + 1]:
         t_lo, t_hi = bounds[k], bounds[k + 1]
         while True:  # climb while the doubled block stays inside the tile
             up = lo & -(size << 1)
             if up < t_lo or up + (size << 1) > t_hi:
-                return lo, lo
+                return lo, lo, k + (lo > t_lo)
             lo, size = up, size << 1
-    return lo_b, hi_b
+    return lo_b, hi_b, bisect_left(bounds, hi_b, 0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def omega_pair(b: BorderPrefix | str, cfg: MachineConfig, aux: str = "") -> tupl
     bits = b.bits if isinstance(b, BorderPrefix) else b
     table = get_interval_table(cfg, aux)
     # the pieces tile [0, omega) from 0, so those left of b fill [0, left)
-    left, _upto = _cuts(bits, table)
+    left, _upto, _tiles = _cuts(bits, table)
     return table.omega, Dyadic(min(left, table.omega_grid), cfg.max_program_len)
 
 
@@ -246,8 +245,7 @@ def bb(b: str, cfg: MachineConfig, aux: str = "") -> int:
     table = get_interval_table(cfg, aux)
     if not is_total_uprime(b, table):
         return 0
-    _left, upto = _cuts(b, table)
-    tiles = bisect_left(table._bounds, upto, 0, len(table.records))
+    _left, _upto, tiles = _cuts(b, table)
     return table._prefix_maxlen[tiles]
 
 
@@ -263,8 +261,7 @@ def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
     table = get_interval_table(cfg, y)
     if not is_total_uprime(b, table):
         return Dyadic.zero()
-    _left, upto = _cuts(b, table)
-    cut = bisect_left(table._bounds, upto, 0, len(table.records))
+    _left, upto, cut = _cuts(b, table)
     return Dyadic(sum(_mass_below(upto, cut, x, table) for x in set(members)),
                   cfg.max_program_len)
 

@@ -48,9 +48,10 @@ code.  The enumeration of the whole domain is that walk with nothing cut.
 The walk writes its records into one ``Enumeration``: integer columns of
 steps, of programs and of ids into the list of distinct outputs.  A program
 p is held as the integer of "1" + p, which gives its length and sorts the
-programs in (length, lex) order.  The interval table, the halting proxy and
-the digest read the columns; reading a record builds a ``ProgramRecord`` on
-demand.
+programs in (length, lex) order.  The walk holds every prefix in that form
+from the root on, ``expand`` yields each code as an integer, and each record
+is written once.  The interval table, the halting proxy and the digest read
+the columns; reading a record builds a ``ProgramRecord`` on demand.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def _decode(program: str, i: int):
 
 @lru_cache(maxsize=None)
 def _shapes(c: int) -> tuple:
-    """Every instruction layout whose code has exactly c bits, as (op,
-    number-block width or None, payload width)."""
+    """Every instruction layout whose code has exactly c bits, as (op, its
+    opcode's integer, number-block width or None, payload width)."""
     shapes = []
     if c % 2 == 0:  # a literal block after a 1- or 3-bit opcode
         shapes.append(("EMIT_HALT", None, c // 2 - 1))
@@ -254,28 +255,33 @@ def _shapes(c: int) -> tuple:
             shapes += [("COPY_ALL", None, 0), ("HALT", None, 0)]
         if c == 11:
             shapes.append(("RAW8_HALT", None, 8))
-    return tuple(shapes)
+    return tuple((op, int(_CODE[op], 2), u, j) for op, u, j in shapes)
 
 
 def expand(aux: str, fuel: int, a: int, steps: int, c: int):
     """Every instruction whose code has exactly ``c`` bits and that runs
     within ``fuel`` from aux position ``a`` after ``steps`` steps, as (code,
-    emitted bits, next aux position or None after a halt, steps after)."""
+    emitted bits, next aux position or None after a halt, steps after).
+    The code is the c-bit integer of its bits, and a block's payload of n
+    bits is the integer of its index among the n-bit strings."""
     left = fuel - steps - c - 1  # the code's bits and the dispatch come first
     if left < 0:
         return
-    for op, u, j in _shapes(c):
-        for num, bits in enumerate(strings_of_length(u) if u is not None else ("",)):
-            head = _CODE[op]
-            if u is not None:  # the number block, leading zeros and all
-                head += _literal(bits)
-            for y in strings_of_length(j):
+    for op, opcode, u, j in _shapes(c):
+        # the bits after the number block: a literal block's header of j
+        # ones and a zero, then the payload
+        tail, ones = (2 * j + 1, ((1 << j) - 1) << j + 1) if op in _LITERAL else (j, 0)
+        for num in range(1 << u) if u is not None else (0,):
+            head = opcode  # then the number block, leading zeros and all
+            if u is not None:
+                head = head << 2 * u + 1 | ((1 << u) - 1) << u + 1 | num
+            head = head << tail | ones
+            for v, y in enumerate(strings_of_length(j)):
                 effect = _effect(op, num, y, aux, a, left)
                 if effect is None:
                     break  # the extra steps depend on len(y), not on its bits
                 emitted, after, extra = effect
-                code = head + (_literal(y) if op in _LITERAL else y)
-                yield code, emitted, None if op in _HALTING else after, steps + c + 1 + extra
+                yield head | v, emitted, None if op in _HALTING else after, steps + c + 1 + extra
             else:
                 continue
             break  # and never fall as the number grows
@@ -389,35 +395,35 @@ def search_programs(
     no ``state`` every output is complete.
 
     The walk goes in level order: every program of length n before any of
-    length n + 1, lexicographically within a level.  At level n each open
-    instruction boundary, with a prefix of p bits held as an integer, takes
-    the instructions whose codes have exactly n - p bits.  ``cutoff(record)``
-    is called on each recorded program in that order, and no level longer
-    than the least value it has returned is started; only the records found
-    up to there are returned.
+    length n + 1.  Each open instruction boundary holds its prefix p as the
+    integer of "1" + p, the store's form, with the root at 1; at level n it
+    takes the instructions whose codes have exactly n - len(p) bits.
+    ``cutoff(record)`` is called on each program as it is recorded, level by
+    level but not lexicographically within a level, and no level longer than
+    the least value it has returned is started; only the records found up
+    to there are returned.
     """
     fuel, L = cfg.fuel, cfg.max_program_len
     width = L.bit_length()
     # per record, a key that sorts as (steps, program): the steps, the
-    # program zero-padded to L bits, L less its length, and 32 bits of
-    # output id; ``_unpack`` reads the columns back from it
+    # program in the store's form padded with zeros to L + 1 bits, L less
+    # its length, and 32 bits of output id
     found: list[int] = []
-    below_steps = (1 << 32 + L + width) - 1
     outputs: list[str] = []
     ids: dict[str, int] = {}
-    # (prefix value, prefix length, output, aux position, steps)
-    boundaries = [] if state is not None and state("") == "dead" else [(0, 0, "", 0, 0)]
+    # (prefix, prefix length, output, aux position, steps)
+    boundaries = [] if state is not None and state("") == "dead" else [(1, 0, "", 0, 0)]
     limit, n = L, 0
     while boundaries and n < limit:
         n += 1
-        level, reached = [], []
+        reached = []
         for prefix, p, out, a, steps in boundaries:
             for code, emitted, after, spent in expand(aux, fuel, a, steps, n - p):
                 output = out + emitted
                 kind = "complete" if state is None else state(output)
                 if kind == "dead":
                     continue
-                value = prefix << (n - p) | int(code, 2)
+                value = prefix << (n - p) | code
                 if after is not None:
                     if n < limit:  # no level reads the last level's boundaries
                         reached.append((value, n, output, after, spent))
@@ -426,30 +432,18 @@ def search_programs(
                     if i is None:
                         i = ids[output] = len(outputs)
                         outputs.append(output)
-                    level.append(((spent << L | value << (L - n)) << width | L - n) << 32 | i)
+                    found.append(((spent << L + 1 | value << (L - n)) << width | L - n) << 32 | i)
+                    if cutoff is not None:
+                        limit = min(limit, cutoff(ProgramRecord(bin(value)[3:], output, spent)))
         # a boundary stays open while a code one bit longer still fits
         boundaries = [b for b in boundaries + reached if b[4] + (n + 1 - b[1]) + 1 <= fuel]
-        if cutoff is not None:
-            # one level's programs have n bits each, so the key bits below
-            # the steps sort them
-            level.sort(key=below_steps.__and__)
-            for rec in _unpack(cfg, level, outputs):
-                limit = min(limit, cutoff(rec))
-        found += level
     found.sort()
-    return _unpack(cfg, found, outputs)
-
-
-def _unpack(cfg: MachineConfig, packed: list[int], outputs: list[str]) -> Enumeration:
-    """The Enumeration of ``search_programs``' keys ``packed``."""
-    L = cfg.max_program_len
-    width = L.bit_length()
-    top, low = 1 << L, (1 << width) - 1
-    # the zero-padded program under a 1 bit, shifted right by L less its length
-    programs = ((k >> 32 + width & top - 1 | top) >> (k >> 32 & low) for k in packed)
-    return Enumeration(_column((k >> 32 + width + L for k in packed), cfg.fuel),
-                       _column(programs, 2 * top - 1),
-                       _column((k & 0xFFFFFFFF for k in packed), len(outputs)), outputs)
+    mask, low = (2 << L) - 1, (1 << width) - 1
+    # "1" + the program, shifted right by L less its length
+    programs = ((k >> 32 + width & mask) >> (k >> 32 & low) for k in found)
+    return Enumeration(_column((k >> 33 + width + L for k in found), fuel),
+                       _column(programs, mask),
+                       _column((k & 0xFFFFFFFF for k in found), len(outputs)), outputs)
 
 
 def _column(values: Iterable[int], most: int):

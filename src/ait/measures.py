@@ -300,13 +300,14 @@ def hitting_vector(
     (in place of e^(c*d)) keeps the starting potential below 1 because
     (1 - 2^-i)^(c*d*2^(i+1)) <= e^(-2cd) <= 2^(-2cd).
     """
-    sets: list[tuple[Fraction, frozenset]] = []
+    # per support set: its Q weight, its members and 1 - m(F)
+    alive: list[tuple[Fraction, frozenset, Fraction]] = []
     for enc in q.support:
         members = frozenset(decode_string_set(enc))
         mass = m.mass_of(members)
         if mass < Fraction(1, 1 << i):
             raise SupportNotHeavy(f"support set {sorted(members)} is not {i}-heavy")
-        sets.append((q(enc), members))
+        alive.append((q(enc), members, 1 - mass))
 
     size = c * d * (1 << (i + 1))
     if size and not m.support:
@@ -314,7 +315,6 @@ def hitting_vector(
     scale = Fraction(1 << (c * d))
     # potential with r draws left: sum of q * (1 - m(F))^r * 2^cd over live sets
     chosen: list[str] = []
-    alive = [(qw, members, 1 - m.mass_of(members)) for qw, members in sets]
     for r in range(size, 0, -1):
         if not alive:  # every potential is 0, so each draw left takes the first element
             chosen += [m.support[0]] * r

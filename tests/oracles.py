@@ -19,7 +19,7 @@ never runs.
 """
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,8 +168,9 @@ def search_programs_by_records(
         n += 1
         level, reached = [], []
         for prefix, out, a, steps in boundaries:
-            for code, emitted, after, spent in expand(aux, fuel, a, steps, n - len(prefix)):
-                output = out + emitted
+            c = n - len(prefix)
+            for code, emitted, after, spent in expand(aux, fuel, a, steps, c):
+                code, output = format(code, f"0{c}b"), out + emitted
                 kind = "complete" if state is None else state(output)
                 if kind == "dead":
                     continue
@@ -348,8 +349,7 @@ def reach_by_pieces(b: str, pieces: list[Piece], L: int) -> Reach:
 def mass_filtered(b: str, x: str, table: IntervalTable) -> Dyadic:
     """``m_b``'s left-of-or-extending program mass for output x, read off the
     table's cuts without the totality gate (with b = "" it excludes nothing)."""
-    _left, upto = _cuts(b, table)
-    cut = bisect_left(table._bounds, upto, 0, len(table.records))
+    _left, upto, cut = _cuts(b, table)
     return Dyadic(_mass_below(upto, cut, x, table), table.config.max_program_len)
 
 
@@ -416,7 +416,7 @@ def edges_by_expand(x: str, aux: str, o: int, a: int, room: int, *,
     edges = Counter()
     for c in range(1, room + 1):
         for code, emitted, after, spent in expand(aux, fuel, a, 0, c):
-            end = o + len(emitted)
+            code, end = format(code, f"0{c}b"), o + len(emitted)
             agrees = x.startswith(emitted, o) or extending and emitted.startswith(x[o:])
             if not agrees or (after is None and end < len(x)):
                 continue

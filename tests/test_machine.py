@@ -8,18 +8,21 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ait.codec import Lcg, all_strings_upto, prefix_pair
+from ait.codec import Lcg, all_strings_upto, prefix_pair, strings_of_length
 from ait.complexity import pair_aux, pair_aux_nat
 from ait.dyadic import Dyadic, dyadic_sum
 from ait.frozen import CHAIN
 from ait.leftward import build_interval_table
 from ait.machine import (
     _CODE,
+    _HALTING,
     _OPCODES,
     Enumeration,
     MachineConfig,
     _boundaries,
     _count_edges,
+    _decode,
+    _effect,
     _extending_edges,
     _target_edges,
     _literal,
@@ -27,6 +30,7 @@ from ait.machine import (
     Status,
     cache_digest,
     enumerate_halting,
+    expand,
     kraft_sum,
     mass_for_output,
     min_program_for_output,
@@ -183,6 +187,33 @@ def test_copies_that_end_at_the_cut_run_alike_on_the_cut_tape(fuel, skip, end, c
     assert run(program, aux, fuel) == run(program, aux[:fuel // 2 + 1], fuel)
 
 
+@pytest.mark.parametrize("aux", ["", "0110", "1011001110"])
+def test_expand_codes_are_the_decoder_instructions(aux):
+    # each c-bit code that expand yields decodes to an instruction ending at
+    # exactly c, whose effect is the emitted bits, next aux position and
+    # steps that expand reports; and every such c-bit string that runs
+    # within the fuel is yielded.  c up to 13 takes every opcode, RAW8_HALT
+    # at c = 11 and COPY_ALL and HALT at c = 5; the two tight fuels, whose
+    # steps left differ in parity, cut copies and repeats one step over
+    for a in sorted({0, 2, len(aux)}):
+        for fuel, steps in ((30, 4), (33, 4), (4096, 0)):
+            for c in range(1, 14):
+                got = {}
+                for code, emitted, after, spent in expand(aux, fuel, a, steps, c):
+                    bits = format(code, f"0{c}b")
+                    assert len(bits) == c and bits not in got
+                    got[bits] = emitted, after, spent
+                left, expected = fuel - steps - c - 1, {}
+                for bits in strings_of_length(c):
+                    op, num, y, end = _decode(bits, 0)
+                    effect = _effect(op, num, y, aux, a, left) if end == c and left >= 0 else None
+                    if effect is not None:
+                        emitted, after, extra = effect
+                        expected[bits] = (emitted, None if op in _HALTING else after,
+                                          steps + c + 1 + extra)
+                assert got == expected
+
+
 def test_caches_and_searches_key_on_the_readable_aux_prefix():
     cfg = MachineConfig(8, 16)  # the readable prefix is 9 bits
     aux, cut = "0110" * 8, "011001100"
@@ -216,6 +247,17 @@ def _search_by_filter(records, max_len, viable, accept, cutoff):
             kept.append(rec)
             limit = min(limit, cutoff(rec))
     return sorted(kept, key=lambda r: (r.steps, r.program))
+
+
+def _assert_seen_by_level(seen, expected):
+    """The walk hands ``cutoff`` the expected records in level order: the
+    lengths it sees never fall, though a level's records come in no fixed
+    order, and in (length, program) order the two agree."""
+    assert all(len(r.program) <= len(s.program) for r, s in zip(seen, seen[1:]))
+
+    def key(r):
+        return len(r.program), r.program
+    assert sorted(seen, key=key) == sorted(expected, key=key)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -255,7 +297,7 @@ def test_walks_match_bit_level_enumeration(aux, max_len, fuel, banned, cap, modu
         got = search_programs(cfg, aux, _state(viable, accept), cutoff=recorder(seen))
         assert list(got) == _search_by_filter(within, max_len, viable, accept,
                                               recorder(expected_seen))
-        assert seen == expected_seen
+        _assert_seen_by_level(seen, expected_seen)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -265,7 +307,7 @@ def test_walks_match_bit_level_enumeration(aux, max_len, fuel, banned, cap, modu
 def test_level_order_walk_matches_enumeration(aux, max_len, fuel, slack):
     # the enumeration is the uncut walk; a cutoff of the first record's
     # length plus slack keeps exactly its programs up to that length, seen
-    # in order of (length, program)
+    # level by level
     cfg = MachineConfig(max_len, fuel)
     everything = enumerate_halting(cfg, aux)
     seen = []
@@ -277,7 +319,7 @@ def test_level_order_walk_matches_enumeration(aux, max_len, fuel, slack):
     cut = search_programs(cfg, aux, lambda out: "complete", cutoff=cutoff)
     limit = min((len(r.program) for r in everything), default=0) + slack
     assert list(cut) == [r for r in everything if len(r.program) <= limit]
-    assert seen == sorted(cut, key=lambda r: (len(r.program), r.program))
+    _assert_seen_by_level(seen, cut)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -306,7 +348,7 @@ def test_store_matches_record_walk(aux, max_len, fuel, banned, modulus, cuts):
     seen, expected_seen = [], []
     got = search_programs(cfg, aux, state, cutoff=recorder(seen))
     assert list(got) == search_programs_by_records(cfg, aux, state, cutoff=recorder(expected_seen))
-    assert seen == expected_seen
+    _assert_seen_by_level(seen, expected_seen)
 
 
 def test_store_keys_past_64_bits_are_a_list():
