@@ -70,6 +70,12 @@ _DOMAIN_ERRORS = (
 # their JSON output, in process on a 2-vCPU VM)
 HITVEC_MAX_DRAWS = 1 << 16
 
+# predicate complete lists the 2^f strings of the cylinder, f the free bits
+# below the largest index, and runs a least-path search from each; more free
+# bits than this are a usage error (12 take about 2.8 s at L=48, fuel 4096,
+# as one CLI process on a 2-vCPU VM, and each one more about twice that)
+PREDICATE_MAX_FREE_BITS = 12
+
 
 class _UsageError(ValueError):
     """Malformed command-line or file input: exit 2."""
@@ -115,6 +121,21 @@ def _read_lines(path: str, parse) -> list:
     return rows
 
 
+def _read_keyed(path: str, parse) -> dict:
+    """A file of one (key, value) pair per nonblank line, as a dict; a
+    repeated key is a usage error on its line, as a malformed line is."""
+    rows: dict = {}
+
+    def entry(line: str) -> None:
+        key, value = parse(line)
+        if key in rows:
+            raise ValueError(f"repeated key {key!r}")
+        rows[key] = value
+
+    _read_lines(path, entry)
+    return rows
+
+
 def _read_set_file(path: str) -> list[str]:
     return _read_lines(path, lambda line: _read_bits_token(line.strip()))
 
@@ -133,7 +154,7 @@ def _set_measure_entry(line: str):
 
 def _read_measure_file(path: str, parse) -> ElementaryMeasure:
     """A measure file, whose weights must be positive with a sum of at most 1."""
-    w = ElementaryMeasure(dict(_read_lines(path, parse)), SEMIMEASURE)
+    w = ElementaryMeasure(_read_keyed(path, parse), SEMIMEASURE)
     problems = measure_violations(w)
     if problems:
         raise _UsageError(f"{path}: invalid measure: {problems[0]}")
@@ -146,7 +167,14 @@ def _predicate_pair(line: str) -> tuple[int, int]:
 
 
 def _read_predicate_file(path: str) -> BinaryPredicate:
-    return BinaryPredicate(_read_lines(path, _predicate_pair))
+    """A predicate file whose cylinder has at most 2^PREDICATE_MAX_FREE_BITS
+    strings."""
+    g = BinaryPredicate(_read_keyed(path, _predicate_pair))
+    free = max(g.domain, default=0) - len(g)
+    if free > PREDICATE_MAX_FREE_BITS:
+        raise _UsageError(f"{path}: the cylinder has {free} free bits, more than "
+                          f"{PREDICATE_MAX_FREE_BITS}")
+    return g
 
 
 def _config_entry(line: str):
@@ -386,7 +414,7 @@ def _dispatch(args, cfg: MachineConfig) -> int:
                       "score": f"{score.numerator}/{score.denominator}"})
 
     if args.command == "nu":
-        table = ThetaTable.from_rows(_read_lines(args.table, ThetaTable.parse_row))
+        table = ThetaTable.from_rows(_read_keyed(args.table, ThetaTable.parse_row).items())
         if args.nu_command == "build" and args.stages is not None:
             table = ThetaTable(
                 {k: v for k, v in table.entries.items() if k[1] <= args.stages},

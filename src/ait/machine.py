@@ -51,7 +51,9 @@ p is held as the integer of "1" + p, which gives its length and sorts the
 programs in (length, lex) order.  The walk holds every prefix in that form
 from the root on, ``expand`` yields each code as an integer, and each record
 is written once.  The interval table, the halting proxy and the digest read
-the columns; reading a record builds a ``ProgramRecord`` on demand.
+the columns; reading a record builds a ``ProgramRecord`` on demand.  The
+boundary-graph searches hold each edge's code in the same form, so a code
+carries its width, and join a least path into one program integer.
 """
 
 from __future__ import annotations
@@ -177,13 +179,15 @@ _OPCODES = {
     "11111": "HALT",
 }
 _CODE = {name: code for code, name in _OPCODES.items()}
+_OP = {name: int("1" + code, 2) for code, name in _OPCODES.items()}  # the store's form
 
 _HALTING = frozenset({"EMIT_HALT", "RAW8_HALT", "POW_HALT", "HALT"})
 _LITERAL = frozenset({"EMIT_HALT", "EMIT", "POW_HALT"})  # operands end in a literal block
 
 
-def _literal(y: str) -> str:
-    return "1" * len(y) + "0" + y
+def _block(head: int, n: int, v: int) -> int:
+    """``head`` then the literal block of the n-bit payload v: 1^n 0 v."""
+    return (head << n | (1 << n) - 1) << n + 1 | v
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +466,9 @@ def _column(values: Iterable[int], most: int):
 # boundaries
 # ---------------------------------------------------------------------------
 
-_NUMBERED = (_CODE["POW_HALT"], _CODE["COPY_N"])  # operands open with a number block
-
-
 # POW_HALT with each count whose repeats can fit the fuel (see _effect):
 # the opcode and the count's shortest number block, and the repeat count
-_POW_HEADS = [(_CODE["POW_HALT"] + _literal(format(m, "b")), m ** m) for m in range(1, 16)]
+_POW_HEADS = [(_block(_OP["POW_HALT"], m.bit_length(), m), m ** m) for m in range(1, 16)]
 
 
 def _target_edges(x: str, aux: str, o: int, a: int, room: int):
@@ -482,35 +483,31 @@ def _target_edges(x: str, aux: str, o: int, a: int, room: int):
     and at o = len(x) the two-bit empty-literal halt beats every other halt.
     An instruction's extra steps are its dispatch and the aux cells it reads.
     """
-    n, rest = len(aux), len(x) - o
-    code = _CODE["EMIT_HALT"] + _literal(x[o:])
-    if len(code) <= room:
-        yield code, None, len(code) + 1
-    if rest == 8 and len(_CODE["RAW8_HALT"]) + 8 <= room:
-        code = _CODE["RAW8_HALT"] + x[o:]
-        yield code, None, len(code) + 1
+    n, rest, v = len(aux), len(x) - o, int(x[o:] or "0", 2)  # x[o:o + j] is v >> rest - j
+    if 2 * rest + 2 <= room:
+        yield _block(_OP["EMIT_HALT"], rest, v), None, 2 * rest + 3
+    if rest == 8 and 11 <= room:
+        yield _OP["RAW8_HALT"] << 8 | v, None, 12
     for head, reps in _POW_HEADS:
         if reps > rest:
             break
-        y = x[o:o + rest // reps]
-        code = head + _literal(y)
-        if len(code) <= room and y * reps == x[o:]:
-            yield code, None, len(code) + 1
+        j = rest // reps
+        c = head.bit_length() + 2 * j  # the head's bits and a literal block
+        if c <= room and x[o:o + j] * reps == x[o:]:
+            yield _block(head, j, v >> rest - j), None, c + 1
     room -= 2  # a continuing instruction leaves room for the shortest halt
     for j in range(1, min(rest, (room - 4) // 2) + 1):
-        code = _CODE["EMIT"] + _literal(x[o:o + j])
-        yield code, (o + j, a), len(code) + 1
+        yield _block(_OP["EMIT"], j, v >> rest - j), (o + j, a), 2 * j + 5
     k = 0  # COPY_N k needs the k cells from a to match x[o:o + k]
     while k < rest and (aux[a + k] if a + k < n else "0") == x[o + k]:
         k += 1
-        code = _CODE["COPY_N"] + _literal(format(k, "b"))
-        if len(code) > room:
+        c = 2 * k.bit_length() + 5
+        if c > room:
             break
-        yield code, (o + k, min(a + k, n)), len(code) + 1 + k
-    code = _CODE["COPY_ALL"]
-    if a < n and n - a <= rest and len(code) <= room and x.startswith(aux[a:], o):
-        # the n - a data cells and the sentinel
-        yield code, (o + n - a, n), len(code) + 1 + n - a + 1
+        yield _block(_OP["COPY_N"], k.bit_length(), k), (o + k, min(a + k, n)), c + 1 + k
+    if a < n and n - a <= rest and 5 <= room and x.startswith(aux[a:], o):
+        # the 5-bit COPY_ALL reads the n - a data cells and the sentinel
+        yield _OP["COPY_ALL"], (o + n - a, n), 6 + n - a + 1
 
 
 def _extending_edges(x: str, aux: str, o: int, a: int, room: int):
@@ -523,20 +520,18 @@ def _extending_edges(x: str, aux: str, o: int, a: int, room: int):
     EMIT past the end loses to EMIT_HALT x[o:], and COPY_N past the end to
     COPY_N len(x) - o and that halt."""
     yield from _target_edges(x, aux, o, a, room)
-    n, rest = len(aux), len(x) - o
-    if rest < 8 and len(_CODE["RAW8_HALT"]) + 8 <= room:
-        code = _CODE["RAW8_HALT"] + x[o:] + "0" * (8 - rest)
-        yield code, None, len(code) + 1 + 8 - rest
+    n, rest, v = len(aux), len(x) - o, int(x[o:] or "0", 2)
+    if rest < 8 and 11 <= room:
+        yield _OP["RAW8_HALT"] << 8 | v << 8 - rest, None, 12 + 8 - rest
     for head, reps in _POW_HEADS if rest else ():
-        for j in range(-(-rest // reps), min(rest, (room - len(head) - 1) // 2) + 1):
+        for j in range(-(-rest // reps), min(rest, (room - head.bit_length()) // 2) + 1):
             if x.startswith(x[o + j:], o):  # x[o:] has period j
                 if j * reps > rest:  # j * reps == rest is a _target_edges halt
-                    code = head + _literal(x[o:o + j])
-                    yield code, None, len(code) + 1 + j * reps - rest
+                    c = head.bit_length() + 2 * j
+                    yield _block(head, j, v >> rest - j), None, c + 1 + j * reps - rest
                 break
-    code = _CODE["COPY_ALL"]
-    if n - a > rest and len(code) <= room - 2 and aux.startswith(x[o:], a):
-        yield code, (len(x), n), len(code) + 1 + n - a + 1 + n - a - rest
+    if n - a > rest and 5 <= room - 2 and aux.startswith(x[o:], a):
+        yield _OP["COPY_ALL"], (len(x), n), 6 + n - a + 1 + n - a - rest
 
 
 def _count_edges(x: str, aux: str, o: int, a: int, room: int, target: list):
@@ -554,11 +549,11 @@ def _count_edges(x: str, aux: str, o: int, a: int, room: int, target: list):
     """
     s = (o, a)
     for code, t, w in target:
-        top = len(code)
-        if code.startswith(_NUMBERED):
+        c = top = code.bit_length() - 1
+        if c >= 5 and (code >> c - 3 == _OP["POW_HALT"] or code >> c - 4 == _OP["COPY_N"]):
             top = room if t is None else room - 2
-        for extra in range(0, top - len(code) + 1, 2):
-            yield len(code) + extra, t, w + extra, 1
+        for extra in range(0, top - c + 1, 2):
+            yield c + extra, t, w + extra, 1
     yield 4, s, 5, 1
     for c in range(5, room - 1, 2):
         yield c, s, c + 1, 1
@@ -585,7 +580,7 @@ def _boundaries(x: str, aux: str, L: int, edges):
         s = heapq.heappop(heap)
         out[s] = list(edges(x, aux, *s, L - prefix[s]))
         for code, t, _w in out[s]:
-            d = prefix[s] + len(code)
+            d = prefix[s] + code.bit_length() - 1
             if t is not None and d < prefix.get(t, L + 1):
                 if t not in prefix:
                     heapq.heappush(heap, t)
@@ -611,11 +606,12 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     forward walk takes at each boundary the lex-least first code that can
     still finish within both the bits and the budget left.
     """
-    return _least_path(x, cfg, aux[:cfg.readable_aux_len], _target_edges)
+    path = _least_path(x, cfg, aux[:cfg.readable_aux_len], _target_edges)
+    return path and ProgramRecord(bin(path[0])[3:], x, path[1])
 
 
-def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[ProgramRecord]:
-    """``min_program_for_output`` over the edges ``edges``, recording output x."""
+def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[tuple[int, int]]:
+    """``min_program_for_output`` over ``edges``: (program in the store's form, steps)."""
     L, budget = cfg.max_program_len, cfg.fuel - len(x)
     prefix, out = _boundaries(x, aux, L, edges)
     # boundary -> the Pareto front of its suffixes within its room: (length,
@@ -626,8 +622,9 @@ def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[Program
         room = L - prefix[s]
         lightest: dict = {}  # suffix length -> least path weight
         for code, t, w in out[s]:
+            c = code.bit_length() - 1
             for n, v in front[t]:
-                n += len(code)
+                n += c
                 if n > room:
                     break
                 lightest[n] = min(lightest.get(n, w + v), w + v)
@@ -644,15 +641,19 @@ def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[Program
     # no program shorter than `length` fits the budget, so a suffix that fits
     # within both the bits and the budget left takes exactly the bits left
     def fits(code, t, w):
-        return any(len(code) + n <= left and w + v <= budget - spent for n, v in front[t])
+        return any(code.bit_length() - 1 + n <= left and w + v <= budget - spent
+                   for n, v in front[t])
 
-    codes, s, left, spent = [], root, length, 0
+    # codes aligned at L + 1 bits (a root code may have L) compare as their bits
+    program, s, left, spent = 1, root, length, 0
     while s is not None:
-        code, s, w = min(e for e in out[s] if fits(*e))
-        codes.append(code)
-        left -= len(code)
+        code, s, w = min((e for e in out[s] if fits(*e)),
+                         key=lambda e: e[0] << L + 1 - e[0].bit_length())
+        c = code.bit_length() - 1
+        program = program << c | (code ^ 1 << c)
+        left -= c
         spent += w
-    return ProgramRecord("".join(codes), x, len(x) + spent)
+    return program, len(x) + spent
 
 
 def mass_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Dyadic:
@@ -704,12 +705,11 @@ def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
     least over members of the least path of ``_extending_edges``."""
     aux = aux[:cfg.readable_aux_len]
     paths = (_least_path(x, cfg, aux, _extending_edges) for x in members)
-    best = min((r for r in paths if r is not None),
-               key=lambda r: (len(r.program), r.program), default=None)
+    best = min((path[0] for path in paths if path is not None), default=None)
     if best is None:
         return None
-    out = run(best.program, aux, cfg.fuel)  # the output may run past the member
-    return ProgramRecord(best.program, out.output, out.steps)
+    out = run(program := bin(best)[3:], aux, cfg.fuel)  # it may run past the member
+    return ProgramRecord(program, out.output, out.steps)
 
 
 # ---------------------------------------------------------------------------

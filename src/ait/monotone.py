@@ -136,11 +136,17 @@ def _expand(strings: Iterable[str], n: int) -> list[str]:
 
 N0 = 1  # the stage-0 constant: S[eps] starts as all strings of this length
 
+# the longest strings a stage may hold: a stage of length n lists all 2^n
+# strings, and 20 bits take about 0.5 s and 120 MB on a 2-vCPU VM
+MAX_STAGE_LEN = 20
+
 
 def build_nu(t: ThetaTable) -> MonotoneTransducer:
     """Run the staged construction, parent before child, gifting children to
-    their exact bracket minima; raises InsufficientMass when a valid table
-    demands more than the parent's set holds."""
+    their exact bracket minima; raises ValueError on a table that breaks an
+    invariant or needs a stage longer than MAX_STAGE_LEN, and
+    InsufficientMass when a valid table demands more than the parent's set
+    holds."""
     problems = theta_violations(t)
     if problems:
         raise ValueError(f"invalid table: {problems[0]}")
@@ -155,6 +161,8 @@ def build_nu(t: ThetaTable) -> MonotoneTransducer:
         n_k = n_prev + 1
         for x in support:
             n_k = max(n_k, ceil_neg_log2(t.theta(x, k)) + 2)
+        if n_k > MAX_STAGE_LEN:
+            raise ValueError(f"stage {k} needs {n_k}-bit strings, more than {MAX_STAGE_LEN}")
 
         s_new: dict[str, list[str]] = {}
         t_new: dict[str, list[str]] = {x: list(ys) for x, ys in t_now.items()}

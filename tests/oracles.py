@@ -416,7 +416,7 @@ def edges_by_expand(x: str, aux: str, o: int, a: int, room: int, *,
     edges = Counter()
     for c in range(1, room + 1):
         for code, emitted, after, spent in expand(aux, fuel, a, 0, c):
-            code, end = format(code, f"0{c}b"), o + len(emitted)
+            code, end = code | 1 << c, o + len(emitted)
             agrees = x.startswith(emitted, o) or extending and emitted.startswith(x[o:])
             if not agrees or (after is None and end < len(x)):
                 continue

@@ -383,6 +383,10 @@ _INPUT_FILES = {
     "q_bad": "01\t1/2^0\n",
     "m": "0\t1/2^1\n1\t1/2^1\n",
     "empty_set": "\n",
+    # a repeated key would otherwise let its last line win
+    "measure_twice": "1\t1/2^2\n1\t1/2^2\n",
+    "pred_twice": "2\t1\n2\t0\n",
+    "theta_twice": uniform_table(2).serialize() + "0\t1\t1/2^2\n",
 }
 
 
@@ -454,6 +458,11 @@ def _with_files(argv, tmp_path):
      "-i 99 -c 1 -d 1 asks for more than 65536 draws"),
     (["hitvec", "--sets", "@q", "--measure", "@m", "-i", "15", "-c", "2", "-d", "1"],
      "asks for more than 65536 draws"),
+    (["deficiency", "--element", "1", "--measure", "@measure_twice"],
+     "measure_twice:2: repeated key '1'"),
+    (["predicate", "complete", "@pred_twice"], "pred_twice:2: repeated key 2"),
+    # uniform_table(2) serializes to 11 lines
+    (["nu", "build", "@theta_twice"], "theta_twice:12: repeated key ('0', 1)"),
 ])
 def test_cli_usage_errors_exit_2(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -492,6 +501,33 @@ def test_cli_domain_errors_exit_1(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "hitting_vector", infeasible)
     assert main(_with_files(argv, tmp_path)) == 1
     assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_cli_caps_the_cylinder_and_the_stage_length(tmp_path, capsys, monkeypatch):
+    # both caps lowered, so that neither expansion runs past them here
+    import ait.cli as cli
+    from ait import monotone
+
+    monkeypatch.setattr(cli, "PREDICATE_MAX_FREE_BITS", 2)
+    monkeypatch.setattr(monotone, "MAX_STAGE_LEN", 4)
+    pred, table = tmp_path / "pred", tmp_path / "table"
+    pred.write_text("3\t1\n")  # 2 free bits
+    assert main(["predicate", "complete", str(pred)]) == 0
+    pred.write_text("4\t1\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["predicate", "complete", str(pred)])
+    assert exit_info.value.code == 2
+    assert f"{pred}: the cylinder has 3 free bits, more than 2" in capsys.readouterr().err
+    # the last stage of uniform_table(k) holds strings of k + 2 bits
+    table.write_text(uniform_table(2).serialize())
+    assert main(["nu", "build", str(table)]) == 0
+    table.write_text(uniform_table(3).serialize())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["nu", "build", str(table)])
+    assert exit_info.value.code == 2
+    assert f"{table}: stage 3 needs 5-bit strings, more than 4" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="stage 3 needs 5-bit strings, more than 4"):
+        build_nu(uniform_table(3))
 
 
 def test_cli_flags_accepted_after_subcommand(capsys):

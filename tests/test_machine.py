@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ait.codec import Lcg, all_strings_upto, prefix_pair, strings_of_length
+from ait.codec import Lcg, all_strings_upto, encode_self_delim, prefix_pair, strings_of_length
 from ait.complexity import pair_aux, pair_aux_nat
 from ait.dyadic import Dyadic, dyadic_sum
 from ait.frozen import CHAIN
@@ -25,7 +25,6 @@ from ait.machine import (
     _effect,
     _extending_edges,
     _target_edges,
-    _literal,
     get_enumeration,
     Status,
     cache_digest,
@@ -178,7 +177,7 @@ def test_copies_that_end_at_the_cut_run_alike_on_the_cut_tape(fuel, skip, end, c
     # COPY_N of the cells up to there, or a COPY_ALL over an aux string that
     # ends there, whose cut tape puts the sentinel at the cut
     stop = fuel // 2 + 1 + end
-    number = lambda k: _literal(format(k, "b"))
+    number = lambda k: encode_self_delim(format(k, "b"))
     program = (_CODE["COPY_N"] + number(skip) if skip else "") + (
         _CODE["COPY_ALL"] if copy_all else _CODE["COPY_N"] + number(max(stop - skip, 0)))
     program += _CODE["HALT"]
@@ -547,10 +546,11 @@ def test_boundary_edges_match_the_decoder(x, aux, max_len):
         room = max_len - prefix[s]
         oracle = edges_by_expand(x, aux, *s, room)
         assert set(target) <= set(oracle)
+        _assert_codes_sort_as_their_bits([code for code, _t, _w in target], max_len)
         expected = Counter()
         for (code, t, w), k in oracle.items():
-            if t is None or len(code) <= room - 2:
-                expected[len(code), t, w] += k
+            if t is None or code.bit_length() - 1 <= room - 2:
+                expected[code.bit_length() - 1, t, w] += k
         counted, massless = Counter(), set()
         for c, t, w, k in _count_edges(x, aux, *s, room, target):
             if t is None or c <= room - 2:
@@ -559,6 +559,16 @@ def test_boundary_edges_match_the_decoder(x, aux, max_len):
                 massless.add((c, t, w))
         assert counted == expected
         assert massless <= {(4, s, 5), (5, s, 7)}
+
+
+def _assert_codes_sort_as_their_bits(codes, max_len):
+    # the least-path tie-break compares the codes out of a boundary aligned
+    # at their top bits, which orders them as their bits because they are
+    # prefix-free
+    bits = [bin(code)[3:] for code in codes]
+    assert prefix_pair(bits) is None, bits
+    aligned = sorted(codes, key=lambda code: code << max_len + 1 - code.bit_length())
+    assert [bin(code)[3:] for code in aligned] == sorted(bits)
 
 
 def test_target_edges_at_chain_are_decoder_edges():
@@ -591,9 +601,9 @@ def test_target_edges_dominate_the_decoder_edges_they_drop(x, aux, max_len):
         room = max_len - prefix[s]
         kept = set(target)
         for code, t, w in edges_by_expand(x, aux, *s, room):
-            if (code, t, w) in kept or t == s or t is not None and len(code) > room - 2:
+            if (code, t, w) in kept or t == s or t is not None and code.bit_length() - 1 > room - 2:
                 continue
-            assert any(t2 == t and len(c2) <= len(code) and w2 <= w
+            assert any(t2 == t and c2.bit_length() <= code.bit_length() and w2 <= w
                        for c2, t2, w2 in kept), (s, code, t, w)
 
 
@@ -611,11 +621,12 @@ def test_extending_edges_match_the_decoder(x, aux, max_len):
     for (o, a), edges in out.items():
         oracle = edges_by_expand(x, aux, o, a, max_len - prefix[o, a],
                                  extending=True, fuel=fuel)
+        _assert_codes_sort_as_their_bits([code for code, _t, _w in edges], max_len)
         for code, t, w in edges:
             if w + (len(x) if t is None else t[0]) - o <= fuel:  # the steps it spends
                 assert (code, t, w) in oracle, (o, a, code)
             else:
-                assert t is None and code.startswith(_CODE["POW_HALT"]), (o, a, code)
+                assert t is None and bin(code)[3:].startswith(_CODE["POW_HALT"]), (o, a, code)
 
 
 def _random_bits(seed, n):
