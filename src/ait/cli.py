@@ -70,12 +70,6 @@ _DOMAIN_ERRORS = (
 # their JSON output, in process on a 2-vCPU VM)
 HITVEC_MAX_DRAWS = 1 << 16
 
-# predicate complete lists the 2^f strings of the cylinder, f the free bits
-# below the largest index, and runs a least-path search from each; more free
-# bits than this are a usage error (12 take about 2.8 s at L=48, fuel 4096,
-# as one CLI process on a 2-vCPU VM, and each one more about twice that)
-PREDICATE_MAX_FREE_BITS = 12
-
 
 class _UsageError(ValueError):
     """Malformed command-line or file input: exit 2."""
@@ -164,17 +158,6 @@ def _read_measure_file(path: str, parse) -> ElementaryMeasure:
 def _predicate_pair(line: str) -> tuple[int, int]:
     idx, bit = line.split("\t")
     return predicate_entry(int(idx), int(bit))
-
-
-def _read_predicate_file(path: str) -> BinaryPredicate:
-    """A predicate file whose cylinder has at most 2^PREDICATE_MAX_FREE_BITS
-    strings."""
-    g = BinaryPredicate(_read_keyed(path, _predicate_pair))
-    free = max(g.domain, default=0) - len(g)
-    if free > PREDICATE_MAX_FREE_BITS:
-        raise _UsageError(f"{path}: the cylinder has {free} free bits, more than "
-                          f"{PREDICATE_MAX_FREE_BITS}")
-    return g
 
 
 def _config_entry(line: str):
@@ -437,7 +420,7 @@ def _dispatch(args, cfg: MachineConfig) -> int:
             return 0
 
     if args.command == "predicate" and args.predicate_command == "complete":
-        g = _read_predicate_file(args.file)
+        g = BinaryPredicate(_read_keyed(args.file, _predicate_pair))
         res = complete_extension_search(g, cfg)
         return _emit({"program": res.program, "output": res.raw_output,
                       "slack": res.bound_slack})

@@ -25,6 +25,7 @@ from .machine import (
     min_program_for_output,
     min_program_with_prefix_in,
     per_bounds,
+    split_pattern,
 )
 
 
@@ -96,7 +97,8 @@ def k_set(members: Iterable[str], y: str, cfg: MachineConfig) -> ComplexityValue
 
 
 def km_t(members, cfg: MachineConfig) -> ComplexityValue:
-    """Shortest program whose output has a prefix in the (nonempty) set."""
+    """Shortest program whose output has a prefix in the (nonempty) set,
+    whose members may hold ``?`` at free positions."""
     targets = set(members)
     if not targets:
         raise ValueError("prefix set must be nonempty")
@@ -104,13 +106,15 @@ def km_t(members, cfg: MachineConfig) -> ComplexityValue:
     if table is None:
         rec = min_program_with_prefix_in(targets, cfg)
         return _complexity(rec and rec.program, cfg)
-    # an output qualifies when its first n bits are a member for some member
-    # length n; a slice past its end is the output itself, which then is a
-    # member, so the test lets in no output that extends no member.  The
-    # index is ranked by least program, so the first that qualifies is least.
-    lengths = {len(x) for x in targets}
+    # an output qualifies when its first n bits agree with a member of n
+    # bits: one set lookup per group of members of one length and free mask.
+    # The index is ranked by least program, so the first that qualifies is least.
+    groups: dict = {}  # (n, mask of the fixed bits) -> the members' integers
+    for x, free in map(split_pattern, targets):
+        groups.setdefault((len(x), (1 << len(x)) - 1 ^ free), set()).add(int(x or "0", 2))
     found = next((i for out, i in table.index.items()
-                  if any(out[:n] in targets for n in lengths)), None)
+                  if any(len(out) >= n and int(out[:n] or "0", 2) & keep in ints
+                         for (n, keep), ints in groups.items())), None)
     return _complexity(None if found is None else table.program(found), cfg)
 
 

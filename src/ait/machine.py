@@ -52,8 +52,8 @@ programs in (length, lex) order.  The walk holds every prefix in that form
 from the root on, ``expand`` yields each code as an integer, and each record
 is written once.  The interval table, the halting proxy and the digest read
 the columns; reading a record builds a ``ProgramRecord`` on demand.  The
-boundary-graph searches hold each edge's code in the same form, so a code
-carries its width, and join a least path into one program integer.
+boundary-graph searches run on a pattern with free positions, so a whole
+cylinder is one search, and join store-form edge codes into one program.
 """
 
 from __future__ import annotations
@@ -471,19 +471,40 @@ def _column(values: Iterable[int], most: int):
 _POW_HEADS = [(_block(_OP["POW_HALT"], m.bit_length(), m), m ** m) for m in range(1, 16)]
 
 
-def _target_edges(x: str, aux: str, o: int, a: int, room: int):
-    """The instructions that may follow the boundary (o, a) in a least
-    program for exactly x, with codes of at most ``room`` bits, as (code,
-    next boundary or None after a halt, code length + extra steps).
+def split_pattern(member: str) -> tuple[str, int]:
+    """A member with ``?`` at free positions as (x, free): x, its lex-least
+    string, has 0 there, and ``free`` masks them in ``int(x, 2)``."""
+    return member.replace("?", "0"), int(member.replace("1", "0").replace("?", "1") or "0", 2)
 
-    At a boundary the output is x[:o] and a = min(aux position, len(aux)).
-    Literal payloads are fixed by x, and every count takes its shortest
-    number block.  EMIT of the empty literal, COPY_N 0 and COPY_ALL on the
-    sentinel leave the boundary as it was, so no least program uses them,
-    and at o = len(x) the two-bit empty-literal halt beats every other halt.
-    An instruction's extra steps are its dispatch and the aux cells it reads.
-    """
+
+def _fold(v: int, zeros: int, n: int, j: int) -> Optional[int]:
+    """The least j-bit y whose repeats agree with an n-bit window, v its fixed
+    ones and ``zeros`` its fixed zeros, or None where they clash: halves are
+    ORed together until the chunks, a partial last one padded, fold onto j bits."""
+    pad = -n % j
+    v, zeros, k = v << pad, zeros << pad, (n + pad) // j
+    while k > 1:
+        h = (k + 1) // 2  # fold the top k - h chunks onto the low h
+        low = (1 << j * h) - 1
+        v, zeros, k = v >> j * h | v & low, zeros >> j * h | zeros & low, h
+    return None if v & zeros else v
+
+
+def _target_edges(x: str, free: int, aux: str, o: int, a: int, room: int):
+    """The instructions that may follow the boundary (o, a) in a least
+    program for a string of the pattern (x, free), with codes of at most
+    ``room`` bits, as (code, next boundary or None after a halt, code
+    length + extra steps).
+
+    At a boundary the output agrees with the pattern's first o bits and a =
+    min(aux position, len(aux)).  Literal payloads take x's bits, the least
+    that agree, and every count takes its shortest number block.  EMIT of
+    the empty literal, COPY_N 0 and COPY_ALL on the sentinel leave the
+    boundary as it was, so no least program uses them, and at o = len(x)
+    the two-bit empty-literal halt beats every other halt.  An instruction's
+    extra steps are its dispatch and the aux cells it reads."""
     n, rest, v = len(aux), len(x) - o, int(x[o:] or "0", 2)  # x[o:o + j] is v >> rest - j
+    keep = (1 << rest) - 1 & ~free  # the fixed bits of x[o:]
     if 2 * rest + 2 <= room:
         yield _block(_OP["EMIT_HALT"], rest, v), None, 2 * rest + 3
     if rest == 8 and 11 <= room:
@@ -493,44 +514,46 @@ def _target_edges(x: str, aux: str, o: int, a: int, room: int):
             break
         j = rest // reps
         c = head.bit_length() + 2 * j  # the head's bits and a literal block
-        if c <= room and x[o:o + j] * reps == x[o:]:
-            yield _block(head, j, v >> rest - j), None, c + 1
+        if c <= room and j * reps == rest and (y := _fold(v, keep ^ v, rest, j)) is not None:
+            yield _block(head, j, y), None, c + 1
     room -= 2  # a continuing instruction leaves room for the shortest halt
     for j in range(1, min(rest, (room - 4) // 2) + 1):
         yield _block(_OP["EMIT"], j, v >> rest - j), (o + j, a), 2 * j + 5
-    k = 0  # COPY_N k needs the k cells from a to match x[o:o + k]
-    while k < rest and (aux[a + k] if a + k < n else "0") == x[o + k]:
+    k = 0  # COPY_N k needs the k cells from a to agree with the pattern
+    while k < rest and ((aux[a + k] if a + k < n else "0") == x[o + k]
+                        or free >> rest - 1 - k & 1):
         k += 1
         c = 2 * k.bit_length() + 5
         if c > room:
             break
         yield _block(_OP["COPY_N"], k.bit_length(), k), (o + k, min(a + k, n)), c + 1 + k
-    if a < n and n - a <= rest and 5 <= room and x.startswith(aux[a:], o):
-        # the 5-bit COPY_ALL reads the n - a data cells and the sentinel
-        yield _OP["COPY_ALL"], (o + n - a, n), 6 + n - a + 1
+    w = n - a  # the 5-bit COPY_ALL reads the w data cells left and the sentinel
+    if 0 < w <= rest and 5 <= room and not (int(aux[a:], 2) ^ v >> rest - w) & keep >> rest - w:
+        yield _OP["COPY_ALL"], (o + w, n), 6 + w + 1
 
 
-def _extending_edges(x: str, aux: str, o: int, a: int, room: int):
-    """The ``_target_edges`` of a least program whose output extends x, and
-    the instructions past the end of x that can still be least, each adding
-    its output bits past x to its weight: RAW8_HALT of x[o:] padded with
-    zeros; POW_HALT of the shortest y whose repeats run past x[o:] and agree
-    with it; and COPY_ALL of an aux rest extending x[o:], to the boundary
-    (len(x), len(aux)), where the empty-literal halt follows.  EMIT_HALT or
-    EMIT past the end loses to EMIT_HALT x[o:], and COPY_N past the end to
-    COPY_N len(x) - o and that halt."""
-    yield from _target_edges(x, aux, o, a, room)
+def _extending_edges(x: str, free: int, aux: str, o: int, a: int, room: int):
+    """The ``_target_edges`` of a least program whose output extends a string
+    of the pattern, and the instructions past the end of x that can still be
+    least, each adding its output bits past x to its weight: RAW8_HALT of
+    x[o:] padded with zeros; POW_HALT of the shortest, then least, y whose
+    repeats run past x[o:] and agree with the pattern; and COPY_ALL of an
+    agreeing aux rest, to the boundary (len(x), len(aux)), where the
+    empty-literal halt follows.  EMIT_HALT or EMIT past the end loses to
+    EMIT_HALT x[o:], and COPY_N past the end to COPY_N len(x) - o and that halt."""
+    yield from _target_edges(x, free, aux, o, a, room)
     n, rest, v = len(aux), len(x) - o, int(x[o:] or "0", 2)
+    keep = (1 << rest) - 1 & ~free
     if rest < 8 and 11 <= room:
         yield _OP["RAW8_HALT"] << 8 | v << 8 - rest, None, 12 + 8 - rest
     for head, reps in _POW_HEADS if rest else ():
         for j in range(-(-rest // reps), min(rest, (room - head.bit_length()) // 2) + 1):
-            if x.startswith(x[o + j:], o):  # x[o:] has period j
+            if (y := _fold(v, keep ^ v, rest, j)) is not None:
                 if j * reps > rest:  # j * reps == rest is a _target_edges halt
                     c = head.bit_length() + 2 * j
-                    yield _block(head, j, v >> rest - j), None, c + 1 + j * reps - rest
+                    yield _block(head, j, y), None, c + 1 + j * reps - rest
                 break
-    if n - a > rest and 5 <= room - 2 and aux.startswith(x[o:], a):
+    if n - a > rest and 5 <= room - 2 and not (int(aux[a:a + rest] or "0", 2) ^ v) & keep:
         yield _OP["COPY_ALL"], (len(x), n), 6 + n - a + 1 + n - a - rest
 
 
@@ -568,7 +591,7 @@ def _count_edges(x: str, aux: str, o: int, a: int, room: int, target: list):
             yield 5, None, 6, 1
 
 
-def _boundaries(x: str, aux: str, L: int, edges):
+def _boundaries(x: str, free: int, aux: str, L: int, edges):
     """The boundaries reachable within L bits, with the least prefix length
     of each, and the list of ``edges`` out of each within its room, L minus
     that prefix length, keyed in topological (o, a) order."""
@@ -578,7 +601,7 @@ def _boundaries(x: str, aux: str, L: int, edges):
     # and a boundary's prefix length is final when it is popped
     while heap:
         s = heapq.heappop(heap)
-        out[s] = list(edges(x, aux, *s, L - prefix[s]))
+        out[s] = list(edges(x, free, aux, *s, L - prefix[s]))
         for code, t, _w in out[s]:
             d = prefix[s] + code.bit_length() - 1
             if t is not None and d < prefix.get(t, L + 1):
@@ -606,14 +629,14 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     forward walk takes at each boundary the lex-least first code that can
     still finish within both the bits and the budget left.
     """
-    path = _least_path(x, cfg, aux[:cfg.readable_aux_len], _target_edges)
+    path = _least_path(x, 0, cfg, aux[:cfg.readable_aux_len], _target_edges)
     return path and ProgramRecord(bin(path[0])[3:], x, path[1])
 
 
-def _least_path(x: str, cfg: MachineConfig, aux: str, edges) -> Optional[tuple[int, int]]:
-    """``min_program_for_output`` over ``edges``: (program in the store's form, steps)."""
+def _least_path(x: str, free: int, cfg: MachineConfig, aux: str, edges) -> Optional[tuple]:
+    """The least path over the ``edges`` of (x, free): (program in the store's form, steps)."""
     L, budget = cfg.max_program_len, cfg.fuel - len(x)
-    prefix, out = _boundaries(x, aux, L, edges)
+    prefix, out = _boundaries(x, free, aux, L, edges)
     # boundary -> the Pareto front of its suffixes within its room: (length,
     # path weight) pairs by increasing length with strictly falling weight.
     # A halt leads to None, whose one suffix is empty.
@@ -668,7 +691,7 @@ def mass_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Dyadic:
     """
     L, budget = cfg.max_program_len, cfg.fuel - len(x)
     aux = aux[:cfg.readable_aux_len]
-    prefix, out = _boundaries(x, aux, L, _target_edges)
+    prefix, out = _boundaries(x, 0, aux, L, _target_edges)
     counts: dict = {}  # boundary -> per suffix length, {path weight: suffixes}
     for s in reversed(out):
         room = L - prefix[s]
@@ -701,10 +724,10 @@ def _add_shifted(row: dict, source: dict, w: int, k: int, budget: int) -> None:
 
 def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
                                aux: str = "") -> Optional[ProgramRecord]:
-    """The (length, lex)-least program whose output extends a member: the
-    least over members of the least path of ``_extending_edges``."""
+    """The (length, lex)-least program whose output extends a member, ``?``
+    marking free positions: the least of their ``_extending_edges`` paths."""
     aux = aux[:cfg.readable_aux_len]
-    paths = (_least_path(x, cfg, aux, _extending_edges) for x in members)
+    paths = (_least_path(*split_pattern(m), cfg, aux, _extending_edges) for m in members)
     best = min((path[0] for path in paths if path is not None), default=None)
     if best is None:
         return None

@@ -4,14 +4,16 @@ extension search.
 A predicate fixes bits at 1-based positions.  Its cylinder is every string
 of length max-index agreeing with it, so the cylinder's uniform measure is
 exactly 2^-|domain|.  A complete extension comes from the shortest program
-whose output has a prefix in the cylinder, padded with zeros beyond the
-output: a strictly desk-scale surrogate for extension complexity, and
-reports say so.
+whose output has a prefix in the cylinder, found by one least-path search
+over the cylinder as one pattern, ``?`` at each free position, and padded
+with zeros beyond the output: a strictly desk-scale surrogate for extension
+complexity, and reports say so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .codec import PrefixFreeSet, encode_nat
 from .complexity import km_t
@@ -61,16 +63,18 @@ def encode_predicate(g: BinaryPredicate) -> str:
     return "".join(out)
 
 
-def cylinder(g: BinaryPredicate) -> PrefixFreeSet:
-    """All strings of length max-index agreeing with g at every defined
-    index; the empty domain leaves the length undefined and is rejected."""
+def pattern(g: BinaryPredicate) -> str:
+    """The cylinder as one string: g's bit at each index up to the largest
+    that g defines, ``?`` at the others; the empty domain has no length."""
     if not len(g):
         raise ValueError("the empty predicate has no cylinder length")
     fixed = dict(g.pairs)
-    members = [""]
-    for i in range(1, max(g.domain) + 1):
-        members = [m + b for m in members for b in (str(fixed[i]) if i in fixed else "01")]
-    return PrefixFreeSet(members)
+    return "".join(str(fixed.get(i, "?")) for i in range(1, max(g.domain) + 1))
+
+
+def cylinder(g: BinaryPredicate) -> PrefixFreeSet:
+    """All strings of ``pattern(g)``, one per choice of its free bits."""
+    return PrefixFreeSet(map("".join, product(*("01" if c == "?" else c for c in pattern(g)))))
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,11 @@ def complete_extension_search(g: BinaryPredicate, cfg: MachineConfig) -> Extensi
     extension by zero-padding its output.
 
     The empty predicate constrains nothing: its prefix set is {""}, so the
-    search returns the cheapest halting program within bounds.
+    search returns the cheapest halting program within bounds.  Every output
+    bit takes a step, so no run within the fuel reaches an index past it.
     """
-    witness = km_t(cylinder(g) if len(g) else [""], cfg)
-    if not witness.is_finite:
+    if (max(g.domain, default=0) > cfg.fuel
+            or not (witness := km_t([pattern(g) if len(g) else ""], cfg)).is_finite):
         raise ExtensionNotFound(
             f"no program within {cfg} outputs a string extending the cylinder"
         )

@@ -1,6 +1,6 @@
 from array import array
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +37,7 @@ from ait.machine import (
     run,
     search_programs,
 )
-from ait.predicates import BinaryPredicate, cylinder
+from ait.predicates import BinaryPredicate, cylinder, pattern
 
 from oracles import default_prefix_free_family, halting_proxy_by_scan
 
@@ -340,7 +340,18 @@ def _prefix_free(strings):
 def test_output_index_matches_targeted_searches(max_len, fuel, aux, sets, predicates):
     families = [_prefix_free(s) for s in sets]
     families += [cylinder(BinaryPredicate(p.items())) for p in predicates]
-    _assert_index_matches_targeted(MachineConfig(max_len, fuel), families, aux)
+    cfg = MachineConfig(max_len, fuel)
+    _assert_index_matches_targeted(cfg, families, aux)
+    _assert_pattern_is_its_cylinder([BinaryPredicate(p.items()) for p in predicates], cfg)
+
+
+def _assert_pattern_is_its_cylinder(predicates, cfg):
+    # the index scan on one member with free positions, and the one search
+    # over it, against the scan on the cylinder's members
+    for g in predicates:
+        km = km_t(cylinder(g), cfg)
+        assert km_t([pattern(g)], cfg) == km
+        assert _as_value(min_program_with_prefix_in([pattern(g)], cfg), cfg) == km
 
 
 def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
@@ -350,6 +361,18 @@ def test_output_index_matches_targeted_searches_at_fixture(fixture_cfg):
     # mixed lengths: the least witness, 0^27, extends only the 9-bit member
     families.append(PrefixFreeSet(["0" * 9, "1" * 54]))
     _assert_index_matches_targeted(fixture_cfg, families)
+    # odd positions fixed to 1: the least witness, POW_HALT 3 of "1", sets
+    # every free bit too
+    odd_ones = BinaryPredicate([(i, 1) for i in range(1, 10, 2)])
+    _assert_pattern_is_its_cylinder([g for _name, g in default_predicate_family(60)]
+                                    + [odd_ones], fixture_cfg)
+    # members of two lengths and free masks at once, and their strings
+    patterns = [pattern(odd_ones), "0??0?0?0?0?0?01"]
+    strings = ["".join(bits) for m in patterns
+               for bits in product(*("01" if c == "?" else c for c in m))]
+    km = km_t(strings, fixture_cfg)
+    assert km_t(patterns, fixture_cfg) == km
+    assert _as_value(min_program_with_prefix_in(patterns, fixture_cfg), fixture_cfg) == km
 
 
 def _assert_index_matches_targeted_at(cfg):

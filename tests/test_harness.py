@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -332,6 +333,17 @@ def test_cli_predicate(tmp_path, capsys):
     assert row["output"][1] == "0" and row["output"][3] == "0"
 
 
+def test_cli_predicate_past_the_fuel_is_not_found_at_once(tmp_path, capsys):
+    # every output bit takes a step, so an index past the fuel is out of
+    # reach, and no pattern of 10^9 positions is built
+    path = tmp_path / "pred.tsv"
+    path.write_text("1000000000\t1\n")
+    start = time.perf_counter()
+    assert main(["--max-len", "48", "--fuel", "4096", "predicate", "complete", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "no program within" in json.loads(capsys.readouterr().out)["error"]
+
+
 @pytest.mark.parametrize("member, witness", [
     ("0" * 300, "1101110101100"),  # POW_HALT 5 of "0": 3125 zeros
     ("01" * 20, "1101101111001"),  # POW_HALT 3 of "01": 27 repeats
@@ -504,20 +516,15 @@ def test_cli_domain_errors_exit_1(argv, message, tmp_path, capsys, monkeypatch):
 
 
 def test_cli_caps_the_cylinder_and_the_stage_length(tmp_path, capsys, monkeypatch):
-    # both caps lowered, so that neither expansion runs past them here
-    import ait.cli as cli
+    # the cylinder has no cap: its 2^40 strings are one pattern search.  The
+    # stage cap is lowered, so that the expansion does not run past it here
     from ait import monotone
 
-    monkeypatch.setattr(cli, "PREDICATE_MAX_FREE_BITS", 2)
     monkeypatch.setattr(monotone, "MAX_STAGE_LEN", 4)
     pred, table = tmp_path / "pred", tmp_path / "table"
-    pred.write_text("3\t1\n")  # 2 free bits
-    assert main(["predicate", "complete", str(pred)]) == 0
-    pred.write_text("4\t1\n")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["predicate", "complete", str(pred)])
-    assert exit_info.value.code == 2
-    assert f"{pred}: the cylinder has 3 free bits, more than 2" in capsys.readouterr().err
+    pred.write_text("41\t1\n")  # 40 free bits
+    assert main(["--max-len", "48", "--fuel", "4096", "predicate", "complete", str(pred)]) == 0
+    assert json.loads(capsys.readouterr().out)["output"][40] == "1"
     # the last stage of uniform_table(k) holds strings of k + 2 bits
     table.write_text(uniform_table(2).serialize())
     assert main(["nu", "build", str(table)]) == 0

@@ -24,6 +24,7 @@ from ait.machine import (
     _decode,
     _effect,
     _extending_edges,
+    _fold,
     _target_edges,
     get_enumeration,
     Status,
@@ -36,6 +37,7 @@ from ait.machine import (
     min_program_with_prefix_in,
     run,
     search_programs,
+    split_pattern,
 )
 from oracles import edges_by_expand, halting_by_bits, run_by_bits, search_programs_by_records
 
@@ -541,7 +543,7 @@ def test_boundary_edges_match_the_decoder(x, aux, max_len):
     # graph and that matches x.  A continuing code longer than room - 2 leaves
     # no room for a halt, whose shortest code has 2 bits, so it adds no mass;
     # of those, _count_edges yields only its 4- and 5-bit self-loops
-    prefix, out = _boundaries(x, aux, max_len, _target_edges)
+    prefix, out = _boundaries(x, 0, aux, max_len, _target_edges)
     for s, target in out.items():
         room = max_len - prefix[s]
         oracle = edges_by_expand(x, aux, *s, room)
@@ -579,7 +581,7 @@ def test_target_edges_at_chain_are_decoder_edges():
     L, checked = CHAIN.max_program_len, 0
     for x, aux in [(pair_aux("01", "110"), ""), (pair_aux("1", "0"), ""),
                    ("110", pair_aux_nat("01", 5)), ("0110", pair_aux_nat("0110", 10))]:
-        prefix, out = _boundaries(x, aux, L, _target_edges)
+        prefix, out = _boundaries(x, 0, aux, L, _target_edges)
         for s, target in out.items():
             if L - prefix[s] <= 28:
                 oracle = edges_by_expand(x, aux, *s, L - prefix[s], fuel=CHAIN.fuel)
@@ -596,7 +598,7 @@ def test_target_edges_dominate_the_decoder_edges_they_drop(x, aux, max_len):
     # or a continuing code longer than room - 2, has a kept edge to the same
     # next boundary whose code is no longer and whose weight is no larger, so
     # no least program needs it
-    prefix, out = _boundaries(x, aux, max_len, _target_edges)
+    prefix, out = _boundaries(x, 0, aux, max_len, _target_edges)
     for s, target in out.items():
         room = max_len - prefix[s]
         kept = set(target)
@@ -617,7 +619,7 @@ def test_extending_edges_match_the_decoder(x, aux, max_len):
     # to 15^15 times, so the oracle runs at a fuel of 4096, and an edge that
     # needs more steps than that must be such a halt
     fuel = 4096
-    prefix, out = _boundaries(x, aux, max_len, _extending_edges)
+    prefix, out = _boundaries(x, 0, aux, max_len, _extending_edges)
     for (o, a), edges in out.items():
         oracle = edges_by_expand(x, aux, o, a, max_len - prefix[o, a],
                                  extending=True, fuel=fuel)
@@ -627,6 +629,23 @@ def test_extending_edges_match_the_decoder(x, aux, max_len):
                 assert (code, t, w) in oracle, (o, a, code)
             else:
                 assert t is None and bin(code)[3:].startswith(_CODE["POW_HALT"]), (o, a, code)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(window=st.text(alphabet="01?", min_size=1, max_size=24), j=st.integers(1, 10))
+@example(window="1?0?1", j=2)  # positions 0, 2 and 4 hold 1, 0 and 1: None
+@example(window="1?0?11", j=4)  # a partial last chunk of 2 bits: y = 1100
+@example(window="0?1?1", j=3)  # a partial last chunk of 2 bits: y = 011
+@example(window="01?1", j=3)  # a partial last chunk that clashes with the first: None
+def test_fold_is_the_residue_class_check(window, j):
+    # brute force: the fixed bits of each residue class mod j must agree, and
+    # y takes the class's 1 if it has one and 0 otherwise
+    classes = [set(window[t::j]) - {"?"} for t in range(j)]
+    want = None if any(len(c) > 1 for c in classes) else \
+        int("".join("1" if "1" in c else "0" for c in classes), 2)
+    x, free = split_pattern(window)
+    v = int(x, 2)
+    assert _fold(v, (1 << len(x)) - 1 ^ free ^ v, len(x), j) == want
 
 
 def _random_bits(seed, n):

@@ -1,15 +1,25 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ait.codec import Lcg, kraft_sum
 from ait.dyadic import Dyadic
 from ait.frozen import FROZEN
-from ait.machine import MachineConfig, run
+from ait.machine import (
+    MachineConfig,
+    _extending_edges,
+    _least_path,
+    _target_edges,
+    run,
+    search_programs,
+    split_pattern,
+)
 from ait.predicates import (
     BinaryPredicate,
     ExtensionNotFound,
     complete_extension_search,
     cylinder,
     encode_predicate,
+    pattern,
 )
 
 from oracles import decode_predicate, predicate_of_cylinder
@@ -20,6 +30,42 @@ def test_two_constraint_worked_example():
     cyl = cylinder(g)
     assert sorted(cyl.members) == ["0000", "0010", "1000", "1010"]
     assert kraft_sum(cyl) == Dyadic(1, 2)
+
+
+def test_pattern_small_cases():
+    assert pattern(BinaryPredicate([(2, 0), (4, 1)])) == "?0?1"
+    assert split_pattern("?0?1") == ("0001", 0b1010)
+    with pytest.raises(ValueError):
+        pattern(BinaryPredicate([]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pairs=st.dictionaries(st.integers(1, 9), st.integers(0, 1), min_size=1),
+       bounds=st.sampled_from([(12, 40), (18, 33), (40, 70), (48, 200), (48, 4096)]),
+       aux=st.sampled_from(["", "0110", "10110100111"]),
+       edges=st.sampled_from([_target_edges, _extending_edges]))
+def test_one_pattern_search_is_the_least_member_search(pairs, bounds, aux, edges):
+    # the least path over the cylinder's pattern against two oracles: the
+    # least of the searches from each member (the least k_t over the cylinder
+    # through _target_edges), and a walk of every program whose output
+    # agrees with the pattern, up to n bits, n the answer's length: a least
+    # program of n bits is also least within L = n
+    g, cfg = BinaryPredicate(pairs.items()), MachineConfig(*bounds)
+    cyl, extending = pattern(g), edges is _extending_edges
+    best = _least_path(*split_pattern(cyl), cfg, aux, edges)
+    members = (_least_path(x, 0, cfg, aux, edges) for x in cylinder(g))
+    assert best == min(filter(None, members), default=None)
+
+    def state(out):
+        if any(c not in ("?", b) for c, b in zip(cyl, out)) or len(out) > len(cyl) and not extending:
+            return "dead"
+        return "complete" if len(out) >= len(cyl) else "viable"
+
+    n = min(cfg.max_program_len, 16) if best is None else best[0].bit_length() - 1
+    if n <= 16:
+        walk = search_programs(MachineConfig(n, cfg.fuel), aux, state)
+        least = min(walk, key=lambda r: (len(r.program), r.program), default=None)
+        assert (least and (least.program, least.steps)) == (best and (bin(best[0])[3:], best[1]))
 
 
 def test_cylinder_small_cases():
