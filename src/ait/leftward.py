@@ -170,6 +170,10 @@ def _cuts(b: str, table: IntervalTable) -> tuple[int, int, int]:
     then it is the largest dyadic ancestor of that parent inside the tile;
     both points are its left end.  Otherwise they are I_b's ends.  A b
     longer than L lies inside one grid cell, which takes the parent's part.
+
+    So b is total exactly when upto is at most omega: a b inside a tile is
+    total, and its upto lies inside that tile, below omega; otherwise upto
+    is b's right end.
     """
     L = table.config.max_program_len
     if len(b) > L:  # the grid cell holding b takes the parent's part
@@ -243,10 +247,8 @@ def bb(b: str, cfg: MachineConfig, aux: str = "") -> int:
     outputs are those of the tiles that start below it.
     """
     table = get_interval_table(cfg, aux)
-    if not is_total_uprime(b, table):
-        return 0
-    _left, _upto, tiles = _cuts(b, table)
-    return table._prefix_maxlen[tiles]
+    _left, upto, tiles = _cuts(b, table)
+    return table._prefix_maxlen[tiles] if upto <= table.omega_grid else 0
 
 
 def m_b(b: str, x: str, y: str, cfg: MachineConfig) -> Dyadic:
@@ -256,12 +258,12 @@ def m_b(b: str, x: str, y: str, cfg: MachineConfig) -> Dyadic:
 
 
 def m_b_set(b: str, members, y: str, cfg: MachineConfig) -> Dyadic:
-    """``m_b`` summed over the distinct members, with one totality gate and
-    one cut for b."""
+    """``m_b`` summed over the distinct members, with one cut for b, which
+    is also its totality gate."""
     table = get_interval_table(cfg, y)
-    if not is_total_uprime(b, table):
-        return Dyadic.zero()
     _left, upto, cut = _cuts(b, table)
+    if upto > table.omega_grid:
+        return Dyadic.zero()
     return Dyadic(sum(_mass_below(upto, cut, x, table) for x in set(members)),
                   cfg.max_program_len)
 

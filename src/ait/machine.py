@@ -45,15 +45,24 @@ instruction at a time: the output changes only when an instruction
 completes, so the walk branches at instruction boundaries, never inside a
 code.  The enumeration of the whole domain is that walk with nothing cut.
 
+The decoder hands the walk its instructions in batches, ``batches``: one
+per instruction shape and number, a head and the emitted bits of each
+payload, whose codes are the head plus the payload's index.  An
+instruction's steps depend on its payload's width alone, so one decoder
+check serves the batch.  The walk keeps its open boundaries as states keyed
+by (prefix length, aux position, steps), each holding the prefixes that
+reach it and their outputs, and extends a state by a batch for all its
+prefixes and payloads at once.
+
 The walk writes its records into one ``Enumeration``: integer columns of
 steps, of programs and of ids into the list of distinct outputs.  A program
 p is held as the integer of "1" + p, which gives its length and sorts the
 programs in (length, lex) order.  The walk holds every prefix in that form
-from the root on, ``expand`` yields each code as an integer, and each record
-is written once.  The interval table, the halting proxy and the digest read
-the columns; reading a record builds a ``ProgramRecord`` on demand.  The
-boundary-graph searches run on a pattern with free positions, so a whole
-cylinder is one search, and join store-form edge codes into one program.
+from the root on, and each record is written once.  The interval table, the
+halting proxy and the digest read the columns; reading a record builds a
+``ProgramRecord`` on demand.  The boundary-graph searches run on a pattern
+with free positions, so a whole cylinder is one search, and join store-form
+edge codes into one program.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import codec
@@ -262,12 +271,23 @@ def _shapes(c: int) -> tuple:
     return tuple((op, int(_CODE[op], 2), u, j) for op, u, j in shapes)
 
 
-def expand(aux: str, fuel: int, a: int, steps: int, c: int):
+@lru_cache(maxsize=None)
+def _payloads(j: int) -> tuple:
+    """The j-bit strings in lexicographic order: payload v is the v-th."""
+    return tuple(strings_of_length(j))
+
+
+def batches(aux: str, fuel: int, a: int, steps: int, c: int):
     """Every instruction whose code has exactly ``c`` bits and that runs
-    within ``fuel`` from aux position ``a`` after ``steps`` steps, as (code,
-    emitted bits, next aux position or None after a halt, steps after).
-    The code is the c-bit integer of its bits, and a block's payload of n
-    bits is the integer of its index among the n-bit strings."""
+    within ``fuel`` from aux position ``a`` after ``steps`` steps, one batch
+    per instruction shape and number: (head, emitted bits per payload, next
+    aux position or None after a halt, steps after).  The batch's codes are
+    ``head | v`` for each index v of the emitted bits, the c-bit integers of
+    the codes whose payload is the v-th string of its width.
+
+    The extra steps of an instruction depend on its payload's width, not on
+    its bits, so one ``_effect`` on a stand-in payload of zeros stands for
+    the batch, and the payloads are listed only for a batch that fits."""
     left = fuel - steps - c - 1  # the code's bits and the dispatch come first
     if left < 0:
         return
@@ -276,19 +296,20 @@ def expand(aux: str, fuel: int, a: int, steps: int, c: int):
         # ones and a zero, then the payload
         tail, ones = (2 * j + 1, ((1 << j) - 1) << j + 1) if op in _LITERAL else (j, 0)
         for num in range(1 << u) if u is not None else (0,):
+            effect = _effect(op, num, "0" * j, aux, a, left)
+            if effect is None:
+                break  # the extra steps never fall as the number grows
+            emitted, after, extra = effect
+            if not j:  # COPY_N, COPY_ALL, HALT and the empty literals
+                emitted = (emitted,)
+            else:  # each payload repeated as often as the stand-in is
+                repeats = len(emitted) // j
+                emitted = _payloads(j) if repeats == 1 else [y * repeats for y in _payloads(j)]
             head = opcode  # then the number block, leading zeros and all
             if u is not None:
                 head = head << 2 * u + 1 | ((1 << u) - 1) << u + 1 | num
-            head = head << tail | ones
-            for v, y in enumerate(strings_of_length(j)):
-                effect = _effect(op, num, y, aux, a, left)
-                if effect is None:
-                    break  # the extra steps depend on len(y), not on its bits
-                emitted, after, extra = effect
-                yield head | v, emitted, None if op in _HALTING else after, steps + c + 1 + extra
-            else:
-                continue
-            break  # and never fall as the number grows
+            yield (head << tail | ones, emitted, None if op in _HALTING else after,
+                   steps + c + 1 + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +414,23 @@ def search_programs(
 
     ``state(out)`` answers "dead", "viable" or "complete" for an output.  The
     walk asks it once on the empty output and once on the output after each
-    instruction it expands.  A dead output prunes its branch, so once an
-    output is dead every extension of it must be dead too (output only ever
-    grows); a halting program is recorded when its output is complete.  With
-    no ``state`` every output is complete.
+    instruction it expands, save a continuing one on the last level it
+    reads.  A dead output prunes its branch, so once an output is dead every
+    extension of it must be dead too (output only ever grows); a halting
+    program is recorded when its output is complete.  With no ``state``
+    every output is complete.
 
     The walk goes in level order: every program of length n before any of
-    length n + 1.  Each open instruction boundary holds its prefix p as the
-    integer of "1" + p, the store's form, with the root at 1; at level n it
-    takes the instructions whose codes have exactly n - len(p) bits.
-    ``cutoff(record)`` is called on each program as it is recorded, level by
-    level but not lexicographically within a level, and no level longer than
-    the least value it has returned is started; only the records found up
-    to there are returned.
+    length n + 1.  Its open instruction boundaries are states keyed by
+    (prefix length, aux position, steps); each holds its prefixes p, as the
+    integer of "1" + p, the store's form, with the root at 1, and their
+    outputs.  At level n a state of p-bit prefixes takes the ``batches`` of
+    codes with exactly n - p bits, each once: a batch's continuations join
+    one state, and its records share their steps.  ``cutoff(record)`` is
+    called on each program as it is recorded, level by level but not
+    lexicographically within a level, and no level longer than the least
+    value it has returned is started; only the records found up to there
+    are returned.
     """
     fuel, L = cfg.fuel, cfg.max_program_len
     width = L.bit_length()
@@ -413,34 +438,49 @@ def search_programs(
     # program in the store's form padded with zeros to L + 1 bits, L less
     # its length, and 32 bits of output id
     found: list[int] = []
-    outputs: list[str] = []
-    ids: dict[str, int] = {}
-    # (prefix, prefix length, output, aux position, steps)
-    boundaries = [] if state is not None and state("") == "dead" else [(1, 0, "", 0, 0)]
+    ids: dict[str, int] = {}  # each output's id, in order of arrival
+    # (prefix length, aux position, steps) -> (prefixes, their outputs), in
+    # two parallel lists
+    boundaries = {} if state is not None and state("") == "dead" else {(0, 0, 0): ([1], [""])}
     limit, n = L, 0
     while boundaries and n < limit:
         n += 1
-        reached = []
-        for prefix, p, out, a, steps in boundaries:
-            for code, emitted, after, spent in expand(aux, fuel, a, steps, n - p):
-                output = out + emitted
-                kind = "complete" if state is None else state(output)
-                if kind == "dead":
-                    continue
-                value = prefix << (n - p) | code
+        reached: dict = {}
+        for (p, a, steps), (prefixes, outs) in boundaries.items():
+            c = n - p
+            for head, emitted, after, spent in batches(aux, fuel, a, steps, c):
+                if after is not None and n >= limit:
+                    continue  # no level reads the last level's boundaries
+                values = [prefix << c | head for prefix in prefixes]
+                if len(emitted) > 1:
+                    values = [q | v for q in values for v in range(len(emitted))]
+                outputs = [out + e for out in outs for e in emitted]
+                if state is not None:
+                    kinds = map(state, outputs)
+                    keep = ([kind != "dead" for kind in kinds] if after is not None
+                            else [kind == "complete" for kind in kinds])
+                    values, outputs = list(compress(values, keep)), list(compress(outputs, keep))
+                    if not values:
+                        continue
                 if after is not None:
-                    if n < limit:  # no level reads the last level's boundaries
-                        reached.append((value, n, output, after, spent))
-                elif kind == "complete":
-                    i = ids.get(output)
-                    if i is None:
-                        i = ids[output] = len(outputs)
-                        outputs.append(output)
-                    found.append(((spent << L + 1 | value << (L - n)) << width | L - n) << 32 | i)
-                    if cutoff is not None:
+                    into = reached.get((n, after, spent))
+                    if into is None:
+                        reached[n, after, spent] = values, outputs
+                    else:
+                        into[0].extend(values)
+                        into[1].extend(outputs)
+                    continue
+                base = spent << L + 1 + width + 32 | L - n << 32
+                shift = L - n + width + 32
+                found += [base | value << shift | ids.setdefault(output, len(ids))
+                          for value, output in zip(values, outputs)]
+                if cutoff is not None:
+                    for value, output in zip(values, outputs):
                         limit = min(limit, cutoff(ProgramRecord(bin(value)[3:], output, spent)))
         # a boundary stays open while a code one bit longer still fits
-        boundaries = [b for b in boundaries + reached if b[4] + (n + 1 - b[1]) + 1 <= fuel]
+        boundaries = {key: members for key, members in (*boundaries.items(), *reached.items())
+                      if key[2] + (n + 1 - key[0]) + 1 <= fuel}
+    outputs = list(ids)
     found.sort()
     mask, low = (2 << L) - 1, (1 << width) - 1
     # "1" + the program, shifted right by L less its length

@@ -384,17 +384,29 @@ def random_pow2_table(seed: int, stages: int) -> ThetaTable:
     return _staged(tree, stages)
 
 
+def _preimage_counts(stage: Stage) -> Counter:
+    """x -> the number of the stage's n-bit strings owned by an extension
+    of x.  At the deepest built length n, nu maps each input to its owner
+    at the last stage, so this is ``preimage_count(nu, [x], n)`` for every x
+    at once."""
+    counts: Counter = Counter()
+    for owner, members in stage.s_sets.items():
+        for i in range(len(owner) + 1):
+            counts[owner[:i]] += len(members)
+    return counts
+
+
 def measure_matching_gap(t: ThetaTable) -> int:
     """max over supported x of |ceil(-log theta(x)) - ceil(-log preimage mass)|
     at the deepest built length: the two-sided transducer fidelity figure."""
-    nu = NuFunction(build_nu(t))
-    n = nu.depth
+    last = build_nu(t).stages[-1]
+    counts = _preimage_counts(last)
     worst = 0
     for x in t.support(t.max_stage):
-        count = preimage_count(nu, [x], n)
+        count = counts[x]
         if count == 0:
-            raise ZeroMeasureSet(f"{x!r} has an empty preimage at depth {n}")
+            raise ZeroMeasureSet(f"{x!r} has an empty preimage at depth {last.n}")
         lhs = ceil_neg_log2(t.theta(x, t.max_stage))
-        rhs = ceil_neg_log2(Dyadic(count, n))
+        rhs = ceil_neg_log2(Dyadic(count, last.n))
         worst = max(worst, abs(lhs - rhs))
     return worst

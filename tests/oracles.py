@@ -4,7 +4,7 @@ never runs.
 - The machine: a bit-at-a-time interpreter and its brute-force enumeration,
   the level-order walk writing one ``ProgramRecord`` per halting program, a
   prefix scan for the halting-sequence proxy, and the edges of the boundary
-  graph read off the instruction decoder ``expand``.
+  graph read off the instruction decoder, one code at a time (``expand``).
 - The left-total transform: the transformed machine, a tree walk, the
   pieces of the interval table, its output columns as a dict of arrays
   grouped from the records, the table's text form, ``m_b``'s mass
@@ -14,7 +14,8 @@ never runs.
 - Encodings: the measure encoder, the predicate decoder and the predicate
   of a cylinder, each the inverse of what ``ait`` reads or writes.
 - Measures and transducers: the W-test, every greedy draw of the hitting
-  vector, the stage function xi, and a per-input preimage count.
+  vector, the stage function xi, a per-input preimage count and the
+  measure-matching gap read off it.
 - Fixtures: a family of prefix-free sets the machine can reach.
 """
 
@@ -46,11 +47,11 @@ from ait.machine import (
     MachineConfig,
     ProgramRecord,
     Status,
-    expand,
+    batches,
     get_enumeration,
 )
 from ait.measures import ElementaryMeasure
-from ait.monotone import DepthExceeded, Stage
+from ait.monotone import DepthExceeded, NuFunction, Stage, ThetaTable, ZeroMeasureSet, build_nu
 from ait.predicates import BinaryPredicate
 
 
@@ -148,6 +149,14 @@ def halting_by_bits(max_len: int, fuel: int, aux: str = "") -> list[ProgramRecor
     return records
 
 
+def expand(aux: str, fuel: int, a: int, steps: int, c: int):
+    """The instructions of ``machine.batches`` one code at a time: (code,
+    emitted bits, next aux position or None after a halt, steps after)."""
+    for head, emitted, after, spent in batches(aux, fuel, a, steps, c):
+        for v, bits in enumerate(emitted):
+            yield head | v, bits, after, spent
+
+
 def search_programs_by_records(
     cfg: MachineConfig,
     aux: str,
@@ -155,9 +164,10 @@ def search_programs_by_records(
     *,
     cutoff: Optional[Callable[[ProgramRecord], int]] = None,
 ) -> list[ProgramRecord]:
-    """``machine.search_programs`` over string prefixes, writing one
-    ``ProgramRecord`` per halting program and sorting the records
-    themselves: the reference the walk's columnar store is compared with."""
+    """``machine.search_programs`` over string prefixes, one boundary and one
+    code at a time, writing one ``ProgramRecord`` per halting program and
+    sorting the records themselves: the reference the walk's columnar store
+    is compared with."""
     results: list[ProgramRecord] = []
     if state is not None and state("") == "dead":
         return results
@@ -170,6 +180,8 @@ def search_programs_by_records(
         for prefix, out, a, steps in boundaries:
             c = n - len(prefix)
             for code, emitted, after, spent in expand(aux, fuel, a, steps, c):
+                if after is not None and n == limit:
+                    continue  # no level reads the last level's boundaries
                 code, output = format(code, f"0{c}b"), out + emitted
                 kind = "complete" if state is None else state(output)
                 if kind == "dead":
@@ -290,6 +302,20 @@ def preimage_count_by_apply(nu, members, n: int) -> int:
         if any(image.startswith(x) for x in targets):
             count += 1
     return count
+
+
+def measure_matching_gap_by_apply(t: ThetaTable) -> int:
+    """``monotone.measure_matching_gap`` with each count taken by
+    ``preimage_count_by_apply`` on a transducer built from the table."""
+    nu = NuFunction(build_nu(t))
+    n, worst = nu.depth, 0
+    for x in t.support(t.max_stage):
+        count = preimage_count_by_apply(nu, [x], n)
+        if count == 0:
+            raise ZeroMeasureSet(f"{x!r} has an empty preimage at depth {n}")
+        lhs = ceil_neg_log2(t.theta(x, t.max_stage))
+        worst = max(worst, abs(lhs - ceil_neg_log2(Dyadic(count, n))))
+    return worst
 
 
 class Piece(NamedTuple):

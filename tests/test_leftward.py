@@ -4,11 +4,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ait.codec import Lcg, prefix_pair
+from ait.codec import Lcg, all_strings_upto, prefix_pair
 from ait.dyadic import Dyadic
 import ait.leftward as leftward
 from ait.leftward import (
     TotalSearchNotFound,
+    _cuts,
     bb,
     border_prefix,
     build_interval_table,
@@ -379,6 +380,16 @@ def test_bb_definition_oracle(fixture_cfg, aux):
     for b in _probes(table):
         want = reach_by_pieces(b, pieces, L).bb if is_total_uprime(b, table) else 0
         assert bb(b, fixture_cfg, aux) == want
+
+
+@pytest.mark.parametrize("aux", ["", "0110", "1"])
+def test_cut_is_the_totality_gate(fixture_cfg, aux):
+    # bb and m_b_set read totality off their one cut: b is total exactly
+    # when the cut's upto point is at most omega, for every b of at most
+    # L + 2 bits, those longer than L included
+    table = get_interval_table(fixture_cfg, aux)
+    for b in all_strings_upto(fixture_cfg.max_program_len + 2):
+        assert (_cuts(b, table)[1] <= table.omega_grid) == is_total_uprime(b, table), b
 
 
 def test_bb_monotone_on_parent(fixture_cfg, interval_table):

@@ -29,8 +29,8 @@ from ait.machine import (
     get_enumeration,
     Status,
     cache_digest,
+    batches,
     enumerate_halting,
-    expand,
     kraft_sum,
     mass_for_output,
     min_program_for_output,
@@ -39,7 +39,13 @@ from ait.machine import (
     search_programs,
     split_pattern,
 )
-from oracles import edges_by_expand, halting_by_bits, run_by_bits, search_programs_by_records
+from oracles import (
+    edges_by_expand,
+    expand,
+    halting_by_bits,
+    run_by_bits,
+    search_programs_by_records,
+)
 
 # fixture located by exhaustive enumeration at L=16, t=4096: the shortest
 # program emitting the empty string is EMIT_HALT with an empty literal.
@@ -190,16 +196,20 @@ def test_copies_that_end_at_the_cut_run_alike_on_the_cut_tape(fuel, skip, end, c
 
 @pytest.mark.parametrize("aux", ["", "0110", "1011001110"])
 def test_expand_codes_are_the_decoder_instructions(aux):
-    # each c-bit code that expand yields decodes to an instruction ending at
-    # exactly c, whose effect is the emitted bits, next aux position and
-    # steps that expand reports; and every such c-bit string that runs
-    # within the fuel is yielded.  c up to 13 takes every opcode, RAW8_HALT
-    # at c = 11 and COPY_ALL and HALT at c = 5; the two tight fuels, whose
-    # steps left differ in parity, cut copies and repeats one step over
+    # each batch's codes, head | v for every index v of its emitted bits, are
+    # c-bit codes that decode to an instruction ending at exactly c, whose
+    # effect is the v-th emitted bits and the batch's next aux position and
+    # steps; and every such c-bit string that runs within the fuel is in one
+    # batch.  c up to 13 takes every opcode, RAW8_HALT at c = 11 and
+    # COPY_ALL and HALT at c = 5; the two tight fuels, whose steps left
+    # differ in parity, cut copies and repeats one step over
     for a in sorted({0, 2, len(aux)}):
         for fuel, steps in ((30, 4), (33, 4), (4096, 0)):
             for c in range(1, 14):
                 got = {}
+                for head, emitted, _after, _spent in batches(aux, fuel, a, steps, c):
+                    size = len(emitted)  # one code per payload of the shape's width
+                    assert size & size - 1 == 0 and head & size - 1 == 0
                 for code, emitted, after, spent in expand(aux, fuel, a, steps, c):
                     bits = format(code, f"0{c}b")
                     assert len(bits) == c and bits not in got
@@ -262,11 +272,18 @@ def _assert_seen_by_level(seen, expected):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(aux=st.text(alphabet="01", max_size=4), max_len=st.integers(1, 10),
+@given(aux=st.text(alphabet="01", max_size=4), max_len=st.integers(1, 13),
        fuel=st.integers(1, 64) | st.sampled_from([128, 512]),
-       banned=st.text(alphabet="01", min_size=1, max_size=4), cap=st.integers(0, 12),
-       modulus=st.integers(1, 5), cuts=st.lists(st.integers(0, 12), min_size=1, max_size=6))
+       banned=st.text(alphabet="01", min_size=1, max_size=4), cap=st.integers(0, 30),
+       modulus=st.integers(1, 5), cuts=st.lists(st.integers(0, 13), min_size=1, max_size=6))
 @example(aux="", max_len=10, fuel=512, banned="111", cap=12, modulus=1, cuts=[12])
+# POW_HALT 3 of a one-bit literal (11 bits, 27 repeats) takes 39 steps, and
+# RAW8_HALT 20: odd and even fuels around them
+@example(aux="", max_len=13, fuel=39, banned="0000", cap=30, modulus=2, cuts=[13])
+@example(aux="01", max_len=13, fuel=38, banned="0101", cap=30, modulus=3, cuts=[13, 12])
+@example(aux="1", max_len=13, fuel=20, banned="1111", cap=30, modulus=1, cuts=[13])
+# COPY_N past the aux end fills zeros, so many prefixes reach one state
+@example(aux="1", max_len=13, fuel=512, banned="11", cap=30, modulus=4, cuts=[13])
 def test_walks_match_bit_level_enumeration(aux, max_len, fuel, banned, cap, modulus, cuts):
     # oracle: run every string of at most max_len bits.  Halting is monotone
     # in the fuel, so the records within a smaller fuel f are those taking at
@@ -411,27 +428,71 @@ def test_digests_match_the_benchmark_seed():
         assert cache_digest(get_enumeration(cfg, aux)) == digests[aux]
 
 
-def test_walk_classifies_each_output_once(monkeypatch):
-    # one state call on the empty output, then one per instruction that
-    # expand yields, whatever the answer: a halting output is not asked twice
-    import ait.machine as machine
+def _outputs_reached(cfg, aux, kind):
+    # the output after each instruction that the walk expands, read off the
+    # bit strings with the decoder: a string whose last instruction ends at
+    # its end within the fuel, after continuing instructions whose outputs
+    # are not dead; a continuing one of the greatest length opens nothing
+    reached = []
+    for program in all_strings_upto(cfg.max_program_len):
+        output, i, a, steps = "", 0, 0, 0
+        while program:
+            op, num, y, end = _decode(program, i)
+            if end is None:
+                break
+            steps += end - i + 1  # the code's bits and the dispatch
+            effect = _effect(op, num, y, aux, a, cfg.fuel - steps) if steps <= cfg.fuel else None
+            if effect is None:
+                break
+            emitted, a, extra = effect
+            output, steps = output + emitted, steps + extra
+            if end == len(program):
+                if op in _HALTING or end < cfg.max_program_len:
+                    reached.append(output)
+                break
+            if op in _HALTING or kind(output) == "dead":
+                break
+            i = end
+    return reached
 
-    yielded, asked = [], []
-    expand = machine.expand
 
-    def counting_expand(*args):
-        for item in expand(*args):
-            yielded.append(item)
-            yield item
+def test_walk_classifies_each_output_once():
+    # one state call on the empty output, then one per output that an
+    # instruction emits from an open boundary, whatever the answer: a
+    # halting output is not asked twice, and a continuing one on the last
+    # level is not asked at all.  The count is taken over bit strings, apart
+    # from the walk and from the code-at-a-time oracle
+    def kind(out):
+        return "dead" if "11" in out else "complete" if len(out) % 2 else "viable"
 
     def state(out):
         asked.append(out)
-        return "dead" if "11" in out else "complete" if len(out) % 2 else "viable"
+        return kind(out)
 
-    monkeypatch.setattr(machine, "expand", counting_expand)
-    records = search_programs(MachineConfig(12, 256), "0110", state)
+    cfg, asked = MachineConfig(12, 256), []
+    records = search_programs(cfg, "0110", state)
+    assert list(records) == search_programs_by_records(cfg, "0110", kind)
     assert records and any("11" in out for out in asked)  # some outputs complete, some dead
-    assert asked[0] == "" and len(asked) == 1 + len(yielded)
+    assert asked[0] == "" and Counter(asked[1:]) == Counter(_outputs_reached(cfg, "0110", kind))
+
+
+@pytest.mark.parametrize("fuel", [24, 25])
+def test_walk_lists_payloads_only_for_batches_that_fit(monkeypatch, fuel):
+    # the cheapest instruction with a j-bit payload is POW_HALT 0 with a
+    # one-bit number block, whose 2j + 5 code bits and dispatch are all its
+    # steps: no wider payload fits the fuel, so none is ever listed, however
+    # long the codes the bounds allow
+    import ait.machine as machine
+
+    widths, payloads = set(), machine._payloads
+
+    def listing(j):
+        widths.add(j)
+        return payloads(j)
+
+    monkeypatch.setattr(machine, "_payloads", listing)
+    records = search_programs(MachineConfig(40, fuel), "")
+    assert records and max(widths) == (fuel - 6) // 2
 
 
 def _least(records):

@@ -17,6 +17,7 @@ from ait.monotone import (
     ThetaTable,
     ThresholdNotFound,
     ZeroMeasureSet,
+    _preimage_counts,
     build_nu,
     km_sigma,
     measure_matching_gap,
@@ -27,9 +28,12 @@ from ait.monotone import (
     threshold_N,
     uniform_table,
 )
-from oracles import preimage_count_by_apply, xi
+from oracles import measure_matching_gap_by_apply, preimage_count_by_apply, xi
 
 RANDOM_SEEDS = range(10)
+# the tables whose largest gap ``ait calibrate`` measures as c_nu
+CALIBRATE_TABLES = [uniform_table(6), point_mass_table(6),
+                    *(random_pow2_table(seed, 5) for seed in range(10))]
 
 
 def all_strings_of(n):
@@ -371,11 +375,24 @@ def test_preimage_tally_matches_per_input_oracle(table, members):
     for n in range(nu.depth + 1):
         assert preimage_count(nu, members, n) == preimage_count_by_apply(nu, members, n)
     tallied = (_outcome(threshold_N, nu, members), _outcome(measure_matching_gap, table))
-    # the same two functions with every count taken by the oracle on a fresh nu
+    # the same two figures with every count taken by the oracle on a fresh nu
     with mock.patch.object(monotone, "preimage_count", preimage_count_by_apply):
         oracle = (_outcome(threshold_N, NuFunction(build_nu(table)), members),
-                  _outcome(measure_matching_gap, table))
+                  _outcome(measure_matching_gap_by_apply, table))
     assert tallied == oracle
+
+
+@pytest.mark.parametrize("table", [
+    *CALIBRATE_TABLES, *(random_pow2_table(seed, 6) for seed in RANDOM_SEEDS)])
+def test_gap_counts_are_the_preimage_counts(table):
+    # the gap reads each supported x's count off the last stage's S sets:
+    # the inputs of the deepest length whose image extends x, as the oracle
+    # counts them input by input
+    nu = NuFunction(build_nu(table))
+    counts = _preimage_counts(nu.transducer.stages[-1])
+    for x in table.support(table.max_stage):
+        assert counts[x] == preimage_count_by_apply(nu, [x], nu.depth), x
+    assert measure_matching_gap(table) == measure_matching_gap_by_apply(table)
 
 
 def test_each_input_applied_once_per_nu_and_length(monkeypatch):
