@@ -52,7 +52,8 @@ instruction's steps depend on its payload's width alone, so one decoder
 check serves the batch.  The walk keeps its open boundaries as states keyed
 by (prefix length, aux position, steps), each holding the prefixes that
 reach it and their outputs, and extends a state by a batch for all its
-prefixes and payloads at once.
+prefixes and payloads at once.  Past the aux end every position reads
+alike, so the key holds the position capped at the aux length.
 
 The walk writes its records into one ``Enumeration``: integer columns of
 steps, of programs and of ids into the list of distinct outputs.  A program
@@ -422,7 +423,9 @@ def search_programs(
 
     The walk goes in level order: every program of length n before any of
     length n + 1.  Its open instruction boundaries are states keyed by
-    (prefix length, aux position, steps); each holds its prefixes p, as the
+    (prefix length, aux position, steps), the position capped at len(aux):
+    past the aux end COPY_N reads zeros and COPY_ALL the one sentinel cell
+    wherever it starts.  Each state holds its prefixes p, as the
     integer of "1" + p, the store's form, with the root at 1, and their
     outputs.  At level n a state of p-bit prefixes takes the ``batches`` of
     codes with exactly n - p bits, each once: a batch's continuations join
@@ -432,7 +435,7 @@ def search_programs(
     value it has returned is started; only the records found up to there
     are returned.
     """
-    fuel, L = cfg.fuel, cfg.max_program_len
+    fuel, L, end = cfg.fuel, cfg.max_program_len, len(aux)
     width = L.bit_length()
     # per record, a key that sorts as (steps, program): the steps, the
     # program in the store's form padded with zeros to L + 1 bits, L less
@@ -463,9 +466,10 @@ def search_programs(
                     if not values:
                         continue
                 if after is not None:
-                    into = reached.get((n, after, spent))
+                    key = n, min(after, end), spent
+                    into = reached.get(key)
                     if into is None:
-                        reached[n, after, spent] = values, outputs
+                        reached[key] = values, outputs
                     else:
                         into[0].extend(values)
                         into[1].extend(outputs)
@@ -661,9 +665,11 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
     out of one boundary are prefix-free, so among suffixes of one length the
     first instruction decides the lex order.
 
-    A forward pass lists the boundaries reachable within L bits and the
+    The search runs within min(L, 2 len(x) + 2) bits, the length of
+    EMIT_HALT x, the literal halt out of the root (see ``_least_path``).  A
+    forward pass lists the boundaries reachable within those bits and the
     edges out of each, once.  A backward pass, in decreasing output length,
-    keeps the Pareto front of each boundary's suffixes that fit within L:
+    keeps the Pareto front of each boundary's suffixes that fit within them:
     the least path weight at each length where it falls.  The program length
     is the least length at the root whose weight fits the budget, and a
     forward walk takes at each boundary the lex-least first code that can
@@ -674,8 +680,15 @@ def min_program_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Optiona
 
 
 def _least_path(x: str, free: int, cfg: MachineConfig, aux: str, edges) -> Optional[tuple]:
-    """The least path over the ``edges`` of (x, free): (program in the store's form, steps)."""
-    L, budget = cfg.max_program_len, cfg.fuel - len(x)
+    """The least path over the ``edges`` of (x, free): (program in the store's form, steps).
+
+    The room is min(L, 2 len(x) + 2): both edge kinds yield EMIT_HALT x at
+    the root, 2 len(x) + 2 bits of weight 2 len(x) + 3, and x is a string of
+    the pattern.  Every edge weighs at least its code length and a dispatch,
+    so a path weighs more than its length.  If the literal fits the budget,
+    no least path is longer; if it does not, no longer path fits either.
+    So the cap changes no answer, and it needs no budget test."""
+    L, budget = min(cfg.max_program_len, 2 * len(x) + 2), cfg.fuel - len(x)
     prefix, out = _boundaries(x, free, aux, L, edges)
     # boundary -> the Pareto front of its suffixes within its room: (length,
     # path weight) pairs by increasing length with strictly falling weight.
@@ -728,6 +741,10 @@ def mass_for_output(x: str, cfg: MachineConfig, aux: str = "") -> Dyadic:
     length, up to its room, and by path weight, up to fuel - len(x), over
     every encoding of ``_count_edges``.  Its self-loops are at least four
     bits long, so they close in increasing length.
+
+    Unlike the least-path searches, this one keeps the full room L: the mass
+    counts every program up to L bits, not only the least one, and programs
+    longer than the literal EMIT_HALT x add to it.
     """
     L, budget = cfg.max_program_len, cfg.fuel - len(x)
     aux = aux[:cfg.readable_aux_len]
@@ -765,7 +782,12 @@ def _add_shifted(row: dict, source: dict, w: int, k: int, budget: int) -> None:
 def min_program_with_prefix_in(members: Iterable[str], cfg: MachineConfig,
                                aux: str = "") -> Optional[ProgramRecord]:
     """The (length, lex)-least program whose output extends a member, ``?``
-    marking free positions: the least of their ``_extending_edges`` paths."""
+    marking free positions: the least of their ``_extending_edges`` paths.
+
+    Each member's search runs within min(L, 2 len(x) + 2) bits, x its
+    lex-least string: EMIT_HALT x is one of its paths, and every edge weighs
+    at least its code length and a dispatch, so no least path runs past it
+    (see ``_least_path``)."""
     aux = aux[:cfg.readable_aux_len]
     paths = (_least_path(*split_pattern(m), cfg, aux, _extending_edges) for m in members)
     best = min((path[0] for path in paths if path is not None), default=None)

@@ -495,6 +495,27 @@ def test_walk_lists_payloads_only_for_batches_that_fit(monkeypatch, fuel):
     assert records and max(widths) == (fuel - 6) // 2
 
 
+@pytest.mark.parametrize("aux", ["", "0", "0110"])
+def test_walk_keys_aux_positions_up_to_the_aux_end(monkeypatch, aux):
+    # past the aux end COPY_N reads zeros and COPY_ALL the one sentinel cell
+    # wherever it starts, so the walk keys its states by the aux position
+    # capped at len(aux): no batch starts past it, and some start at it.  The
+    # code-at-a-time oracle keeps the uncapped positions
+    import ait.machine as machine
+
+    starts, walk = [], machine.batches
+
+    def watched(aux, fuel, a, steps, c):
+        starts.append(a)
+        return walk(aux, fuel, a, steps, c)
+
+    monkeypatch.setattr(machine, "batches", watched)
+    cfg = MachineConfig(14, 256)
+    records = search_programs(cfg, aux)
+    assert max(starts) == len(aux)
+    assert list(records) == search_programs_by_records(cfg, aux)
+
+
 def _least(records):
     return min(records, key=lambda r: (len(r.program), r.program), default=None)
 
@@ -594,6 +615,52 @@ def test_least_program_matches_enumeration_at_tight_fuel(aux, max_len):
         for cfg in around(records):
             assert min_program_with_prefix_in([x], cfg, aux) == \
                 _least([r for r in records if r.steps <= cfg.fuel])
+
+
+def _extends(out, member):
+    return len(out) >= len(member) and all(c in ("?", b) for c, b in zip(member, out))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(member=st.text(alphabet="01?", max_size=7), aux=st.text(alphabet="01", max_size=4),
+       shift=st.integers(-3, 3), slack=st.integers(0, 1))
+@example(member="0110", aux="", shift=0, slack=1)  # the literal halt is the answer
+@example(member="0110", aux="", shift=0, slack=0)  # the literal needs one step more
+@example(member="01?0", aux="01", shift=2, slack=1)
+def test_least_paths_within_the_literal_halt_match_enumeration(member, aux, shift, slack):
+    # the least-path searches run within min(L, 2 len(x) + 2) bits, the
+    # literal halt EMIT_HALT x.  At fuel 3 len(x) + 3 the literal fits
+    # exactly, and at 3 len(x) + 2 it does not; L lies on both sides of its
+    # length.  Oracle: the least record of the enumeration
+    x = member.replace("?", "1")  # exact search; the pattern's own x is its lex-least string
+    n = len(x)
+    cfg = MachineConfig(min(max(2 * n + 2 + shift, 1), 16), 3 * n + 2 + slack)
+    records = enumerate_halting(cfg, aux)
+    assert min_program_for_output(x, cfg, aux) == _least([r for r in records if r.output == x])
+    assert min_program_with_prefix_in([member], cfg, aux) == \
+        _least([r for r in records if _extends(r.output, member)])
+
+
+def test_least_paths_build_no_room_past_the_literal_halt(monkeypatch):
+    # the answers agree with or without the cap, so only the work shows it:
+    # every boundary graph of a least-path search is built within
+    # min(L, 2 len(x) + 2) bits, x the lex-least string of the pattern
+    import ait.machine as machine
+
+    rooms, build = [], machine._boundaries
+
+    def watched(x, free, aux, L, edges):
+        rooms.append((x, L))
+        return build(x, free, aux, L, edges)
+
+    monkeypatch.setattr(machine, "_boundaries", watched)
+    targets = ["", "0110100111", "0" * 30]
+    for x in targets:
+        assert min_program_for_output(x, CHAIN, "0110") is not None
+    assert min_program_with_prefix_in(["01?1", "0?" * 12], CHAIN) is not None
+    expected = [(x, min(CHAIN.max_program_len, 2 * len(x) + 2))
+                for x in targets + ["0101", "00" * 12]]
+    assert rooms == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
