@@ -12,15 +12,11 @@ all mass bookkeeping below happens in integer grid units of 2^-L.  The table
 keeps the tiles, never the pieces: a query about a string b needs at most one
 piece, the one that properly contains b's interval, and the tile endpoints
 give it.  The tiles are the records of ``machine.Enumeration``, the columnar
-store of the walk: their widths come from its program column and their
-grouping by output from its output ids.  The table groups them by output in
-flat columns too: the tile indices grouped by output id, with group
-offsets, running mass on the grid, and each output's least tile.  Every
-column, the store's and the table's, is the narrowest unsigned array that
-holds the largest value its bound allows: 2^L for the grid points, the
-fuel for output lengths, and the record count for tile indices and
-offsets; past 64 bits it is a list.  The queries read these columns and
-the store's; none builds a ``ProgramRecord``.
+store of the walk.  ``IntervalTable`` holds, in flat integer columns sized
+by their bounds, what the queries read: the tile endpoints, the tiles
+grouped by output with their running mass, each output's least program,
+and the rises of the longest output.  After the build no query reads the
+store, and none builds a ``ProgramRecord``.
 
 Desk-scale totality is relative to the bounds: a string is total when every
 leaf of the depth-L tree under it has a prefix on which the machine halts
@@ -63,55 +59,62 @@ class IntervalTable:
     """Consecutive open intervals, the tiles, over the enumeration order.
     Tile k belongs to ``records[k]``, record k of the cached enumeration
     store itself, and spans [_bounds[k], _bounds[k + 1]) in integer grid
-    units of 2^-L.  The build reads each tile's width off the store's
-    program column and groups the tiles by output id with one counting
-    sort; it builds no ``ProgramRecord`` and no list with an entry per tile.
+    units of 2^-L.  The build reads the store's program and output-id
+    columns, groups the tiles by output id with one counting sort, and makes
+    no list with an entry per tile; no query reads ``records`` after it.
 
-    The tiles grouped by output are integer columns over the store's output
-    ids.  ``tiles`` holds the tile indices grouped by output id, ascending
-    within each group: output i's are ``tiles[starts[i]:starts[i + 1]]``.
-    ``cum`` is the running mass over ``tiles`` on the grid, so output i's
-    mass is ``cum[starts[i + 1]] - cum[starts[i]]``.  ``least`` holds each
-    output's (length, lex)-least tile.  ``index`` maps each output to its
-    id, inserted in strictly increasing (len(program), program) order of
+    ``tiles`` holds the tile indices grouped by output id, ascending within
+    each group: output i's are ``tiles[starts[i]:starts[i + 1]]``.  ``cum``
+    is the running mass over ``tiles`` on the grid, so output i's mass is
+    ``cum[starts[i + 1]] - cum[starts[i]]``.  ``least`` holds each output's
+    (length, lex)-least program as the store does, the integer of "1" + p.
+    ``index`` maps each output to its id, inserted in increasing order of
     the least programs, so the first output a query accepts in its order
-    holds its least program.
+    holds its least program.  ``rise_at`` holds, in order, the first tile of
+    each output longer than every output whose first tile comes before it,
+    and ``rise_len`` the longest length, from 0 before the first rise.
 
     Each integer column is sized by ``machine._column`` from the largest
     value its bound allows: ``_bounds`` and ``cum`` by the grid's 2^L,
-    ``_prefix_maxlen`` by the fuel (each output bit costs a step), and
-    ``tiles``, ``starts`` and ``least`` by the record count.  So a column
-    is the narrowest unsigned ``array`` that holds its bound, or a list
-    past 64 bits, as at L = 64."""
+    ``least`` by 2^(L+1) - 1, ``rise_len`` by the fuel (each output bit
+    costs a step), and ``tiles``, ``starts`` and ``rise_at`` by the record
+    count.  So a column is the narrowest unsigned ``array`` that holds its
+    bound, or a list past 64 bits, as at L = 64."""
 
     config: MachineConfig
     records: Enumeration
-    omega: Dyadic                      # total assigned width = the final grid position
     index: dict[str, int]
     tiles: array = field(repr=False)
     starts: array = field(repr=False)
     cum: array | list = field(repr=False)
-    least: array = field(repr=False)
-    # n + 1 tile endpoints from 0 to omega; the longest output among the
-    # first k tiles
-    _bounds: array | list = field(repr=False)
-    _prefix_maxlen: array | list = field(repr=False)
+    least: array | list = field(repr=False)
+    _bounds: array | list = field(repr=False)  # n + 1 tile endpoints from 0 to omega
+    rise_at: array = field(repr=False)
+    rise_len: array | list = field(repr=False)
 
     @property
     def omega_grid(self) -> int:
         return self._bounds[-1]
 
+    @property
+    def omega(self) -> Dyadic:  # the total assigned width
+        return Dyadic(self._bounds[-1], self.config.max_program_len)
+
     def program(self, i: int) -> str:
         """Output i's (length, lex)-least program."""
-        return self.records.program(self.least[i])
+        return bin(self.least[i])[3:]
 
     def length(self, i: int) -> int:
         """The length of output i's least program."""
-        return self.records.programs[self.least[i]].bit_length() - 1
+        return self.least[i].bit_length() - 1
 
     def mass(self, i: int) -> int:
         """Output i's tile mass in grid units of 2^-L."""
         return self.cum[self.starts[i + 1]] - self.cum[self.starts[i]]
+
+    def longest(self, k: int) -> int:
+        """The length of the longest output among the first k tiles."""
+        return self.rise_len[bisect_left(self.rise_at, k)]
 
 
 def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
@@ -120,7 +123,8 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
     programs = records.programs  # "1" + p as an integer: p has bit_length() - 1 bits
     n, top = len(records), 1 << L
     width_of = [1 << L + 1 - b for b in range(L + 2)]  # by a program integer's bit length
-    widths = _column(map(width_of.__getitem__, map(int.bit_length, programs)), top)
+    # no program is shorter than 00, so no width exceeds 2^(L-2)
+    widths = _column(map(width_of.__getitem__, map(int.bit_length, programs)), top >> 2)
     try:
         bounds = _column(accumulate(widths, initial=0), top)
     except OverflowError:  # a running sum past the column's width
@@ -129,28 +133,26 @@ def build_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
         raise AssertionError("Kraft sum exceeded 1; the machine domain is broken")
     ids, names = records.ids, records.outputs
     # a counting sort of the tile indices by output id
-    counts = Counter(ids)
-    starts = _column(accumulate(map(counts.__getitem__, range(len(names))), initial=0), n)
+    starts = _column(accumulate(map(Counter(ids).__getitem__, range(len(names))), initial=0), n)
     fill = list(starts)
     tiles = _column((0,), n) * n
     for k, i in enumerate(ids):
         tiles[fill[i]] = k
         fill[i] += 1
     cum = _column(accumulate(map(widths.__getitem__, tiles), initial=0), top)
-    # the longest output among the first k tiles rises only past an output's
-    # first tile, so the column is one run per rise, filled in C
-    prefix_maxlen, longest = _column((), cfg.fuel), 0
+    del widths, fill  # read; freed before the per-output passes, which set the peak
+    # the longest output rises only at an output's first tile
+    rise_at, rise_len = _column((), n), _column((0,), cfg.fuel)
     for k, length in sorted(zip(map(tiles.__getitem__, starts[:-1]), map(len, names))):
-        if length > longest:
-            prefix_maxlen += _column((longest,), cfg.fuel) * (k + 1 - len(prefix_maxlen))
-            longest = length
-    prefix_maxlen += _column((longest,), cfg.fuel) * (n + 1 - len(prefix_maxlen))
+        if length > rise_len[-1]:
+            rise_at.append(k)
+            rise_len.append(length)
     # the program integers sort in (length, lex) order
-    least = _column((min(tiles[lo:hi], key=programs.__getitem__)
-                     for lo, hi in zip(starts, starts[1:])), n)
-    ranked = sorted(range(len(names)), key=[programs[k] for k in least].__getitem__)
-    return IntervalTable(cfg, records, Dyadic(bounds[-1], L), {names[i]: i for i in ranked},
-                         tiles, starts, cum, least, bounds, prefix_maxlen)
+    least = _column((min(map(programs.__getitem__, tiles[lo:hi]))
+                     for lo, hi in zip(starts, starts[1:])), (2 << L) - 1)
+    ranked = sorted(range(len(names)), key=least.__getitem__)
+    return IntervalTable(cfg, records, {names[i]: i for i in ranked},
+                         tiles, starts, cum, least, bounds, rise_at, rise_len)
 
 
 def get_interval_table(cfg: MachineConfig, aux: str = "") -> IntervalTable:
@@ -185,7 +187,7 @@ def _cuts(b: str, table: IntervalTable) -> tuple[int, int, int]:
         hi_b = lo_b + size
         size <<= 1
         lo = lo_b & -size  # the parent
-    bounds, n = table._bounds, len(table.records)
+    bounds, n = table._bounds, len(table._bounds) - 1  # n tiles
     k = bisect_right(bounds, lo) - 1
     if k < n and lo + size <= bounds[k + 1]:
         t_lo, t_hi = bounds[k], bounds[k + 1]
@@ -248,7 +250,7 @@ def bb(b: str, cfg: MachineConfig, aux: str = "") -> int:
     """
     table = get_interval_table(cfg, aux)
     _left, upto, tiles = _cuts(b, table)
-    return table._prefix_maxlen[tiles] if upto <= table.omega_grid else 0
+    return table.longest(tiles) if upto <= table.omega_grid else 0
 
 
 def m_b(b: str, x: str, y: str, cfg: MachineConfig) -> Dyadic:

@@ -168,10 +168,6 @@ class Enumeration(Sequence):
     def __add__(self, other) -> list[ProgramRecord]:
         return [*self, *other]
 
-    def program(self, k: int) -> str:
-        """Record k's program alone."""
-        return bin(self.programs[k])[3:]
-
     def lines(self) -> Iterator[str]:
         """``program<TAB>output<TAB>steps`` per record."""
         outputs = self.outputs

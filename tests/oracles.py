@@ -7,7 +7,8 @@ never runs.
   graph read off the instruction decoder, one code at a time (``expand``).
 - The left-total transform: the transformed machine, a tree walk, the
   pieces of the interval table, its output columns as a dict of arrays
-  grouped from the records, the table's text form, ``m_b``'s mass
+  grouped from the records, the longest output over every run of first
+  tiles, the table's text form, ``m_b``'s mass
   filter without its totality gate, the base machine's totality and a
   child-by-child descent to the border prefix; the left-of relation and the
   open dyadic intervals it orders.
@@ -214,6 +215,12 @@ def _grid_interval(x: str, grid_bits: int) -> tuple[int, int]:
 def tiles(table: IntervalTable):
     """(record, lo, hi) per tile in position order, in grid units of 2^-L."""
     return zip(table.records, table._bounds, table._bounds[1:])
+
+
+def longest_by_tiles(table: IntervalTable) -> list[int]:
+    """The per-tile prefix maximum: entry k is the length of the longest
+    output among the first k tiles, for k from 0 to the tile count."""
+    return list(accumulate((len(rec.output) for rec in table.records), max, initial=0))
 
 
 def outputs_by_grouping(table: IntervalTable) -> dict[str, tuple[ProgramRecord, array, array]]:

@@ -104,9 +104,11 @@ def test_coding_direction_exhaustive(fixture_cfg, monkeypatch):
     records = Enumeration(array("I", [5]), array("I", [0b1000]), array("I", [0]), [""])
     assert list(records) == [ProgramRecord("000", "", 5)]
     for mass, holds in ((1 << (L - 3), True), ((1 << (L - 3)) - 1, False)):
-        table = IntervalTable(fixture_cfg, records, Dyadic(mass, L), {"": 0}, array("I", [0]),
-                              array("I", [0, 1]), array("q", [0, mass]), array("I", [0]),
-                              array("q", [0, mass]), array("q", [0, 0]))
+        table = IntervalTable(fixture_cfg, records, {"": 0}, tiles=array("I", [0]),
+                              starts=array("I", [0, 1]), cum=array("q", [0, mass]),
+                              least=array("I", [0b1000]), _bounds=array("q", [0, mass]),
+                              rise_at=array("I"), rise_len=array("I", [0]))
+        assert table.program(0) == "000" and table.omega == Dyadic(mass, L)
         monkeypatch.setattr(complexity, "get_interval_table",
                             lambda cfg, aux, _table=table: _table)
         assert coding_direction_holds(fixture_cfg) is holds
@@ -427,7 +429,8 @@ def test_queries_read_the_index_exactly_when_the_enumeration_is_built(monkeypatc
 @pytest.mark.parametrize("aux", ["", "0110"])
 def test_output_index_is_ranked_by_least_program(fixture_cfg, aux):
     # the table's output columns against a regrouping of the enumeration:
-    # each output's tiles, its least program and its running mass on the grid
+    # each output's tiles, its least program (in the store's form, which
+    # identifies its record) and its running mass on the grid
     L = fixture_cfg.max_program_len
     records = get_enumeration(fixture_cfg, aux)
     groups = {}
@@ -439,8 +442,8 @@ def test_output_index_is_ranked_by_least_program(fixture_cfg, aux):
         lo, hi = table.starts[i], table.starts[i + 1]
         tiles = table.tiles[lo:hi]
         assert list(tiles) == groups[x]
-        assert records[table.least[i]] == min((records[k] for k in tiles),
-                                              key=lambda r: (len(r.program), r.program))
+        least = min((records[k] for k in tiles), key=lambda r: (len(r.program), r.program))
+        assert table.least[i] == int("1" + least.program, 2)
         assert [c - table.cum[lo] for c in table.cum[lo:hi + 1]] == \
             list(accumulate((1 << (L - len(records[k].program)) for k in tiles), initial=0))
     ranks = [(table.length(i), table.program(i)) for i in table.index.values()]

@@ -2,9 +2,10 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ait.codec import Lcg, all_strings_upto, prefix_pair
+from ait.complexity import coding_direction_holds, k_t, km_t, m_t, output_stats
 from ait.dyadic import Dyadic
 import ait.leftward as leftward
 from ait.leftward import (
@@ -21,13 +22,23 @@ from ait.leftward import (
     shortest_total_satisfying,
     total_strings_of_length,
 )
-from ait.machine import Enumeration, MachineConfig, Status, kraft_sum, mass_for_output, run
+from ait.machine import (
+    Enumeration,
+    MachineConfig,
+    Status,
+    _column,
+    is_built,
+    kraft_sum,
+    mass_for_output,
+    run,
+)
 from oracles import (
     UTotality,
     border_by_descent,
     interval_of,
     is_total_uprime_by_walk,
     left_of,
+    longest_by_tiles,
     mass_filtered,
     outputs_by_grouping,
     reach_by_pieces,
@@ -179,7 +190,9 @@ def test_output_view_matches_grouping(L, fuel, aux, data):
     for x, (least, tiles, mass) in want.items():
         i = table.index[x]
         lo, hi = table.starts[i], table.starts[i + 1]
-        assert table.records[table.least[i]] == least and list(table.tiles[lo:hi]) == list(tiles)
+        # the least program identifies its record
+        assert table.least[i] == int("1" + least.program, 2)
+        assert list(table.tiles[lo:hi]) == list(tiles)
         assert [c - table.cum[lo] for c in table.cum[lo:hi + 1]] == list(mass)
         assert table.program(i) == least.program and table.length(i) == len(least.program)
         assert table.mass(i) == mass[-1]
@@ -380,6 +393,77 @@ def test_bb_definition_oracle(fixture_cfg, aux):
     for b in _probes(table):
         want = reach_by_pieces(b, pieces, L).bb if is_total_uprime(b, table) else 0
         assert bb(b, fixture_cfg, aux) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(L=st.integers(1, 12), fuel=st.integers(16, 2048), aux=st.text("01", max_size=6))
+@example(L=40, fuel=24, aux="01")
+@example(L=64, fuel=24, aux="")
+def test_rises_give_the_longest_output_of_every_tile_prefix(L, fuel, aux):
+    # bb's lookup against the per-tile prefix maximum, for every tile count
+    # k from 0 to n; the rises hold one entry per value that maximum takes
+    table = get_interval_table(MachineConfig(L, fuel), aux)
+    want = longest_by_tiles(table)
+    assert [table.longest(k) for k in range(len(want))] == want
+    assert len(table.rise_at) + 1 == len(table.rise_len) == len(set(want))
+
+
+class _Unreadable:
+    """Stands in for the store: any read of it fails."""
+
+    def _fail(self, *args):
+        raise AssertionError("a table query read the store")
+
+    __len__ = __iter__ = __getitem__ = __contains__ = __bool__ = _fail
+
+    def __getattribute__(self, name):
+        if name == "__class__":  # asked when the stub is set in place
+            return _Unreadable
+        raise AssertionError(f"a table query read the store's {name}")
+
+
+@pytest.mark.parametrize("cfg, aux", [(MachineConfig(14, 2048), ""),
+                                      (MachineConfig(14, 2048), "0110"),
+                                      (MachineConfig(64, 24), "01")])
+def test_queries_read_no_store(cfg, aux, monkeypatch):
+    # every table query answers the same with the store swapped for a stub
+    # that fails on any read, so the table holds its answers
+    table, plain = get_interval_table(cfg, aux), get_interval_table(cfg, "")
+    assert is_built("enumeration", cfg, aux)  # so k_t and m_t read the table
+    L = cfg.max_program_len
+    border = border_prefix(cfg, aux).bits
+    probes = [*all_strings_upto(5), border, border + "0", border + "1", "1" * (L + 1)]
+    outputs = list(table.index)[:8] + ["0" * (L + 9)]
+
+    def answers():
+        return ([(k_t(x, aux, cfg), m_t(x, aux, cfg)) for x in outputs],
+                km_t(["0?1", "11"], cfg), km_t(outputs, cfg),
+                [(bb(b, cfg, aux), m_b_set(b, outputs, aux, cfg), omega_pair(b, cfg, aux))
+                 for b in probes],
+                border_prefix(cfg, aux), output_stats(cfg, aux), coding_direction_holds(cfg, aux))
+
+    want = answers()
+    for t in (table, plain):
+        monkeypatch.setattr(t, "records", _Unreadable())
+    assert answers() == want
+
+
+@pytest.mark.parametrize("L, code", [(16, "H"), (32, "I"), (33, "I")])
+def test_widths_column_is_sized_by_the_shortest_program(L, code, monkeypatch):
+    # the transient widths column is bounded by 2^(L-2), the width of the
+    # shortest program 00, not by the grid's 2^L
+    made = []
+
+    def column(values, most):
+        col = _column(values, most)
+        made.append((most, col))
+        return col
+
+    monkeypatch.setattr(leftward, "_column", column)
+    table = build_interval_table(MachineConfig(L, 24), "")
+    widths = [hi - lo for lo, hi in zip(table._bounds, table._bounds[1:])]
+    assert widths and [(most, c.typecode) for most, c in made if list(c) == widths] == \
+        [(1 << L - 2, code)]
 
 
 @pytest.mark.parametrize("aux", ["", "0110", "1"])

@@ -374,7 +374,8 @@ def test_store_keys_past_64_bits_are_a_list():
     # bounds allow, and a list past 64 bits: a program of L = 64 bits takes
     # 65 with its leading 1, the steps of fuel 2^64 take 65, and so does the
     # grid point 2^64 that bounds the table's endpoints and running mass at
-    # L = 64; the longest output, like the steps, is bounded by the fuel
+    # L = 64; the table's least programs are sized as the store's programs,
+    # and its output lengths, like the steps, by the fuel
     for cfg, aux, steps, programs, ids, grid in (
             (MachineConfig(64, 24), "01", "H", list, "H", list),
             (MachineConfig(40, 24), "01", "H", "Q", "H", "Q"),
@@ -384,7 +385,7 @@ def test_store_keys_past_64_bits_are_a_list():
         table = build_interval_table(cfg, aux)
         for column, want in ((store.steps, steps), (store.programs, programs), (store.ids, ids),
                              (table._bounds, grid), (table.cum, grid),
-                             (table._prefix_maxlen, steps)):
+                             (table.least, programs), (table.rise_len, steps)):
             assert (column.typecode if isinstance(column, array) else type(column)) == want
         assert list(store) == search_programs_by_records(cfg, aux)
     assert len(enumerate_halting(MachineConfig(4, 1 << 64), "")) == 3
@@ -413,7 +414,6 @@ def test_store_reads_as_a_sequence_of_records(fixture_cfg, enumeration):
     assert list(enumeration.programs) == [int("1" + r.program, 2) for r in records]
     assert list(enumeration.steps) == [r.steps for r in records]
     assert list(enumeration.lines()) == [f"{r.program}\t{r.output}\t{r.steps}\n" for r in records]
-    assert [enumeration.program(k) for k in range(-n, n)] == [r.program for r in records + records]
     assert cache_digest(enumeration) == cache_digest(records)
     assert len(enumeration.outputs) == len({r.output for r in records})
 
